@@ -284,7 +284,7 @@ def check_assumption(p: MTeqProblem) -> AssumptionReport:
         A = p.A
         if A.is_dense:
             block = tuple([iplus] * (A.order - 1))
-            dense = A.to_dense_array()
+            dense = A.dense_values
             for i in part.i_zero:
                 sub = dense[int(i)][np.ix_(*block)] if iplus.size else np.zeros(0)
                 if not np.any(sub != 0.0):

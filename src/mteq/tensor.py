@@ -144,6 +144,15 @@ class Tensor:
             raise ValueError("dense tensor has no COO value array")
         return self._vals
 
+    @property
+    def dense_values(self) -> np.ndarray:
+        """Read-only view of the stored dense entries (no copy)."""
+        if not self.is_dense:
+            raise ValueError("COO tensor has no dense value array")
+        view = self._dense.view()
+        view.flags.writeable = False
+        return view
+
     def __repr__(self):
         return (f"Tensor(order={self.order}, dim={self.dim}, "
                 f"storage={self.storage!r}, nnz={self.nnz})")

@@ -313,3 +313,26 @@ def test_criterion_9_failure_semantics(tmp_path):
     _record(9, ok,
             f"verify exits {verify_code} (want {EXIT_INFEASIBLE}); initializer "
             f"refused: {init_refused}; solve status {rep.status.name}")
+
+
+# ---------------------------------------------------------------------------
+# 10. the boundary-value family at a size plain Jacobi sweeps cannot reach
+
+def test_criterion_10_large_boundary_value_problem():
+    # plain Jacobi sweeps ran out of their 100,000-sweep cap at n=160
+    t0 = time.perf_counter()
+    cfg = SolverConfig(relative_stop=True)
+    worst, runs = 0.0, []
+    converged = True
+    for c0, c1 in ((1e7, 1e7), (2e7, 1e7), (1e7, 5e7)):
+        p = gen_problem3(160, c0=c0, c1=c1)
+        ip, rep = _solve_and_walk(p, cfg)
+        converged = converged and rep.converged
+        worst = max(worst, rep.final_residual / np.linalg.norm(p.b))
+        runs.append(f"c0={c0:.0e},c1={c1:.0e}: {ip.iterations} sweeps, "
+                    f"{rep.iterations} Newton")
+    elapsed = time.perf_counter() - t0
+    ok = converged and worst <= 1e-10 and elapsed < 30.0
+    _record(10, ok,
+            f"n=160 converged for all three boundary pairs, worst relative "
+            f"residual {worst:.1e} (tol 1e-10) [{'; '.join(runs)}]; {elapsed:.1f}s")

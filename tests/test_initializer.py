@@ -1,5 +1,8 @@
 """Feasible starting points from the diagonal splitting iteration."""
 
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,25 @@ from mteq import (SolverConfig, Tensor, find_certificate, hadamard_power,
                   make_problem)
 from mteq.initializer import MAX_SWEEPS, InitializationError
 from mteq.problems import gen_problem1, gen_problem3, gen_problem5, zero_out_rhs
+
+
+class CountingTensor:
+    """Delegates to a tensor and counts its ``apply``/``diagonal`` calls."""
+
+    def __init__(self, tensor):
+        self._tensor = tensor
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        return getattr(self._tensor, name)
+
+    def apply(self, x):
+        self.calls["apply"] += 1
+        return self._tensor.apply(x)
+
+    def diagonal(self):
+        self.calls["diagonal"] += 1
+        return self._tensor.diagonal()
 
 
 def test_jacobi_step_identity_fixed_point():
@@ -58,12 +80,66 @@ def test_find_certificate_cap_exhaustion():
         find_certificate(Tensor.from_dense(dense), max_sweeps=200)
 
 
+@pytest.mark.parametrize("shift", [2.0, 3.9, 3.99])
+def test_find_certificate_non_m_tensor_fails_cleanly(shift):
+    # below the spectral radius 4 of the all-ones part the accelerated
+    # iterates grow without bound; that must end in InitializationError,
+    # not in a least-squares failure or a leaked overflow warning
+    dense = -np.ones((2, 2, 2))
+    dense[0, 0, 0] += shift
+    dense[1, 1, 1] += shift
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InitializationError):
+            find_certificate(Tensor.from_dense(dense), max_sweeps=2000)
+
+
+def test_find_certificate_cap_message_reports_reach():
+    p = gen_problem3(40)
+    with pytest.raises(InitializationError) as info:
+        find_certificate(p.A, rhs=p.b, max_sweeps=5)
+    msg = str(info.value)
+    assert "cap of 5 splitting sweeps ran out" in msg
+    assert "smallest ratio of A x^{m-1} to its positivity floor" in msg
+    assert "likely not" not in msg
+
+
+def test_find_certificate_stencil_sweep_count():
+    # plain Jacobi sweeps took 16,074 here; the accelerated map takes 86
+    p = gen_problem3(40)
+    u, sweeps = find_certificate(p.A, rhs=p.b)
+    assert 0 < sweeps < 1000
+    assert np.all(p.A.apply(u) > 0.1 * p.b)
+
+
+def test_find_certificate_one_apply_per_sweep():
+    p = gen_problem3(24)
+    counted = CountingTensor(p.A)
+    u, sweeps = find_certificate(counted, rhs=p.b)
+    assert sweeps > 0
+    # one contraction per sweep, plus the positivity test at the result
+    assert counted.calls["apply"] == sweeps + 1
+    assert counted.calls["diagonal"] == 1
+
+
 def test_dominant_shortcut_uses_ones():
     p = gen_problem1(3, 10, 0)
     ip = initial_point(p)
     assert ip.iterations == 0
     assert np.array_equal(ip.u, np.ones(10))
     assert np.array_equal(ip.y0, hadamard_power(ip.x0, 2))
+
+
+def test_initial_point_reuses_problem_certificate(monkeypatch):
+    p = gen_problem1(3, 10, 0)
+    assert p.certificate is not None
+
+    def retest(self):
+        raise AssertionError("diagonal dominance tested again")
+    monkeypatch.setattr(Tensor, "is_diag_dominant", retest)
+    ip = initial_point(p)
+    assert ip.iterations == 0
+    assert np.array_equal(ip.u, p.certificate)
 
 
 def test_identity_inflation_arithmetic():

@@ -35,6 +35,18 @@ def test_jacobian_matches_loops(m, n):
     assert np.allclose(t.to_coo().jacobian_matrix(x), expect, rtol=1e-12, atol=1e-14)
 
 
+def test_dense_values_is_a_read_only_view():
+    arr = random_dense(3, 4, seed=5)
+    t = Tensor.from_dense(arr)
+    view = t.dense_values
+    assert np.shares_memory(view, arr)
+    assert np.array_equal(view, arr)
+    with pytest.raises(ValueError):
+        view[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        t.to_coo().dense_values
+
+
 def test_identity_apply_and_diagonal():
     t = Tensor.identity(4, 3)
     x = np.array([1.0, 2.0, 0.5])

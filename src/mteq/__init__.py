@@ -10,8 +10,7 @@ initializer, seeded benchmark generators, and a command-line front end
 
 from .initializer import (InitializationError, InitialPoint, find_certificate,
                           initial_point, jacobi_step)
-from .linalg import (SingularMatrixError, is_nonsingular_m_matrix, lu_solve,
-                     submatrix)
+from .linalg import SingularMatrixError, lu_solve, submatrix
 from .model import (AssumptionReport, IndexPartition, MTeqProblem,
                     SolverConfig, check_assumption, feasibility_slack,
                     in_feasible, in_feasible_split, make_problem,
@@ -23,8 +22,8 @@ from .report import (IterationRecord, SolveReport, SolveStatus,
                      estimate_order, write_trace_csv)
 from .solver_basic import (line_search_basic, newton_direction,
                            solve_positive)
-from .solver_extended import (StepRule, line_search_extended,
-                              solve_nonnegative, trial_scale)
+from .solver_extended import (line_search_extended, solve_nonnegative,
+                              trial_scale)
 from .tensor import (FormatError, Tensor, dense_cap, hadamard_power,
                      m_splitting, nqz_spectral_radius, read_tensor,
                      read_vector, write_tensor, write_vector)

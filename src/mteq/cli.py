@@ -27,7 +27,7 @@ from .problems import (gen_problem1, gen_problem2, gen_problem3, gen_problem4,
                        gen_problem5, write_problem, zero_out_rhs)
 from .report import SolveReport, SolveStatus, estimate_order, write_trace_csv
 from .solver_basic import solve_positive
-from .solver_extended import StepRule, solve_nonnegative
+from .solver_extended import solve_nonnegative
 from .tensor import (FormatError, m_splitting, nqz_spectral_radius,
                      read_tensor, read_vector, write_vector)
 
@@ -67,7 +67,8 @@ def _config_from(args) -> SolverConfig:
                         rho=args.rho, eta=args.eta, c=args.c,
                         max_iter=args.max_iter,
                         max_backtracks=args.max_backtracks,
-                        relative_stop=args.relative)
+                        relative_stop=args.relative,
+                        plain_steps=args.plain_steps)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,14 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # solve
 
-def _solve_problem(p: MTeqProblem, cfg: SolverConfig, rule: StepRule):
-    """Initializer plus the solver matching the right-hand side pattern."""
-    init = initial_point(p, cfg)
+def _solve_from(p: MTeqProblem, init, cfg: SolverConfig) -> SolveReport:
+    """The solver matching the right-hand side pattern, run from ``init``."""
     if p.partition.i_zero.size:
-        report = solve_nonnegative(p, init.y0, cfg, rule=rule)
-    else:
-        report = solve_positive(p, init.x0, cfg)
-    return init, report
+        return solve_nonnegative(p, init.y0, cfg)
+    return solve_positive(p, init.x0, cfg)
 
 
 _STATUS_EXIT = {
@@ -154,7 +152,6 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     cfg = _config_from(args)
-    rule = StepRule.plain() if args.plain_steps else StepRule.scaled(cfg.c)
     try:
         p = scale_problem(A, b)
     except ValueError as exc:
@@ -168,7 +165,8 @@ def cmd_solve(args) -> int:
                   file=sys.stderr)
             return EXIT_INFEASIBLE
     try:
-        init, report = _solve_problem(p, cfg, rule)
+        init = initial_point(p, cfg)
+        report = _solve_from(p, init, cfg)
     except InitializationError as exc:
         print(f"initialization failed: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -325,8 +323,7 @@ class CellResult:
     init_iters_mean: float
 
 
-def bench_cell(factory, trials, cfg: SolverConfig,
-               rule: StepRule | None = None) -> CellResult:
+def bench_cell(factory, trials, cfg: SolverConfig) -> CellResult:
     """Run ``factory(t) -> MTeqProblem`` for ``t in range(trials)``.
 
     Failures of any kind (initialization, non-convergence) are counted
@@ -342,10 +339,7 @@ def bench_cell(factory, trials, cfg: SolverConfig,
             tic = time.perf_counter()
             init = initial_point(p, cfg)
             mid = time.perf_counter()
-            if p.partition.i_zero.size:
-                report = solve_nonnegative(p, init.y0, cfg, rule=rule)
-            else:
-                report = solve_positive(p, init.x0, cfg)
+            report = _solve_from(p, init, cfg)
             toc = time.perf_counter()
         except (InitializationError, ValueError):
             continue
@@ -397,7 +391,6 @@ def cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     cfg = _config_from(args)
-    rule = StepRule.plain() if args.plain_steps else StepRule.scaled(cfg.c)
     cells = []
     for m, n in sizes:
         try:
@@ -410,7 +403,7 @@ def cmd_bench(args) -> int:
             p = _generate(args.problem, m, n, args.seed + t, args.c0, args.c1)
             return _apply_zeroing(p, args.zero_frac, keep, args.seed + t)
 
-        cells.append(bench_cell(factory, args.trials, cfg, rule=rule))
+        cells.append(bench_cell(factory, args.trials, cfg))
     table = markdown_table(cells)
     print(table, end="")
     if args.out:

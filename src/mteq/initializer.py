@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MTeqProblem, SolverConfig, in_feasible, in_feasible_split
+from .model import MTeqProblem, SolverConfig, in_feasible_split
 from .tensor import Tensor, hadamard_power
 
 __all__ = [
@@ -239,10 +239,6 @@ def initial_point(p: MTeqProblem, cfg: SolverConfig | None = None) -> InitialPoi
     t = max(1.0, float(np.max(cfg.eps * p.b / au)) ** (1.0 / (m - 1))) * 1.01
     x0 = t * u
     y0 = hadamard_power(x0, m - 1)
-    if part.i_zero.size:
-        ok = in_feasible_split(p, y0, cfg.eps, cfg.eps2)
-    else:
-        ok = in_feasible(p, y0, cfg.eps)
-    if not ok:
+    if not in_feasible_split(p, y0, cfg.eps, cfg.eps2):
         raise InitializationError("constructed point failed the feasibility check")
     return InitialPoint(x0=x0, y0=y0, iterations=sweeps, u=u)

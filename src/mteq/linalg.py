@@ -1,4 +1,4 @@
-"""Dense linear solves and the M-matrix certificate used by the feasibility
+"""Dense linear solves and the block extraction used by the feasibility
 machinery.
 
 Solves go through an LU factorization with partial pivoting; a pivot below
@@ -18,7 +18,6 @@ __all__ = [
     "SingularMatrixError",
     "lu_solve",
     "submatrix",
-    "is_nonsingular_m_matrix",
 ]
 
 PIVOT_RTOL = 1e-14
@@ -73,29 +72,3 @@ def submatrix(mat, rows, cols) -> np.ndarray:
         if ix.size and (ix.min() < 0 or ix.max() >= limit):
             raise IndexError(f"{name} index out of range 0..{limit - 1}")
     return mat[np.ix_(rows, cols)]
-
-
-def is_nonsingular_m_matrix(mat) -> bool:
-    """Positive-vector certificate that ``mat`` is a nonsingular M-matrix.
-
-    Checks the Z-matrix sign pattern, then solves ``mat @ z = e``: for a
-    nonsingular M-matrix the inverse is nonnegative, so ``z`` must come out
-    (numerically) nonnegative and reproduce ``mat @ z > 0``.  No eigenvalue
-    computation is involved.
-    """
-    mat = _as_square(mat)
-    n = mat.shape[0]
-    if n == 0:
-        return True
-    norm = float(np.abs(mat).sum(axis=1).max())
-    off = mat.copy()
-    np.fill_diagonal(off, 0.0)
-    if off.size and off.max() > PIVOT_RTOL * norm:
-        return False
-    try:
-        z = lu_solve(mat, np.ones(n))
-    except SingularMatrixError:
-        return False
-    if z.min() <= -1e-12:
-        return False
-    return bool(np.all(mat @ z > 0.0))

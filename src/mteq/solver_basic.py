@@ -1,4 +1,4 @@
-"""Damped Newton iteration for strictly positive right-hand sides.
+"""The damped Newton iteration shared by both solvers.
 
 Each step solves the Newton system of the transformed residual and then
 backtracks along the direction until the trial point stays strictly
@@ -8,7 +8,13 @@ condition
     ||f(y + alpha d)||^2 <= (1 - 2 sigma alpha) ||f(y)||^2.
 
 Feasibility of every iterate is what keeps the Jacobian an M-matrix and
-the iteration well defined all the way to the solution.
+the iteration well defined all the way to the solution.  The feasibility
+test is :func:`mteq.model.in_feasible_split`, which reduces to the plain
+``eps * b`` floor when ``b > 0``.  The loop, the start checks, the report
+assembly and the backtracking search live here once;
+:func:`solve_positive` runs them with the plain ``rho**i`` trials and
+:mod:`mteq.solver_extended` with the residual-scaled retry of the unit
+step.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import SingularMatrixError, lu_solve
-from .model import MTeqProblem, SolverConfig, in_feasible, residual, residual_jacobian
+from .model import (MTeqProblem, SolverConfig, in_feasible_split, residual,
+                    residual_jacobian)
 from .report import IterationRecord, SolveReport, SolveStatus
 from .tensor import hadamard_power
 
@@ -48,6 +55,38 @@ def newton_direction(p: MTeqProblem, y, f=None, J=None) -> np.ndarray:
     return lu_solve(J, -f)
 
 
+def trial_scale(residual_norm, c) -> float:
+    """Base steplength ``beta`` for retries after a failed unit step."""
+    beta = 1.0 - c * float(residual_norm)
+    return beta if beta > 0.0 else 1.0
+
+
+def _backtrack(p: MTeqProblem, y, d, cfg: SolverConfig, current_norm,
+               scaled: bool) -> LineSearchResult | None:
+    """Try ``1, beta, beta*rho, beta*rho^2, ...`` for at most
+    ``cfg.max_backtracks`` backtracks and return the first trial that is
+    positive, feasible and descending.
+
+    ``beta`` is ``rho`` for the plain schedule and
+    ``trial_scale(||f(y)||, cfg.c)`` for the scaled one.
+    """
+    if current_norm is None:
+        current_norm = float(np.linalg.norm(residual(p, y)))
+    bound_base = current_norm * current_norm
+    beta = trial_scale(current_norm, cfg.c) if scaled else cfg.rho
+    alpha = 1.0
+    for i in range(cfg.max_backtracks + 1):
+        yt = y + alpha * d
+        if np.all(yt > 0.0):
+            ft = residual(p, yt)
+            if in_feasible_split(p, yt, cfg.eps, cfg.eps2, g=ft + p.b):
+                rt = float(np.linalg.norm(ft))
+                if rt * rt <= (1.0 - 2.0 * cfg.sigma * alpha) * bound_base:
+                    return LineSearchResult(alpha, yt, ft, rt, i)
+        alpha = beta if i == 0 else alpha * cfg.rho
+    return None
+
+
 def line_search_basic(p: MTeqProblem, y, d, cfg: SolverConfig,
                       current_norm=None) -> LineSearchResult | None:
     """Largest ``rho**i`` step that keeps the trial feasible and descending.
@@ -55,20 +94,7 @@ def line_search_basic(p: MTeqProblem, y, d, cfg: SolverConfig,
     Returns ``None`` when no acceptable steplength is found within
     ``cfg.max_backtracks`` backtracks.
     """
-    if current_norm is None:
-        current_norm = float(np.linalg.norm(residual(p, y)))
-    bound_base = current_norm * current_norm
-    alpha = 1.0
-    for i in range(cfg.max_backtracks + 1):
-        yt = y + alpha * d
-        if np.all(yt > 0.0):
-            ft = residual(p, yt)
-            if in_feasible(p, yt, cfg.eps, g=ft + p.b):
-                rt = float(np.linalg.norm(ft))
-                if rt * rt <= (1.0 - 2.0 * cfg.sigma * alpha) * bound_base:
-                    return LineSearchResult(alpha, yt, ft, rt, i)
-        alpha *= cfg.rho
-    return None
+    return _backtrack(p, y, d, cfg, current_norm, scaled=False)
 
 
 def _stop_threshold(p: MTeqProblem, cfg: SolverConfig) -> float:
@@ -77,32 +103,36 @@ def _stop_threshold(p: MTeqProblem, cfg: SolverConfig) -> float:
     return cfg.eta
 
 
-def solve_positive(p: MTeqProblem, x0, cfg: SolverConfig | None = None) -> SolveReport:
-    """Solve ``A x^{m-1} = b`` for ``b > 0`` starting from a feasible ``x0``.
+def _damped_newton(p: MTeqProblem, start, cfg: SolverConfig, line_search, *,
+                   start_is_y: bool, mode: str | None = None,
+                   refusal: str = "") -> SolveReport:
+    """Run the damped Newton loop from ``start`` and assemble the report.
 
-    The starting point must be strictly positive with ``A x0^{m-1} >=
-    eps * b``; otherwise the report comes back with status
-    ``BAD_INITIAL_POINT``.  Right-hand sides with zero components belong to
-    :func:`~mteq.solver_extended.solve_nonnegative`.
+    ``start`` is ``x0``, or ``y0 = x0^{m-1}`` when ``start_is_y`` is set.
+    A nonempty ``refusal`` ends the solve with ``ASSUMPTION_VIOLATED``
+    before any evaluation.  ``line_search(p, y, d, cfg, current_norm=r)``
+    picks each step; ``mode`` names its rule in the report.
     """
-    cfg = cfg or SolverConfig()
-    if p.partition.i_zero.size:
-        raise ValueError(
-            "right-hand side has zero components; use solve_nonnegative")
-    x0 = np.asarray(x0, dtype=float)
     threshold = _stop_threshold(p, cfg)
-    if x0.shape != (p.n,) or np.any(x0 <= 0.0):
-        return SolveReport(SolveStatus.BAD_INITIAL_POINT, x0, x0, [],
-                           float("nan"), float("nan"),
-                           stop_threshold=threshold,
-                           message="starting point must be strictly positive")
-    y = hadamard_power(x0, p.m - 1)
+    start = np.asarray(start, dtype=float)
+
+    def stopped(status, x, y, r, message):
+        return SolveReport(status, x, y, [], r, r, stop_threshold=threshold,
+                           message=message, mode=mode)
+
+    if refusal:
+        return stopped(SolveStatus.ASSUMPTION_VIOLATED, start, start,
+                       float("nan"), refusal)
+    if start.shape != (p.n,) or np.any(start <= 0.0):
+        return stopped(SolveStatus.BAD_INITIAL_POINT, start, start,
+                       float("nan"), "starting point must be strictly positive")
+    y = start if start_is_y else hadamard_power(start, p.m - 1)
     f = residual(p, y)
     r = float(np.linalg.norm(f))
-    if not in_feasible(p, y, cfg.eps, g=f + p.b):
-        return SolveReport(SolveStatus.BAD_INITIAL_POINT, x0, y, [], r, r,
-                           stop_threshold=threshold,
-                           message="starting point outside the feasible region")
+    if not in_feasible_split(p, y, cfg.eps, cfg.eps2, g=f + p.b):
+        x0 = hadamard_power(y, 1.0 / (p.m - 1)) if start_is_y else start
+        return stopped(SolveStatus.BAD_INITIAL_POINT, x0, y, r,
+                       "starting point outside the feasible region")
     r0 = r
     trace: list[IterationRecord] = []
     iterates = [y.copy()]
@@ -119,7 +149,7 @@ def solve_positive(p: MTeqProblem, x0, cfg: SolverConfig | None = None) -> Solve
             status = SolveStatus.LINE_SEARCH_FAILURE
             message = f"singular Jacobian at iteration {k}: {exc}"
             break
-        step = line_search_basic(p, y, d, cfg, current_norm=r)
+        step = line_search(p, y, d, cfg, current_norm=r)
         if step is None:
             status = SolveStatus.LINE_SEARCH_FAILURE
             message = f"line search exhausted {cfg.max_backtracks} backtracks at iteration {k}"
@@ -134,4 +164,19 @@ def solve_positive(p: MTeqProblem, x0, cfg: SolverConfig | None = None) -> Solve
             status = SolveStatus.CONVERGED
     x = hadamard_power(y, 1.0 / (p.m - 1))
     return SolveReport(status, x, y, trace, r, r0, iterates,
-                       stop_threshold=threshold, message=message)
+                       stop_threshold=threshold, message=message, mode=mode)
+
+
+def solve_positive(p: MTeqProblem, x0, cfg: SolverConfig | None = None) -> SolveReport:
+    """Solve ``A x^{m-1} = b`` for ``b > 0`` starting from a feasible ``x0``.
+
+    The starting point must be strictly positive with ``A x0^{m-1} >=
+    eps * b``; otherwise the report comes back with status
+    ``BAD_INITIAL_POINT``.  Right-hand sides with zero components belong to
+    :func:`~mteq.solver_extended.solve_nonnegative`.
+    """
+    cfg = cfg or SolverConfig()
+    if p.partition.i_zero.size:
+        raise ValueError(
+            "right-hand side has zero components; use solve_nonnegative")
+    return _damped_newton(p, x0, cfg, line_search_basic, start_is_y=False)

@@ -1,180 +1,56 @@
 """Damped Newton iteration for right-hand sides with zero components.
 
-The iteration is the same as in :mod:`mteq.solver_basic` but feasibility is
+The loop is the one of :mod:`mteq.solver_basic`, run on an
+index-partitioned feasible set with a different step rule.  Feasibility is
 judged per index block: rows with ``b_i > 0`` keep the ``eps * b`` floor,
 rows with ``b_i = 0`` compare against the Jacobian-derived threshold of
 :func:`mteq.model.zero_block_threshold`.
 
-The default line-search rule retries the unit step scaled by
-``1 - c * ||f(y)||`` after a failed unit trial.  Near the solution that
-scale tends to 1, so full Newton steps are recovered and the quadratic
-convergence rate survives the damping.
+The default step rule retries the unit step scaled by ``1 - c * ||f(y)||``
+after a failed unit trial.  Near the solution that scale tends to 1, so
+full Newton steps are recovered and the quadratic convergence rate
+survives the damping.  ``SolverConfig.plain_steps`` selects the plain
+``rho**i`` trials of the basic solver instead.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
-import numpy as np
-
-from .linalg import SingularMatrixError
-from .model import (MTeqProblem, SolverConfig, check_assumption,
-                    in_feasible_split, residual)
-from .report import IterationRecord, SolveReport, SolveStatus
-from .solver_basic import LineSearchResult, _stop_threshold, newton_direction
-from .tensor import hadamard_power
+from .model import MTeqProblem, SolverConfig, check_assumption
+from .report import SolveReport
+from .solver_basic import (LineSearchResult, _backtrack, _damped_newton,
+                           trial_scale)
 
 __all__ = [
-    "StepRule",
     "trial_scale",
     "line_search_extended",
     "solve_nonnegative",
 ]
 
 
-@dataclass(frozen=True)
-class StepRule:
-    """First-trial policy for the extended line search.
-
-    With ``residual_scaled`` unset, trials are the plain ``rho**i``
-    schedule.  With it set, a failed unit step is followed by the schedule
-    ``beta * rho**i`` where ``beta = 1 - c * ||f(y)||`` (reset to 1 when
-    that is nonpositive).
-    """
-
-    residual_scaled: bool = True
-    c: float = 1.0
-
-    def __post_init__(self):
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
-
-    @classmethod
-    def plain(cls) -> "StepRule":
-        return cls(residual_scaled=False)
-
-    @classmethod
-    def scaled(cls, c=1.0) -> "StepRule":
-        return cls(residual_scaled=True, c=c)
-
-    @property
-    def name(self) -> str:
-        return "residual_scaled" if self.residual_scaled else "plain"
-
-
-def trial_scale(residual_norm, c) -> float:
-    """Base steplength ``beta`` for retries after a failed unit step."""
-    beta = 1.0 - c * float(residual_norm)
-    return beta if beta > 0.0 else 1.0
-
-
 def line_search_extended(p: MTeqProblem, y, d, cfg: SolverConfig,
-                         rule: StepRule | None = None,
                          current_norm=None) -> LineSearchResult | None:
-    """Backtracking search under the split feasibility test."""
-    if rule is None:
-        rule = StepRule.scaled(cfg.c)
-    if current_norm is None:
-        current_norm = float(np.linalg.norm(residual(p, y)))
-    bound_base = current_norm * current_norm
-    trials = 0
+    """Backtracking search under the split feasibility test.
 
-    def attempt(alpha):
-        yt = y + alpha * d
-        if not np.all(yt > 0.0):
-            return None
-        ft = residual(p, yt)
-        if not in_feasible_split(p, yt, cfg.eps, cfg.eps2, g=ft + p.b):
-            return None
-        rt = float(np.linalg.norm(ft))
-        if rt * rt <= (1.0 - 2.0 * cfg.sigma * alpha) * bound_base:
-            return LineSearchResult(alpha, yt, ft, rt, trials)
-        return None
-
-    if rule.residual_scaled:
-        hit = attempt(1.0)
-        if hit is not None:
-            return hit
-        trials += 1
-        beta = trial_scale(current_norm, rule.c)
-    else:
-        beta = 1.0
-    alpha = beta
-    while trials <= cfg.max_backtracks:
-        hit = attempt(alpha)
-        if hit is not None:
-            return hit
-        trials += 1
-        alpha *= cfg.rho
-    return None
+    Trials are ``1, beta, beta*rho, ...`` with ``beta = trial_scale(||f(y)||,
+    cfg.c)``, or the plain ``rho**i`` when ``cfg.plain_steps`` is set.
+    """
+    return _backtrack(p, y, d, cfg, current_norm, scaled=not cfg.plain_steps)
 
 
-def solve_nonnegative(p: MTeqProblem, y0, cfg: SolverConfig | None = None,
-                      rule: StepRule | None = None) -> SolveReport:
+def solve_nonnegative(p: MTeqProblem, y0, cfg: SolverConfig | None = None) -> SolveReport:
     """Solve ``A x^{m-1} = b`` for ``b >= 0`` from a transformed start ``y0``.
 
     Refuses outright (status ``ASSUMPTION_VIOLATED``) when some zero-indexed
     row has no nonzero entry coupling it to the positive index set, since no
     positive solution can exist then.  The starting point must satisfy the
-    split feasibility test, else ``BAD_INITIAL_POINT``.
+    split feasibility test, else ``BAD_INITIAL_POINT``.  The report's
+    ``mode`` is ``"plain"`` or ``"residual_scaled"``.
     """
     cfg = cfg or SolverConfig()
-    if rule is None:
-        rule = StepRule.scaled(cfg.c)
-    threshold = _stop_threshold(p, cfg)
     assumption = check_assumption(p)
-    if not assumption.ok:
-        rows = ", ".join(str(i + 1) for i in assumption.missing)
-        y0 = np.asarray(y0, dtype=float)
-        return SolveReport(SolveStatus.ASSUMPTION_VIOLATED, y0, y0, [],
-                           float("nan"), float("nan"),
-                           stop_threshold=threshold, mode=rule.name,
-                           message=f"zero-indexed rows without coupling entries: {rows}")
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (p.n,) or np.any(y0 <= 0.0):
-        return SolveReport(SolveStatus.BAD_INITIAL_POINT, y0, y0, [],
-                           float("nan"), float("nan"),
-                           stop_threshold=threshold, mode=rule.name,
-                           message="starting point must be strictly positive")
-    f = residual(p, y0)
-    r = float(np.linalg.norm(f))
-    if not in_feasible_split(p, y0, cfg.eps, cfg.eps2, g=f + p.b):
-        x0 = hadamard_power(y0, 1.0 / (p.m - 1))
-        return SolveReport(SolveStatus.BAD_INITIAL_POINT, x0, y0, [], r, r,
-                           stop_threshold=threshold, mode=rule.name,
-                           message="starting point outside the feasible region")
-    y = y0
-    r0 = r
-    trace: list[IterationRecord] = []
-    iterates = [y.copy()]
-    status = SolveStatus.ITERATION_CAP
-    message = ""
-    for k in range(1, cfg.max_iter + 1):
-        if r <= threshold:
-            status = SolveStatus.CONVERGED
-            break
-        tic = time.perf_counter()
-        try:
-            d = newton_direction(p, y, f=f)
-        except SingularMatrixError as exc:
-            status = SolveStatus.LINE_SEARCH_FAILURE
-            message = f"singular Jacobian at iteration {k}: {exc}"
-            break
-        step = line_search_extended(p, y, d, cfg, rule=rule, current_norm=r)
-        if step is None:
-            status = SolveStatus.LINE_SEARCH_FAILURE
-            message = f"line search exhausted {cfg.max_backtracks} backtracks at iteration {k}"
-            break
-        assert step.residual_norm <= r
-        y, f, r = step.y_next, step.f_next, step.residual_norm
-        trace.append(IterationRecord(k, step.alpha, r, step.backtracks, True,
-                                     (time.perf_counter() - tic) * 1e3))
-        iterates.append(y.copy())
-    else:
-        if r <= threshold:
-            status = SolveStatus.CONVERGED
-    x = hadamard_power(y, 1.0 / (p.m - 1))
-    return SolveReport(status, x, y, trace, r, r0, iterates,
-                       stop_threshold=threshold, message=message,
-                       mode=rule.name)
+    refusal = "" if assumption.ok else (
+        "zero-indexed rows without coupling entries: "
+        + ", ".join(str(i + 1) for i in assumption.missing))
+    mode = "plain" if cfg.plain_steps else "residual_scaled"
+    return _damped_newton(p, y0, cfg, line_search_extended, start_is_y=True,
+                          mode=mode, refusal=refusal)

@@ -75,7 +75,10 @@ def test_solve_exit_codes(tmp_path):
                    str(out / "rhs.vec")) == EXIT_IO
 
 
-def test_solve_zeroed_rhs_uses_extended_path(tmp_path):
+@pytest.mark.parametrize("flags, mode", [((), "residual_scaled"),
+                                         (("--plain-steps",), "plain")],
+                         ids=["residual_scaled", "plain"])
+def test_solve_zeroed_rhs_uses_extended_path(tmp_path, flags, mode):
     out = tmp_path / "p1z"
     run_cli("gen", "--problem", "1", "--m", "3", "--n", "8", "--seed", "1",
             "--zero-frac", "0.5", "--out", str(out))
@@ -84,10 +87,10 @@ def test_solve_zeroed_rhs_uses_extended_path(tmp_path):
     trace = tmp_path / "t.csv"
     assert run_cli("solve", str(out / "tensor.mt"), str(out / "rhs.vec"),
                    "--solution", str(tmp_path / "s.vec"),
-                   "--trace", str(trace)) == EXIT_OK
+                   "--trace", str(trace), *flags) == EXIT_OK
     with open(trace, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert rows[0]["mode"] == "residual_scaled"
+    assert rows and {row["mode"] for row in rows} == {mode}
     assert read_vector(tmp_path / "s.vec").min() > 0.0
 
 

@@ -1,10 +1,10 @@
-"""LU solves, pivot guards, and the M-matrix certificate."""
+"""LU solves, pivot guards, and block extraction."""
 
 import numpy as np
 import pytest
 
 from mteq import SingularMatrixError
-from mteq.linalg import is_nonsingular_m_matrix, lu_solve, submatrix
+from mteq.linalg import lu_solve, submatrix
 
 
 def test_lu_solve_matches_reference():
@@ -35,17 +35,3 @@ def test_submatrix_selects_blocks():
     with pytest.raises(IndexError):
         submatrix(mat, np.array([0, 4]), np.array([0]))
 
-
-def test_m_matrix_certificate():
-    # strictly diagonally dominant Z-matrix: a textbook nonsingular M-matrix
-    good = np.array([[3.0, -1.0, -1.0],
-                     [-1.0, 3.0, -1.0],
-                     [0.0, -1.0, 2.0]])
-    assert is_nonsingular_m_matrix(good)
-    # positive off-diagonal entry breaks the Z-pattern
-    not_z = good.copy()
-    not_z[0, 1] = 1.0
-    assert not is_nonsingular_m_matrix(not_z)
-    # singular M-matrix: rows sum to zero
-    sing = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert not is_nonsingular_m_matrix(sing)

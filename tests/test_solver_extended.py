@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from mteq import (SolveStatus, SolverConfig, StepRule, Tensor, initial_point,
-                  make_problem, solve_nonnegative, solve_positive, trial_scale)
+from mteq import (SolveStatus, SolverConfig, Tensor, initial_point,
+                  line_search_basic, line_search_extended, make_problem,
+                  newton_direction, residual, solve_nonnegative,
+                  solve_positive, trial_scale)
 from mteq.problems import gen_problem1, zero_out_rhs
 
 from oracles import two_var_bisection
@@ -35,14 +37,15 @@ def test_mode_recorded_in_report():
     p = small_problem()
     y0 = initial_point(p).y0
     assert solve_nonnegative(p, y0).mode == "residual_scaled"
-    assert solve_nonnegative(p, y0, rule=StepRule.plain()).mode == "plain"
+    plain = SolverConfig(plain_steps=True)
+    assert solve_nonnegative(p, y0, plain).mode == "plain"
 
 
 def test_plain_rule_reduces_to_basic_solver_on_positive_rhs():
     p = gen_problem1(3, 10, 5)
     ip = initial_point(p)
     basic = solve_positive(p, ip.x0)
-    ext = solve_nonnegative(p, ip.y0, rule=StepRule.plain())
+    ext = solve_nonnegative(p, ip.y0, SolverConfig(plain_steps=True))
     assert basic.converged and ext.converged
     assert basic.iterations == ext.iterations
     for ya, yb in zip(basic.iterates, ext.iterates):
@@ -56,6 +59,45 @@ def test_trial_scale():
     assert trial_scale(1.0, 1.0) == 1.0
     assert trial_scale(5.0, 1.0) == 1.0
     assert trial_scale(0.5, 0.5) == pytest.approx(0.75)
+
+
+def same_step(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return (a.alpha == b.alpha and a.residual_norm == b.residual_norm
+            and a.backtracks == b.backtracks
+            and np.array_equal(a.y_next, b.y_next)
+            and np.array_equal(a.f_next, b.f_next))
+
+
+def test_scaled_retry_follows_failed_unit_step():
+    p = small_problem()
+    y = initial_point(p).y0
+    r = float(np.linalg.norm(residual(p, y)))
+    # twice the Newton direction overshoots, so the unit trial fails
+    d = 2.0 * newton_direction(p, y)
+    cfg = SolverConfig()
+    hit = line_search_extended(p, y, d, cfg)
+    assert hit.backtracks == 1
+    assert hit.alpha == trial_scale(r, cfg.c)
+    assert hit.alpha != cfg.rho
+
+
+def test_plain_steps_match_basic_line_search():
+    # with the default 60 backtracks the ascent trial shrinks until
+    # y + alpha d rounds to y, which passes the descent test with equality
+    plain = SolverConfig(plain_steps=True, max_backtracks=20)
+    for b in ((1.0, 0.0), (1.0, 1.0)):
+        p = small_problem(b)
+        y = initial_point(p).y0
+        nd = newton_direction(p, y)
+        for scale in (1.0, 2.0, 10.0, -1.0):
+            d = scale * nd
+            ext = line_search_extended(p, y, d, plain)
+            assert same_step(ext, line_search_basic(p, y, d, plain))
+            assert (ext is None) == (scale < 0.0)
+            if ext is not None:
+                assert ext.alpha == plain.rho ** ext.backtracks
 
 
 def test_assumption_violation_is_structured():

@@ -1,0 +1,31 @@
+"""The traced benchmark run wraps library functions by ``module.attr``
+name; every name it lists must still be a distinct library function."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_resolve_to_distinct_functions():
+    tracing = load_tracing()
+    seen = {}
+    for targets in tracing.FUNCTIONS.values():
+        for target in targets:
+            mod_name, attr = target.split(".")
+            fn = getattr(importlib.import_module(f"mteq.{mod_name}"), attr)
+            assert inspect.isfunction(fn), target
+            assert fn.__module__ == f"mteq.{mod_name}", target
+            assert id(fn) not in seen, f"{target} is {seen.get(id(fn))}"
+            seen[id(fn)] = target
+    for span in tracing.SOLVERS:
+        assert span in tracing.FUNCTIONS

@@ -1,0 +1,119 @@
+"""Print one SHA-256 over the solve reports of a fixed ensemble.
+
+A refactor that must not change any iterate runs this before and after the
+change and compares the two lines.  The hash covers every ``SolveReport``
+field except the wall-clock ``elapsed_ms`` of the trace records: the
+status, ``x_final``, ``y_final`` and every iterate as raw float64 bytes,
+the trace records, both residuals, ``stop_threshold``, ``message`` and
+``mode``.  Initializer failures enter the hash through their message.
+
+The ensemble:
+
+- P1, P2, P4 and P5 at (m, n) = (3, 30) and (4, 8), seeds 0 to 7, each with
+  its generated ``b`` and half-zeroed, solved with the default config, with
+  ``plain_steps=True`` and with ``max_iter=2``; a positive ``b`` goes
+  through both ``solve_positive`` and ``solve_nonnegative``;
+- P3 at n = 24 and 40 with the three boundary pairs of the stencil
+  benchmark, stopping on the residual relative to ``||b||``;
+- bad starting points (negative, zero, infeasible, wrong shape) and a
+  problem that violates the zero-row coupling assumption.
+
+The hash depends on the BLAS build, so compare runs on one machine only.
+
+Run from the repository root:
+
+    PYTHONPATH=src python scripts/report_hash.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+import mteq
+
+CONFIGS = (mteq.SolverConfig(), mteq.SolverConfig(plain_steps=True),
+           mteq.SolverConfig(max_iter=2))
+STENCIL_CONFIG = mteq.SolverConfig(relative_stop=True)
+STENCIL_BOUNDARIES = ((1e7, 1e7), (2e7, 1e7), (1e7, 5e7))
+
+
+def _float(v) -> bytes:
+    return float(v).hex().encode()
+
+
+def _array(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def report_bytes(rep: mteq.SolveReport) -> bytes:
+    parts = [rep.status.value.encode(), _array(rep.x_final), _array(rep.y_final)]
+    for rec in rep.trace:
+        parts += [str(rec.k).encode(), _float(rec.alpha),
+                  _float(rec.residual_norm), str(rec.backtracks).encode(),
+                  str(rec.feasible).encode()]
+    parts += [_float(rep.final_residual), _float(rep.initial_residual)]
+    parts += [_array(y) for y in rep.iterates]
+    parts += [_float(rep.stop_threshold), rep.message.encode(),
+              str(rep.mode).encode()]
+    return b"|".join(parts)
+
+
+def solves(p, cfg):
+    """Initialize and solve ``p`` with each applicable solver."""
+    try:
+        init = mteq.initial_point(p, cfg)
+    except mteq.InitializationError as exc:
+        yield f"init: {exc}".encode()
+        return
+    if not p.partition.i_zero.size:
+        yield report_bytes(mteq.solve_positive(p, init.x0, cfg))
+    yield report_bytes(mteq.solve_nonnegative(p, init.y0, cfg))
+
+
+def dense_problems():
+    for problem in (1, 2, 4, 5):
+        gen = getattr(mteq, f"gen_problem{problem}")
+        keep = (0,) if problem == 5 else ()
+        for m, n in ((3, 30), (4, 8)):
+            for seed in range(8):
+                p = gen(m, n, seed)
+                yield p
+                b = mteq.zero_out_rhs(p.b, seed, keep=keep)
+                yield mteq.make_problem(p.A, b, omega=p.omega)
+
+
+def bad_starts():
+    p = mteq.gen_problem1(3, 10, 0)
+    n = p.n
+    for start in (-np.ones(n), np.zeros(n), np.full(n, 1e-8), np.ones(n + 1)):
+        yield report_bytes(mteq.solve_positive(p, start))
+        yield report_bytes(mteq.solve_nonnegative(p, start))
+    # a diagonal tensor with a zeroed row: row 2 couples to nothing in I+
+    q = mteq.make_problem(mteq.Tensor.identity(3, 2), np.array([1.0, 0.0]))
+    yield report_bytes(mteq.solve_nonnegative(q, np.ones(2)))
+
+
+def ensemble():
+    for p in dense_problems():
+        for cfg in CONFIGS:
+            yield from solves(p, cfg)
+    for n in (24, 40):
+        for c0, c1 in STENCIL_BOUNDARIES:
+            yield from solves(mteq.gen_problem3(n, c0, c1), STENCIL_CONFIG)
+    yield from bad_starts()
+
+
+def main():
+    digest = hashlib.sha256()
+    count = 0
+    for item in ensemble():
+        digest.update(len(item).to_bytes(8, "little"))
+        digest.update(item)
+        count += 1
+    print(f"{digest.hexdigest()}  ({count} reports)")
+
+
+if __name__ == "__main__":
+    main()

@@ -215,7 +215,9 @@ def initial_point(p: MTeqProblem, cfg: SolverConfig | None = None) -> InitialPoi
 
     Raises :class:`InitializationError` when no certificate vector exists
     within the sweep cap or the constructed point fails the feasibility
-    check it was built to satisfy.
+    check it was built to satisfy.  That check evaluates ``y0`` and leaves
+    its record in the problem's memo, so a solver started from ``x0`` or
+    ``y0`` does not contract the tensor at the start again.
     """
     cfg = cfg or SolverConfig()
     part = p.partition

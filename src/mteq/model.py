@@ -15,6 +15,18 @@ All strict inequalities from the underlying theory are implemented with an
 additive slack of ``1e-14 * (1 + max|b|)``: exact float comparisons would
 otherwise produce spurious line-search failures at points that are feasible
 in exact arithmetic.
+
+Every quantity at a point comes from one private record, built by
+``_evaluate(p, y)``: ``y``, ``x``, ``g = A x^{m-1}``, ``f = g - b`` and,
+on first use, the residual Jacobian.  On dense storage the record
+contracts the tensor once into ``M = A x^{m-2}``; ``g = M x`` and the
+Jacobian's first term is ``M``, so both match the stand-alone kernels to
+the bit.  The problem keeps the last record in a one-slot memo that is hit
+only by a ``y`` exactly equal to the record's, which hands the point
+evaluated by :func:`~mteq.initializer.initial_point` or accepted by a line
+search on to the next step without a second contraction.
+:func:`residual`, :func:`residual_jacobian` and the feasibility tests all
+read the record.
 """
 
 from __future__ import annotations
@@ -109,7 +121,8 @@ class MTeqProblem:
     solutions of the stored system solve the original one.  ``certificate``
     is a positive vector ``u`` with ``A u^{m-1} > 0`` when one is known,
     which certifies the strong M-tensor property.  Treat instances as
-    immutable after construction.
+    immutable after construction: ``_memo`` holds the last evaluated
+    point, computed from ``A`` and ``b``.
     """
 
     A: Tensor
@@ -117,6 +130,8 @@ class MTeqProblem:
     omega: float = 1.0
     partition: IndexPartition = field(default=None)
     certificate: np.ndarray | None = None
+    _memo: _Point | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)
@@ -178,36 +193,86 @@ def _check_transformed(p: MTeqProblem, y) -> np.ndarray:
     return y
 
 
+class _Point:
+    """The transformed residual map evaluated at one point ``y``.
+
+    Holds ``y``, ``x = y^{1/(m-1)}``, ``g = A x^{m-1}`` and ``f = g - b``
+    as read-only arrays, and builds the residual Jacobian on first use.
+    Dense storage computes ``g = M @ x`` from the partial contraction
+    ``M = A x^{m-2}`` and hands ``M`` to the Jacobian as its first term;
+    COO storage takes ``g`` from ``apply``.  The record keeps the tensor
+    but never the problem, so a problem's memo makes no reference cycle.
+    """
+
+    __slots__ = ("y", "x", "g", "f", "_A", "_partial", "_jac")
+
+    def __init__(self, A: Tensor, b: np.ndarray, y: np.ndarray):
+        self.y = y
+        self.x = hadamard_power(y, 1.0 / (A.order - 1))
+        self._A = A
+        if A.is_dense:
+            self._partial = A.partial_contraction(self.x)
+            self.g = self._partial @ self.x
+        else:
+            self._partial = None
+            self.g = A.apply(self.x)
+        self.f = self.g - b
+        self._jac = None
+        for a in (self.x, self.g, self.f):
+            a.flags.writeable = False
+
+    def jacobian(self) -> np.ndarray:
+        """Residual Jacobian at ``y`` (read-only), built on the first call.
+
+        Chain rule: the derivative of ``A x^{m-1}`` at ``x = y^{1/(m-1)}``
+        column-scaled by ``dx/dy = (1/(m-1)) y^{1/(m-1)-1}``.
+        """
+        if self._jac is None:
+            m = self._A.order
+            jac = self._A.jacobian_matrix(self.x, partial=self._partial)
+            scale = hadamard_power(self.y, 1.0 / (m - 1) - 1.0) / (m - 1)
+            self._jac = jac * scale[None, :]
+            self._jac.flags.writeable = False
+            self._partial = None
+        return self._jac
+
+
+def _evaluate(p: MTeqProblem, y) -> _Point:
+    """The record of ``y``: ``p``'s memo when its ``y`` equals this one
+    exactly, else a new record, which then takes the memo's slot."""
+    y = _check_transformed(p, y)
+    last = p._memo
+    if last is not None and np.array_equal(last.y, y):
+        return last
+    y = y.copy()
+    y.flags.writeable = False
+    p._memo = point = _Point(p.A, p.b, y)
+    return point
+
+
 def residual(p: MTeqProblem, y) -> np.ndarray:
     """Evaluate ``f(y) = A x^{m-1} - b`` with ``x = y^{1/(m-1)}``."""
-    y = _check_transformed(p, y)
-    x = hadamard_power(y, 1.0 / (p.m - 1))
-    return p.A.apply(x) - p.b
+    return _evaluate(p, y).f.copy()
 
 
 def residual_jacobian(p: MTeqProblem, y) -> np.ndarray:
     """Jacobian of :func:`residual` at ``y``.
 
-    Chain rule: the derivative of ``A x^{m-1}`` at ``x = y^{1/(m-1)}``
-    column-scaled by ``dx/dy = (1/(m-1)) y^{1/(m-1)-1}``.  Satisfies the
-    identity ``J(y) @ y = f(y) + b`` by homogeneity.
+    Satisfies the identity ``J(y) @ y = f(y) + b`` by homogeneity.  At the
+    point :func:`residual` was last evaluated at, it reuses that
+    evaluation's contraction.
     """
-    y = _check_transformed(p, y)
-    m = p.m
-    x = hadamard_power(y, 1.0 / (m - 1))
-    jac = p.A.jacobian_matrix(x)
-    scale = hadamard_power(y, 1.0 / (m - 1) - 1.0) / (m - 1)
-    return jac * scale[None, :]
+    return _evaluate(p, y).jacobian().copy()
 
 
 def in_feasible(p: MTeqProblem, y, eps, g=None) -> bool:
     """Whether ``A x^{m-1} >= eps * b`` componentwise (with slack).
 
-    ``g`` may carry a precomputed ``residual(p, y) + b`` to spare an
-    evaluation inside line searches.
+    ``g`` may carry a precomputed ``A x^{m-1}`` to spare an evaluation
+    inside line searches.
     """
     if g is None:
-        g = residual(p, y) + p.b
+        g = _evaluate(p, y).g
     slack = feasibility_slack(p.b)
     return bool(np.all(g >= eps * p.b - slack))
 
@@ -228,7 +293,7 @@ def zero_block_threshold(p: MTeqProblem, y, eps2, J=None) -> np.ndarray:
     if part.i_zero.size == 0:
         return np.zeros(0)
     if J is None:
-        J = residual_jacobian(p, y)
+        J = _evaluate(p, y).jacobian()
     block_pp = submatrix(J, part.i_plus, part.i_plus)
     block_zp = submatrix(J, part.i_zero, part.i_plus)
     z = lu_solve(block_pp, p.b[part.i_plus])
@@ -241,13 +306,16 @@ def in_feasible_split(p: MTeqProblem, y, eps, eps2, g=None, J=None) -> bool:
     Positive-indexed rows must clear ``eps * b`` as in :func:`in_feasible`;
     zero-indexed rows must clear :func:`zero_block_threshold`.  A singular
     positive block simply reports the point as infeasible, so a line search
-    can back away from it instead of aborting the solve.
+    can back away from it instead of aborting the solve.  Without ``J``,
+    the Jacobian comes from the record of ``y`` and only once the
+    positive rows pass, so a line search that has just evaluated ``y``
+    builds it at most once and hands it on to the next Newton step.
     """
     part = p.partition
     if part.i_zero.size == 0:
         return in_feasible(p, y, eps, g=g)
     if g is None:
-        g = residual(p, y) + p.b
+        g = _evaluate(p, y).g
     slack = feasibility_slack(p.b)
     if not np.all(g[part.i_plus] >= eps * p.b[part.i_plus] - slack):
         return False

@@ -15,6 +15,14 @@ assembly and the backtracking search live here once;
 :func:`solve_positive` runs them with the plain ``rho**i`` trials and
 :mod:`mteq.solver_extended` with the residual-scaled retry of the unit
 step.
+
+Each point is evaluated once (see :mod:`mteq.model`).  The start check
+reads the record that :func:`~mteq.initializer.initial_point` left in the
+problem's memo; each trial of the line search builds a record, whose
+``A x^{m-1}`` feeds the feasibility test and whose Jacobian, when ``b``
+has zeros, feeds the zero-row threshold; the accepted trial's record then
+gives the next Newton direction.  A trial that rounds back to the current
+point ends the search without a step.
 """
 
 from __future__ import annotations
@@ -25,8 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import SingularMatrixError, lu_solve
-from .model import (MTeqProblem, SolverConfig, in_feasible_split, residual,
-                    residual_jacobian)
+from .model import MTeqProblem, SolverConfig, _evaluate, in_feasible_split
 from .report import IterationRecord, SolveReport, SolveStatus
 from .tensor import hadamard_power
 
@@ -39,6 +46,8 @@ __all__ = [
 
 
 class LineSearchResult(NamedTuple):
+    """An accepted trial; ``y_next`` and ``f_next`` are read-only."""
+
     alpha: float
     y_next: np.ndarray
     f_next: np.ndarray
@@ -48,10 +57,10 @@ class LineSearchResult(NamedTuple):
 
 def newton_direction(p: MTeqProblem, y, f=None, J=None) -> np.ndarray:
     """Solve ``J(y) d = -f(y)`` for the Newton direction."""
-    if f is None:
-        f = residual(p, y)
-    if J is None:
-        J = residual_jacobian(p, y)
+    if f is None or J is None:
+        point = _evaluate(p, y)
+        f = point.f if f is None else f
+        J = point.jacobian() if J is None else J
     return lu_solve(J, -f)
 
 
@@ -68,21 +77,29 @@ def _backtrack(p: MTeqProblem, y, d, cfg: SolverConfig, current_norm,
     positive, feasible and descending.
 
     ``beta`` is ``rho`` for the plain schedule and
-    ``trial_scale(||f(y)||, cfg.c)`` for the scaled one.
+    ``trial_scale(||f(y)||, cfg.c)`` for the scaled one.  The search
+    ends with ``None`` at a trial that rounds to ``y`` itself, or whose
+    descent factor ``1 - 2 sigma alpha`` rounds to 1: that trial and every
+    shorter one would pass the descent test without descending.  The
+    accepted trial is the last point evaluated on ``p``, so its record
+    stays in the problem's memo.
     """
     if current_norm is None:
-        current_norm = float(np.linalg.norm(residual(p, y)))
+        current_norm = float(np.linalg.norm(_evaluate(p, y).f))
     bound_base = current_norm * current_norm
     beta = trial_scale(current_norm, cfg.c) if scaled else cfg.rho
     alpha = 1.0
     for i in range(cfg.max_backtracks + 1):
         yt = y + alpha * d
+        factor = 1.0 - 2.0 * cfg.sigma * alpha
+        if factor == 1.0 or np.array_equal(yt, y):
+            return None
         if np.all(yt > 0.0):
-            ft = residual(p, yt)
-            if in_feasible_split(p, yt, cfg.eps, cfg.eps2, g=ft + p.b):
-                rt = float(np.linalg.norm(ft))
-                if rt * rt <= (1.0 - 2.0 * cfg.sigma * alpha) * bound_base:
-                    return LineSearchResult(alpha, yt, ft, rt, i)
+            trial = _evaluate(p, yt)
+            if in_feasible_split(p, trial.y, cfg.eps, cfg.eps2, g=trial.g):
+                rt = float(np.linalg.norm(trial.f))
+                if rt * rt <= factor * bound_base:
+                    return LineSearchResult(alpha, trial.y, trial.f, rt, i)
         alpha = beta if i == 0 else alpha * cfg.rho
     return None
 
@@ -127,15 +144,15 @@ def _damped_newton(p: MTeqProblem, start, cfg: SolverConfig, line_search, *,
         return stopped(SolveStatus.BAD_INITIAL_POINT, start, start,
                        float("nan"), "starting point must be strictly positive")
     y = start if start_is_y else hadamard_power(start, p.m - 1)
-    f = residual(p, y)
-    r = float(np.linalg.norm(f))
-    if not in_feasible_split(p, y, cfg.eps, cfg.eps2, g=f + p.b):
-        x0 = hadamard_power(y, 1.0 / (p.m - 1)) if start_is_y else start
+    point = _evaluate(p, y)
+    r = float(np.linalg.norm(point.f))
+    if not in_feasible_split(p, y, cfg.eps, cfg.eps2, g=point.g):
+        x0 = point.x.copy() if start_is_y else start
         return stopped(SolveStatus.BAD_INITIAL_POINT, x0, y, r,
                        "starting point outside the feasible region")
     r0 = r
     trace: list[IterationRecord] = []
-    iterates = [y.copy()]
+    iterates = [point.y.copy()]
     status = SolveStatus.ITERATION_CAP
     message = ""
     for k in range(1, cfg.max_iter + 1):
@@ -144,27 +161,28 @@ def _damped_newton(p: MTeqProblem, start, cfg: SolverConfig, line_search, *,
             break
         tic = time.perf_counter()
         try:
-            d = newton_direction(p, y, f=f)
+            d = newton_direction(p, point.y, f=point.f, J=point.jacobian())
         except SingularMatrixError as exc:
             status = SolveStatus.LINE_SEARCH_FAILURE
             message = f"singular Jacobian at iteration {k}: {exc}"
             break
-        step = line_search(p, y, d, cfg, current_norm=r)
+        step = line_search(p, point.y, d, cfg, current_norm=r)
         if step is None:
             status = SolveStatus.LINE_SEARCH_FAILURE
             message = f"line search exhausted {cfg.max_backtracks} backtracks at iteration {k}"
             break
         assert step.residual_norm <= r
-        y, f, r = step.y_next, step.f_next, step.residual_norm
+        # the accepted trial was the last point evaluated: a memo hit
+        point, r = _evaluate(p, step.y_next), step.residual_norm
         trace.append(IterationRecord(k, step.alpha, r, step.backtracks, True,
                                      (time.perf_counter() - tic) * 1e3))
-        iterates.append(y.copy())
+        iterates.append(point.y.copy())
     else:
         if r <= threshold:
             status = SolveStatus.CONVERGED
-    x = hadamard_power(y, 1.0 / (p.m - 1))
-    return SolveReport(status, x, y, trace, r, r0, iterates,
-                       stop_threshold=threshold, message=message, mode=mode)
+    return SolveReport(status, point.x.copy(), point.y.copy(), trace, r, r0,
+                       iterates, stop_threshold=threshold, message=message,
+                       mode=mode)
 
 
 def solve_positive(p: MTeqProblem, x0, cfg: SolverConfig | None = None) -> SolveReport:

@@ -11,7 +11,11 @@ The central operation is ``apply``, the multilinear map
     (A x^{m-1})_i = sum over i2..im of a[i, i2, .., im] * x[i2] * ... * x[im],
 
 together with its derivative matrix, computed position by position so that
-it is exact for tensors with no symmetry at all.
+it is exact for tensors with no symmetry at all.  On dense storage both
+start from the one-slot contraction ``M = A x^{m-2}``
+(:meth:`Tensor.partial_contraction`): ``A x^{m-1} = M x`` and ``M`` is the
+first term of the derivative matrix, so a caller that needs both at one
+point saves a pass over the tensor.
 """
 
 from __future__ import annotations
@@ -185,9 +189,16 @@ class Tensor:
                                semi_symmetric=self._semi_symmetric)
 
     def max_abs(self) -> float:
-        if self.is_dense:
-            return float(np.abs(self._dense).max()) if self._dense.size else 0.0
-        return float(np.abs(self._vals).max()) if self._vals.size else 0.0
+        """Largest entry magnitude; NaN when an entry is NaN.
+
+        Reads the largest and the smallest entry instead of building an
+        ``np.abs`` copy of the stored values.
+        """
+        a = self._dense if self.is_dense else self._vals
+        if not a.size:
+            return 0.0
+        # abs turns the -0.0 of an all-zero tensor into 0.0
+        return abs(float(max(a.max(), -a.min())))
 
     def min_entry(self) -> float:
         """Smallest entry, counting implicit zeros of COO storage."""
@@ -220,30 +231,54 @@ class Tensor:
     # contraction kernels
 
     def apply(self, x) -> np.ndarray:
-        """Evaluate ``A x^{m-1}`` for a vector ``x`` of length ``n``."""
+        """Evaluate ``A x^{m-1}`` for a vector ``x`` of length ``n``.
+
+        Dense storage computes ``partial_contraction(x) @ x``.
+        """
         x = _check_vector(x, self.dim)
         if self.is_dense:
-            out = self._dense
-            for _ in range(self.order - 1):
-                out = out @ x
-            return np.asarray(out, dtype=float)
+            return self.partial_contraction(x) @ x
         if not self._vals.size:
             return np.zeros(self.dim)
         terms = self._vals * np.prod(x[self._idx[:, 1:]], axis=1)
         return np.bincount(self._idx[:, 0], weights=terms, minlength=self.dim)
 
-    def jacobian_matrix(self, x) -> np.ndarray:
+    def partial_contraction(self, x) -> np.ndarray:
+        """The ``n x n`` matrix ``M = A x^{m-2}`` of a dense tensor.
+
+        The trailing ``m-2`` slots are contracted with ``x``, last slot
+        first.  ``M @ x`` is ``apply(x)`` bit for bit, and ``M`` is the
+        first-slot term of ``jacobian_matrix(x)``, so the two share this
+        pass over the tensor.  Read-only when ``m = 2``, where ``M`` is
+        the stored matrix itself.
+        """
+        if not self.is_dense:
+            raise ValueError("COO tensor has no partial contraction kernel")
+        x = _check_vector(x, self.dim)
+        out = self.dense_values
+        for _ in range(self.order - 2):
+            out = out @ x
+        return out
+
+    def jacobian_matrix(self, x, partial=None) -> np.ndarray:
         """Derivative matrix of ``x -> A x^{m-1}``.
 
         Differentiates position by position, so the result is exact for
-        tensors with no index symmetry; for a semi-symmetric tensor it
-        equals ``(m-1)`` times the one-slot contraction.
+        tensors with no index symmetry: on dense storage it is the sum of
+        the ``m-1`` one-slot contractions, ``partial_contraction(x)`` for
+        the first slot and the same contraction with the tensor's axes
+        moved for each later one.  A caller that already holds
+        ``partial = partial_contraction(x)`` passes it to spare that pass;
+        the result is the same to the bit.  For a semi-symmetric tensor
+        the sum equals ``(m-1)`` times the first term in exact arithmetic,
+        but not always in floating point, so no shortcut is taken.
         """
         x = _check_vector(x, self.dim)
         n, m = self.dim, self.order
         jac = np.zeros((n, n))
         if self.is_dense:
-            for p in range(1, m):
+            jac += self.partial_contraction(x) if partial is None else partial
+            for p in range(2, m):
                 t = np.moveaxis(self._dense, p, 1)
                 for _ in range(m - 2):
                     t = t @ x
@@ -308,9 +343,11 @@ class Tensor:
     def is_z_tensor(self) -> bool:
         """True when every off-diagonal entry is <= 0."""
         if self.is_dense:
-            off = self._dense.copy()
-            off[_diag_index(self.order, self.dim)] = 0.0
-            return bool(np.all(off <= 0.0))
+            # entries that are not <= 0 (positive or NaN) must all sit on
+            # the diagonal; counting them needs no copy of the tensor
+            diag = self._dense[_diag_index(self.order, self.dim)]
+            loose = self._dense.size - np.count_nonzero(self._dense <= 0.0)
+            return loose == diag.size - np.count_nonzero(diag <= 0.0)
         if not self._vals.size:
             return True
         diag = np.all(self._idx == self._idx[:, :1], axis=1)

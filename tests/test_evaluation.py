@@ -1,0 +1,194 @@
+"""Each point is contracted once: the evaluated-point record, its memo on
+the problem, and the fused dense kernel behind both."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from mteq import (SolverConfig, Tensor, hadamard_power, initial_point,
+                  line_search_basic, make_problem, newton_direction, residual,
+                  residual_jacobian, solve_nonnegative, solve_positive)
+from mteq.model import _evaluate
+from mteq.problems import gen_problem1, gen_problem4, zero_out_rhs
+
+KERNELS = ("apply", "partial_contraction", "jacobian_matrix")
+
+
+class CountingTensor:
+    """Delegates to a tensor and records every kernel call: the vector it
+    was given and whether a partial contraction came with it."""
+
+    def __init__(self, tensor):
+        self._tensor = tensor
+        self.calls = {k: [] for k in KERNELS}
+
+    def __getattr__(self, name):
+        attr = getattr(self._tensor, name)
+        if name not in KERNELS:
+            return attr
+
+        def counted(x, *args, **kwargs):
+            self.calls[name].append((np.array(x), kwargs.get("partial") is not None))
+            return attr(x, *args, **kwargs)
+        return counted
+
+    def reset(self):
+        for calls in self.calls.values():
+            calls.clear()
+
+    def at(self, x):
+        """Number of contractions of the tensor with ``x``."""
+        return sum(np.array_equal(v, x) for k in ("apply", "partial_contraction")
+                   for v, _ in self.calls[k])
+
+
+def counted_problem(p, zero=False, seed=0):
+    counted = CountingTensor(p.A)
+    b = zero_out_rhs(p.b, seed) if zero else p.b
+    return make_problem(counted, b, omega=p.omega), counted
+
+
+def reference_apply(a, x):
+    out = a
+    for _ in range(a.ndim - 1):
+        out = out @ x
+    return out
+
+
+def reference_jacobian(a, x):
+    """Sum of the one-slot contractions, slot by slot."""
+    m, n = a.ndim, a.shape[0]
+    jac = np.zeros((n, n))
+    for slot in range(1, m):
+        t = np.moveaxis(a, slot, 1)
+        for _ in range(m - 2):
+            t = t @ x
+        jac += t
+    return jac
+
+
+def trials(rep):
+    return sum(rec.backtracks + 1 for rec in rep.trace)
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["positive", "half_zeroed"])
+def test_start_is_contracted_once(zero):
+    p, counted = counted_problem(gen_problem1(3, 30, 2), zero=zero, seed=2)
+    init = initial_point(p)
+    if zero:
+        rep = solve_nonnegative(p, init.y0)
+    else:
+        rep = solve_positive(p, init.x0)
+    assert rep.converged
+    x0 = hadamard_power(init.y0, 1.0 / (p.m - 1))
+    assert counted.at(x0) == 1
+    # one certificate check in initial_point, then one record per point
+    assert len(counted.calls["apply"]) == 1
+    assert len(counted.calls["partial_contraction"]) == 1 + trials(rep)
+
+
+@pytest.mark.parametrize("gen", [gen_problem1, gen_problem4])
+def test_half_zeroed_jacobians_within_one_plus_trials(gen):
+    for seed in range(3):
+        p, counted = counted_problem(gen(3, 30, seed), zero=True, seed=seed)
+        rep = solve_nonnegative(p, initial_point(p).y0)
+        assert rep.converged
+        jacobians = counted.calls["jacobian_matrix"]
+        assert 1 <= len(jacobians) <= 1 + trials(rep)
+        # every Jacobian reuses its record's contraction as the first slot
+        assert all(fused for _, fused in jacobians)
+
+
+def test_dense_record_costs_one_pass_before_its_jacobian():
+    p, counted = counted_problem(gen_problem1(3, 12, 0))
+    y = initial_point(p).y0 * 1.5
+    counted.reset()
+    point = _evaluate(p, y)
+    assert len(counted.calls["partial_contraction"]) == 1
+    assert not counted.calls["apply"] and not counted.calls["jacobian_matrix"]
+    first = point.jacobian()
+    assert point.jacobian() is first
+    assert len(counted.calls["jacobian_matrix"]) == 1
+    assert len(counted.calls["partial_contraction"]) == 1
+
+
+@pytest.mark.parametrize("m,n", [(3, 9), (4, 6)])
+@pytest.mark.parametrize("flag", [True, None], ids=["flagged", "unflagged"])
+def test_fused_kernel_matches_stand_alone_kernels_bitwise(m, n, flag):
+    # a raw P4 tensor is not semi-symmetric, so a (m-1) M shortcut taken
+    # on the flag would change the Jacobian
+    a = gen_problem4(m, n, 3).A.to_dense_array()
+    t = Tensor.from_dense(a, semi_symmetric=flag)
+    x = np.random.default_rng(m).uniform(0.5, 2.0, size=n)
+    M = t.partial_contraction(x)
+    assert (M @ x).tobytes() == t.apply(x).tobytes() == reference_apply(a, x).tobytes()
+    jac = reference_jacobian(a, x)
+    assert t.jacobian_matrix(x, partial=M).tobytes() == jac.tobytes()
+    assert t.jacobian_matrix(x).tobytes() == jac.tobytes()
+    # the record's Jacobian is the stand-alone one, column-scaled
+    p = make_problem(t, np.ones(n))
+    y = hadamard_power(x, m - 1)
+    point = _evaluate(p, y)
+    scale = hadamard_power(y, 1.0 / (m - 1) - 1.0) / (m - 1)
+    xr = hadamard_power(y, 1.0 / (m - 1))
+    expect = reference_jacobian(a, xr) * scale[None, :]
+    assert point.jacobian().tobytes() == expect.tobytes()
+    assert point.f.tobytes() == (reference_apply(a, xr) - p.b).tobytes()
+
+
+def test_memo_hits_only_on_equal_points():
+    p, counted = counted_problem(gen_problem1(3, 12, 1))
+    y = initial_point(p).y0
+    point = _evaluate(p, y)
+    counted.reset()
+    assert _evaluate(p, y.copy()) is point
+    assert not counted.calls["partial_contraction"]
+    nudged = y.copy()
+    nudged[3] = np.nextafter(nudged[3], np.inf)
+    assert _evaluate(p, nudged) is not point
+    assert len(counted.calls["partial_contraction"]) == 1
+    # the record keeps its own copy of y: changing the caller's array
+    # afterwards cannot make a stale hit
+    mine = y.copy()
+    held = _evaluate(p, mine)
+    mine *= 2.0
+    assert _evaluate(p, mine) is not held
+    assert np.array_equal(held.y, y)
+
+
+def test_step_that_rounds_away_costs_no_evaluation():
+    p, counted = counted_problem(gen_problem1(3, 12, 2))
+    y = initial_point(p).y0
+    d = 1e-20 * newton_direction(p, y)
+    _evaluate(p, 2.0 * y)  # moves the memo off y
+    counted.reset()
+    assert line_search_basic(p, y, d, SolverConfig(), current_norm=1.0) is None
+    assert not any(counted.calls.values())
+
+
+def test_public_reads_return_copies():
+    p = gen_problem1(3, 12, 1)
+    y = initial_point(p).y0
+    f = residual(p, y)
+    J = residual_jacobian(p, y)
+    f[:] = 0.0
+    J[:] = 0.0
+    assert np.all(residual(p, y) != 0.0)
+    assert np.any(residual_jacobian(p, y) != 0.0)
+
+
+def test_memo_makes_no_reference_cycle():
+    p0 = gen_problem1(3, 12, 4)
+    p = make_problem(p0.A, zero_out_rhs(p0.b, 4))
+    del p0
+    rep = solve_nonnegative(p, initial_point(p).y0)
+    assert rep.converged and p._memo is not None
+    ref = weakref.ref(p)
+    gc.disable()
+    try:
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()

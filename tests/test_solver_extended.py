@@ -7,6 +7,7 @@ from mteq import (SolveStatus, SolverConfig, Tensor, initial_point,
                   line_search_basic, line_search_extended, make_problem,
                   newton_direction, residual, solve_nonnegative,
                   solve_positive, trial_scale)
+from mteq import solver_basic
 from mteq.problems import gen_problem1, zero_out_rhs
 
 from oracles import two_var_bisection
@@ -84,9 +85,7 @@ def test_scaled_retry_follows_failed_unit_step():
 
 
 def test_plain_steps_match_basic_line_search():
-    # with the default 60 backtracks the ascent trial shrinks until
-    # y + alpha d rounds to y, which passes the descent test with equality
-    plain = SolverConfig(plain_steps=True, max_backtracks=20)
+    plain = SolverConfig(plain_steps=True)
     for b in ((1.0, 0.0), (1.0, 1.0)):
         p = small_problem(b)
         y = initial_point(p).y0
@@ -98,6 +97,29 @@ def test_plain_steps_match_basic_line_search():
             assert (ext is None) == (scale < 0.0)
             if ext is not None:
                 assert ext.alpha == plain.rho ** ext.backtracks
+
+
+def test_search_along_ascent_direction_fails_instead_of_standing_still():
+    # with 60 backtracks the trials shrink until y + alpha d rounds to y
+    # (b = (1, 0)) or 1 - 2 sigma alpha rounds to 1 (b = (1, 1)); either
+    # way the descent test would hold with equality
+    for b in ((1.0, 0.0), (1.0, 1.0)):
+        p = small_problem(b)
+        y = initial_point(p).y0
+        d = -newton_direction(p, y)
+        for cfg in (SolverConfig(), SolverConfig(plain_steps=True)):
+            assert line_search_basic(p, y, d, cfg) is None
+            assert line_search_extended(p, y, d, cfg) is None
+
+
+def test_solve_along_ascent_directions_ends_in_line_search_failure(monkeypatch):
+    newton = solver_basic.newton_direction
+    monkeypatch.setattr(solver_basic, "newton_direction",
+                        lambda *args, **kwargs: -newton(*args, **kwargs))
+    p = small_problem()
+    rep = solve_nonnegative(p, initial_point(p).y0)
+    assert rep.status is SolveStatus.LINE_SEARCH_FAILURE
+    assert rep.iterations == 0
 
 
 def test_assumption_violation_is_structured():

@@ -110,6 +110,65 @@ def test_z_tensor_and_dominance_checks():
     assert not loose.is_z_tensor()
 
 
+def _old_max_abs(a):
+    """The previous definition: the largest entry of an ``np.abs`` copy."""
+    return float(np.abs(a).max()) if a.size else 0.0
+
+
+def _old_is_z_tensor(a):
+    """The previous definition: blank the diagonal of a copy, test the rest."""
+    off = a.copy()
+    off[tuple([np.arange(a.shape[0])] * a.ndim)] = 0.0
+    return bool(np.all(off <= 0.0))
+
+
+def _same_float(a, b):
+    if np.isnan(a) or np.isnan(b):
+        return bool(np.isnan(a) and np.isnan(b))
+    return a.hex() == b.hex()
+
+
+def _generated_tensors():
+    from mteq.problems import (gen_problem1, gen_problem2, gen_problem3,
+                               gen_problem4, gen_problem5)
+    yield "P1", gen_problem1(3, 12, 0).A
+    yield "P2", gen_problem2(4, 6, 0).A
+    yield "P3", gen_problem3(12).A
+    yield "P4", gen_problem4(3, 12, 1).A
+    yield "P5", gen_problem5(4, 6, 2).A
+
+
+def _nonfinite_tensors():
+    base = random_dense(3, 4, seed=3)
+    base[tuple([np.arange(4)] * 3)] = np.abs(base[tuple([np.arange(4)] * 3)]) + 1.0
+    z = -np.abs(base)
+    z[tuple([np.arange(4)] * 3)] *= -1.0
+    for where, value in (((0, 1, 2), np.nan), ((1, 1, 1), np.nan),
+                         ((0, 1, 2), np.inf), ((0, 1, 2), -np.inf),
+                         ((2, 2, 2), np.inf), ((3, 0, 0), 0.5)):
+        a = z.copy()
+        a[where] = value
+        yield f"{value} at {where}", a
+    yield "all -0.0", np.full((3, 3, 3), -0.0)
+
+
+def test_max_abs_and_z_sign_match_copying_definitions():
+    cases = [(label, t.to_dense_array()) for label, t in _generated_tensors()]
+    cases += list(_nonfinite_tensors())
+    for label, a in cases:
+        dense = Tensor.from_dense(a)
+        for t in (dense, dense.to_coo()):
+            assert _same_float(t.max_abs(), _old_max_abs(a)), (label, t.storage)
+            assert t.is_z_tensor() == _old_is_z_tensor(a), (label, t.storage)
+    # the generated tensors are Z-tensors; the NaN and inf off the
+    # diagonal and the positive entry break the sign pattern
+    signs = {label: Tensor.from_dense(a).is_z_tensor() for label, a in cases}
+    assert all(signs[f"P{k}"] for k in range(1, 6))
+    assert not signs["nan at (0, 1, 2)"] and signs["nan at (1, 1, 1)"]
+    assert not signs["inf at (0, 1, 2)"] and signs["-inf at (0, 1, 2)"]
+    assert not signs["0.5 at (3, 0, 0)"]
+
+
 def test_hadamard_power():
     x = np.array([4.0, 9.0])
     assert np.array_equal(hadamard_power(x, 0.5), np.array([2.0, 3.0]))

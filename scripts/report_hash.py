@@ -5,7 +5,10 @@ change and compares the two lines.  The hash covers every ``SolveReport``
 field except the wall-clock ``elapsed_ms`` of the trace records: the
 status, ``x_final``, ``y_final`` and every iterate as raw float64 bytes,
 the trace records, both residuals, ``stop_threshold``, ``message`` and
-``mode``.  Initializer failures enter the hash through their message.
+``mode``.  It also covers each ``InitialPoint`` (``u``, ``x0`` and ``y0``
+as raw float64 bytes, and ``iterations``); initializer failures enter the
+hash through their message.  Last come the exit code and standard output
+of ``mteq verify --rhs`` on problem files written by ``write_problem``.
 
 The ensemble:
 
@@ -16,7 +19,9 @@ The ensemble:
 - P3 at n = 24 and 40 with the three boundary pairs of the stencil
   benchmark, stopping on the residual relative to ``||b||``;
 - bad starting points (negative, zero, infeasible, wrong shape) and a
-  problem that violates the zero-row coupling assumption.
+  problem that violates the zero-row coupling assumption;
+- ``mteq verify`` on P1, P2, P4 and P5 at (3, 8), seed 0, and on P3 at
+  n = 24.
 
 The hash depends on the BLAS build, so compare runs on one machine only.
 
@@ -27,11 +32,16 @@ Run from the repository root:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
 
 import numpy as np
 
 import mteq
+from mteq.cli import main as cli_main
 
 CONFIGS = (mteq.SolverConfig(), mteq.SolverConfig(plain_steps=True),
            mteq.SolverConfig(max_iter=2))
@@ -60,6 +70,11 @@ def report_bytes(rep: mteq.SolveReport) -> bytes:
     return b"|".join(parts)
 
 
+def init_bytes(init: mteq.InitialPoint) -> bytes:
+    return b"|".join([_array(init.u), _array(init.x0), _array(init.y0),
+                      str(init.iterations).encode()])
+
+
 def solves(p, cfg):
     """Initialize and solve ``p`` with each applicable solver."""
     try:
@@ -67,6 +82,7 @@ def solves(p, cfg):
     except mteq.InitializationError as exc:
         yield f"init: {exc}".encode()
         return
+    yield init_bytes(init)
     if not p.partition.i_zero.size:
         yield report_bytes(mteq.solve_positive(p, init.x0, cfg))
     yield report_bytes(mteq.solve_nonnegative(p, init.y0, cfg))
@@ -95,6 +111,21 @@ def bad_starts():
     yield report_bytes(mteq.solve_nonnegative(q, np.ones(2)))
 
 
+def verify_outputs():
+    """Exit code and standard output of ``mteq verify --rhs`` per file."""
+    problems = [mteq.gen_problem3(24)]
+    problems += [getattr(mteq, f"gen_problem{k}")(3, 8, 0) for k in (1, 2, 4, 5)]
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, p in enumerate(problems):
+            out = os.path.join(tmp, str(k))
+            mteq.write_problem(out, p, {})
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli_main(["verify", os.path.join(out, "tensor.mt"),
+                                 "--rhs", os.path.join(out, "rhs.vec")])
+            yield f"{code}|{buf.getvalue()}".encode()
+
+
 def ensemble():
     for p in dense_problems():
         for cfg in CONFIGS:
@@ -103,6 +134,7 @@ def ensemble():
         for c0, c1 in STENCIL_BOUNDARIES:
             yield from solves(mteq.gen_problem3(n, c0, c1), STENCIL_CONFIG)
     yield from bad_starts()
+    yield from verify_outputs()
 
 
 def main():

@@ -1,6 +1,7 @@
 """Construct feasible starting points.
 
 The recipe: find a positive vector ``u`` with ``A u^{m-1} > 0`` (the
+problem's certificate, which :func:`~mteq.model.make_problem` sets to the
 all-ones vector when the tensor is diagonally dominant, otherwise iterate
 the diagonal tensor splitting of ``A x^{m-1} = r`` for a positive target
 ``r``), then inflate it by the smallest factor ``t >= 1`` such that
@@ -70,7 +71,7 @@ class InitialPoint:
 
     ``iterations`` counts splitting sweeps spent finding the certificate
     vector ``u`` (0 when the problem carries a certificate or the all-ones
-    vector already works).
+    start of the sweeps already passes).
     """
 
     x0: np.ndarray
@@ -213,11 +214,15 @@ def find_certificate(A: Tensor, rhs=None, max_sweeps=MAX_SWEEPS):
 def initial_point(p: MTeqProblem, cfg: SolverConfig | None = None) -> InitialPoint:
     """Build a feasible starting point for either solver.
 
-    Raises :class:`InitializationError` when no certificate vector exists
-    within the sweep cap or the constructed point fails the feasibility
-    check it was built to satisfy.  That check evaluates ``y0`` and leaves
-    its record in the problem's memo, so a solver started from ``x0`` or
-    ``y0`` does not contract the tensor at the start again.
+    The certificate is ``p.certificate`` when the problem carries one (the
+    all-ones vector that :func:`~mteq.model.make_problem` attaches to a
+    diagonally dominant tensor); otherwise :func:`find_certificate`
+    sweeps for it.  Raises :class:`InitializationError` when no
+    certificate vector exists within the sweep cap or the constructed
+    point fails the feasibility check it was built to satisfy.  That
+    check evaluates ``y0`` and leaves its record in the problem's memo,
+    so a solver started from ``x0`` or ``y0`` does not contract the
+    tensor at the start again.
     """
     cfg = cfg or SolverConfig()
     part = p.partition
@@ -226,9 +231,6 @@ def initial_point(p: MTeqProblem, cfg: SolverConfig | None = None) -> InitialPoi
             "right-hand side has no positive components; only x = 0 could solve this")
     if p.certificate is not None:
         u, sweeps = p.certificate, 0
-    elif p.A.is_diag_dominant():
-        # Row sums are positive, so the all-ones vector certifies directly.
-        u, sweeps = np.ones(p.n), 0
     else:
         target = p.b if part.i_zero.size == 0 else None
         u, sweeps = find_certificate(p.A, rhs=target)

@@ -26,7 +26,10 @@ only by a ``y`` exactly equal to the record's, which hands the point
 evaluated by :func:`~mteq.initializer.initial_point` or accepted by a line
 search on to the next step without a second contraction.
 :func:`residual`, :func:`residual_jacobian` and the feasibility tests all
-read the record.
+take ``y`` and read its record; none accepts a caller's copy of ``g``,
+``f`` or the Jacobian.  Facts about the problem itself (the index
+partition of ``b``, the certificate of :func:`make_problem`) are fixed
+when it is built.
 """
 
 from __future__ import annotations
@@ -120,15 +123,19 @@ class MTeqProblem:
     :func:`scale_problem`); iterates are invariant under that scaling, so
     solutions of the stored system solve the original one.  ``certificate``
     is a positive vector ``u`` with ``A u^{m-1} > 0`` when one is known,
-    which certifies the strong M-tensor property.  Treat instances as
-    immutable after construction: ``_memo`` holds the last evaluated
-    point, computed from ``A`` and ``b``.
+    which certifies the strong M-tensor property.  :func:`make_problem`
+    attaches the all-ones vector when the dominance test passes; a problem
+    constructed directly carries no certificate unless given one, so
+    :func:`~mteq.initializer.initial_point` finds one by splitting sweeps.
+    ``partition`` is computed from ``b``.  Treat instances as immutable
+    after construction: ``_memo`` holds the last evaluated point, computed
+    from ``A`` and ``b``.
     """
 
     A: Tensor
     b: np.ndarray
     omega: float = 1.0
-    partition: IndexPartition = field(default=None)
+    partition: IndexPartition = field(init=False)
     certificate: np.ndarray | None = None
     _memo: _Point | None = field(default=None, init=False, repr=False,
                                  compare=False)
@@ -137,12 +144,9 @@ class MTeqProblem:
         self.b = np.asarray(self.b, dtype=float)
         if self.b.shape != (self.A.dim,):
             raise ValueError("right-hand side length does not match tensor dimension")
-        if np.any(self.b < 0.0):
-            raise ValueError("right-hand side must be nonnegative")
+        self.partition = partition_indices(self.b)  # rejects negative entries
         if not self.A.is_z_tensor():
             raise ValueError("coefficient tensor must have nonpositive off-diagonal entries")
-        if self.partition is None:
-            self.partition = partition_indices(self.b)
 
     @property
     def m(self) -> int:
@@ -265,19 +269,14 @@ def residual_jacobian(p: MTeqProblem, y) -> np.ndarray:
     return _evaluate(p, y).jacobian().copy()
 
 
-def in_feasible(p: MTeqProblem, y, eps, g=None) -> bool:
-    """Whether ``A x^{m-1} >= eps * b`` componentwise (with slack).
-
-    ``g`` may carry a precomputed ``A x^{m-1}`` to spare an evaluation
-    inside line searches.
-    """
-    if g is None:
-        g = _evaluate(p, y).g
+def in_feasible(p: MTeqProblem, y, eps) -> bool:
+    """Whether ``A x^{m-1} >= eps * b`` componentwise (with slack)."""
+    g = _evaluate(p, y).g
     slack = feasibility_slack(p.b)
     return bool(np.all(g >= eps * p.b - slack))
 
 
-def zero_block_threshold(p: MTeqProblem, y, eps2, J=None) -> np.ndarray:
+def zero_block_threshold(p: MTeqProblem, y, eps2) -> np.ndarray:
     """Feasibility threshold for the zero-indexed rows.
 
     Returns ``eps2 * J[I0, I+] @ solve(J[I+, I+], b[I+])`` where ``J`` is
@@ -292,35 +291,33 @@ def zero_block_threshold(p: MTeqProblem, y, eps2, J=None) -> np.ndarray:
         raise ValueError("right-hand side has no positive components")
     if part.i_zero.size == 0:
         return np.zeros(0)
-    if J is None:
-        J = _evaluate(p, y).jacobian()
+    J = _evaluate(p, y).jacobian()
     block_pp = submatrix(J, part.i_plus, part.i_plus)
     block_zp = submatrix(J, part.i_zero, part.i_plus)
     z = lu_solve(block_pp, p.b[part.i_plus])
     return eps2 * (block_zp @ z)
 
 
-def in_feasible_split(p: MTeqProblem, y, eps, eps2, g=None, J=None) -> bool:
+def in_feasible_split(p: MTeqProblem, y, eps, eps2) -> bool:
     """Feasibility test honouring the zero/positive partition of ``b``.
 
     Positive-indexed rows must clear ``eps * b`` as in :func:`in_feasible`;
     zero-indexed rows must clear :func:`zero_block_threshold`.  A singular
     positive block simply reports the point as infeasible, so a line search
-    can back away from it instead of aborting the solve.  Without ``J``,
-    the Jacobian comes from the record of ``y`` and only once the
-    positive rows pass, so a line search that has just evaluated ``y``
-    builds it at most once and hands it on to the next Newton step.
+    can back away from it instead of aborting the solve.  The Jacobian
+    comes from the record of ``y`` and only once the positive rows pass,
+    so a line search that has just evaluated ``y`` builds it at most once
+    and hands it on to the next Newton step.
     """
     part = p.partition
     if part.i_zero.size == 0:
-        return in_feasible(p, y, eps, g=g)
-    if g is None:
-        g = _evaluate(p, y).g
+        return in_feasible(p, y, eps)
+    g = _evaluate(p, y).g
     slack = feasibility_slack(p.b)
     if not np.all(g[part.i_plus] >= eps * p.b[part.i_plus] - slack):
         return False
     try:
-        r = zero_block_threshold(p, y, eps2, J=J)
+        r = zero_block_threshold(p, y, eps2)
     except SingularMatrixError:
         return False
     return bool(np.all(g[part.i_zero] >= r - slack))

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import MTeqProblem, make_problem, scale_problem
-from .tensor import Tensor, dense_cap, write_tensor, write_vector
+from .tensor import Tensor, check_dense_size, write_tensor, write_vector
 
 __all__ = [
     "gen_problem1",
@@ -55,13 +55,6 @@ def _uniform_open(rng, size) -> np.ndarray:
     return out
 
 
-def _check_dense_size(m, n) -> None:
-    if n ** m > dense_cap():
-        raise ValueError(
-            f"dense tensor of order {m}, dimension {n} needs {n ** m} entries, "
-            f"above the cap {dense_cap()} (set MTEQ_DENSE_CAP to raise it)")
-
-
 def symmetrize_full(array) -> np.ndarray:
     """Average an array over all permutations of all its axes."""
     a = np.asarray(array, dtype=float)
@@ -72,12 +65,12 @@ def symmetrize_full(array) -> np.ndarray:
     return acc / len(perms)
 
 
-def _shifted_identity(s, B: Tensor, semi_symmetric=None) -> Tensor:
+def _shifted_identity(s, B: Tensor) -> Tensor:
     """Dense tensor ``s * I - B`` for a dense ``B``."""
     a = -B.to_dense_array()
     diag = tuple([np.arange(B.dim)] * B.order)
     a[diag] += s
-    return Tensor.from_dense(a, semi_symmetric=semi_symmetric)
+    return Tensor.from_dense(a)
 
 
 def problem1_parts(m, n, seed):
@@ -86,10 +79,9 @@ def problem1_parts(m, n, seed):
     Draw order: the ``n**m`` tensor uniforms first, then the ``n``
     right-hand side uniforms.
     """
-    _check_dense_size(m, n)
+    check_dense_size(m, n)
     rng = _rng(seed)
-    B = Tensor.from_dense(symmetrize_full(rng.random((n,) * m)),
-                          semi_symmetric=True)
+    B = Tensor.from_dense(symmetrize_full(rng.random((n,) * m)))
     s = 1.01 * float(B.apply(np.ones(n)).max())
     b = _uniform_open(rng, n)
     return B, s, b
@@ -103,7 +95,7 @@ def gen_problem1(m, n, seed) -> MTeqProblem:
     ``A`` diagonally dominant by a one-percent margin.
     """
     B, s, b = problem1_parts(m, n, seed)
-    A = _shifted_identity(s, B, semi_symmetric=True)
+    A = _shifted_identity(s, B)
     return scale_problem(A, b)
 
 
@@ -111,11 +103,11 @@ def gen_problem1(m, n, seed) -> MTeqProblem:
 def problem2_tensor(m, n) -> Tensor:
     """Deterministic tensor ``n^{m-1} I - B`` with ``B = |sin(i1+..+im)|``
     (1-based index sums)."""
-    _check_dense_size(m, n)
+    check_dense_size(m, n)
     grids = np.indices((n,) * m)
     total = grids.sum(axis=0) + m  # 1-based index sum
-    B = Tensor.from_dense(np.abs(np.sin(total)), semi_symmetric=True)
-    return _shifted_identity(float(n) ** (m - 1), B, semi_symmetric=True)
+    B = Tensor.from_dense(np.abs(np.sin(total)))
+    return _shifted_identity(float(n) ** (m - 1), B)
 
 
 def gen_problem2(m, n, seed=0) -> MTeqProblem:
@@ -148,7 +140,7 @@ def gen_problem3(n, c0=1e7, c1=1e7) -> MTeqProblem:
             rows.append(tup + (-1.0 / 3.0,))
     idx = np.array([r[:4] for r in rows], dtype=np.int64)
     vals = np.array([r[4] for r in rows])
-    A = Tensor.from_coo(4, n, idx, vals, semi_symmetric=True)
+    A = Tensor.from_coo(4, n, idx, vals)
     b = np.full(n, GRAVITATIONAL_CONSTANT * CENTRAL_MASS / (n - 1) ** 2)
     b[0] = float(c0) ** 3
     b[-1] = float(c1) ** 3
@@ -162,7 +154,7 @@ def gen_problem4(m, n, seed) -> MTeqProblem:
     the coefficient tensor has no index symmetry at all.  Draw order:
     tensor uniforms, then right-hand side uniforms.
     """
-    _check_dense_size(m, n)
+    check_dense_size(m, n)
     rng = _rng(seed)
     B = Tensor.from_dense(rng.random((n,) * m))
     s = 1.01 * float(B.apply(np.ones(n)).max())
@@ -182,7 +174,7 @@ def gen_problem5(m, n, seed) -> MTeqProblem:
     """
     if n < 2:
         raise ValueError("the triangular generator needs n >= 2")
-    _check_dense_size(m, n)
+    check_dense_size(m, n)
     rng = _rng(seed)
     raw = rng.random((n,) * m)
     B = np.zeros_like(raw)

@@ -21,8 +21,10 @@ reads the record that :func:`~mteq.initializer.initial_point` left in the
 problem's memo; each trial of the line search builds a record, whose
 ``A x^{m-1}`` feeds the feasibility test and whose Jacobian, when ``b``
 has zeros, feeds the zero-row threshold; the accepted trial's record then
-gives the next Newton direction.  A trial that rounds back to the current
-point ends the search without a step.
+gives the next Newton direction.  Every function here takes the point
+``y`` and reads its record through the memo, never a caller's copy of
+``f``, ``g`` or ``J``.  A trial that rounds back to the current point
+ends the search without a step.
 """
 
 from __future__ import annotations
@@ -55,13 +57,10 @@ class LineSearchResult(NamedTuple):
     backtracks: int
 
 
-def newton_direction(p: MTeqProblem, y, f=None, J=None) -> np.ndarray:
+def newton_direction(p: MTeqProblem, y) -> np.ndarray:
     """Solve ``J(y) d = -f(y)`` for the Newton direction."""
-    if f is None or J is None:
-        point = _evaluate(p, y)
-        f = point.f if f is None else f
-        J = point.jacobian() if J is None else J
-    return lu_solve(J, -f)
+    point = _evaluate(p, y)
+    return lu_solve(point.jacobian(), -point.f)
 
 
 def trial_scale(residual_norm, c) -> float:
@@ -96,7 +95,7 @@ def _backtrack(p: MTeqProblem, y, d, cfg: SolverConfig, current_norm,
             return None
         if np.all(yt > 0.0):
             trial = _evaluate(p, yt)
-            if in_feasible_split(p, trial.y, cfg.eps, cfg.eps2, g=trial.g):
+            if in_feasible_split(p, trial.y, cfg.eps, cfg.eps2):
                 rt = float(np.linalg.norm(trial.f))
                 if rt * rt <= factor * bound_base:
                     return LineSearchResult(alpha, trial.y, trial.f, rt, i)
@@ -146,7 +145,7 @@ def _damped_newton(p: MTeqProblem, start, cfg: SolverConfig, line_search, *,
     y = start if start_is_y else hadamard_power(start, p.m - 1)
     point = _evaluate(p, y)
     r = float(np.linalg.norm(point.f))
-    if not in_feasible_split(p, y, cfg.eps, cfg.eps2, g=point.g):
+    if not in_feasible_split(p, y, cfg.eps, cfg.eps2):
         x0 = point.x.copy() if start_is_y else start
         return stopped(SolveStatus.BAD_INITIAL_POINT, x0, y, r,
                        "starting point outside the feasible region")
@@ -161,7 +160,7 @@ def _damped_newton(p: MTeqProblem, start, cfg: SolverConfig, line_search, *,
             break
         tic = time.perf_counter()
         try:
-            d = newton_direction(p, point.y, f=point.f, J=point.jacobian())
+            d = newton_direction(p, point.y)
         except SingularMatrixError as exc:
             status = SolveStatus.LINE_SEARCH_FAILURE
             message = f"singular Jacobian at iteration {k}: {exc}"

@@ -32,6 +32,7 @@ __all__ = [
     "nqz_spectral_radius",
     "m_splitting",
     "dense_cap",
+    "check_dense_size",
     "read_tensor",
     "write_tensor",
     "read_vector",
@@ -40,11 +41,21 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_CAP = 200_000_000
+SEMI_SYMMETRY_TOL = 1e-13  # of max(1, max|a|); see Tensor.is_semi_symmetric
 
 
 def dense_cap() -> int:
     """Entry-count limit for dense storage; override via MTEQ_DENSE_CAP."""
     return int(os.environ.get("MTEQ_DENSE_CAP", DEFAULT_DENSE_CAP))
+
+
+def check_dense_size(order, dim) -> None:
+    """Raise ``ValueError`` when ``dim**order`` entries exceed :func:`dense_cap`."""
+    cap = dense_cap()
+    if dim ** order > cap:
+        raise ValueError(
+            f"dense tensor of order {order}, dimension {dim} needs {dim ** order} "
+            f"entries, above the cap {cap} (set MTEQ_DENSE_CAP to raise it)")
 
 
 class FormatError(ValueError):
@@ -59,8 +70,7 @@ class Tensor:
     :meth:`identity` to construct one.
     """
 
-    def __init__(self, order, dim, dense=None, indices=None, values=None,
-                 semi_symmetric=None):
+    def __init__(self, order, dim, dense=None, indices=None, values=None):
         self.order = int(order)
         self.dim = int(dim)
         if self.order < 2:
@@ -70,24 +80,22 @@ class Tensor:
         self._dense = dense
         self._idx = indices
         self._vals = values
-        # True/False when known, None until somebody asks
-        self._semi_symmetric = semi_symmetric
 
     # ------------------------------------------------------------------
     # construction
 
     @classmethod
-    def from_dense(cls, array, semi_symmetric=None) -> "Tensor":
+    def from_dense(cls, array) -> "Tensor":
         a = np.ascontiguousarray(array, dtype=float)
         if a.ndim < 2:
             raise ValueError("dense tensor must have at least 2 axes")
         n = a.shape[0]
         if any(s != n for s in a.shape):
             raise ValueError(f"all axes must have equal length, got {a.shape}")
-        return cls(a.ndim, n, dense=a, semi_symmetric=semi_symmetric)
+        return cls(a.ndim, n, dense=a)
 
     @classmethod
-    def from_coo(cls, order, dim, indices, values, semi_symmetric=None) -> "Tensor":
+    def from_coo(cls, order, dim, indices, values) -> "Tensor":
         order = int(order)
         dim = int(dim)
         idx = np.asarray(indices, dtype=np.int64)
@@ -107,17 +115,17 @@ class Tensor:
                 raise ValueError(f"duplicate index tuple {tuple(int(i) for i in where)}")
         idx.setflags(write=False)
         vals.setflags(write=False)
-        return cls(order, dim, indices=idx, values=vals, semi_symmetric=semi_symmetric)
+        return cls(order, dim, indices=idx, values=vals)
 
     @classmethod
     def identity(cls, order, dim, storage="coo") -> "Tensor":
         """Diagonal tensor with ones at every ``(i, i, .., i)``."""
         if storage == "coo":
             idx = np.tile(np.arange(dim, dtype=np.int64)[:, None], (1, order))
-            return cls.from_coo(order, dim, idx, np.ones(dim), semi_symmetric=True)
+            return cls.from_coo(order, dim, idx, np.ones(dim))
         a = np.zeros((dim,) * order)
         a[_diag_index(order, dim)] = 1.0
-        return cls.from_dense(a, semi_symmetric=True)
+        return cls.from_dense(a)
 
     # ------------------------------------------------------------------
     # basic queries
@@ -165,18 +173,14 @@ class Tensor:
         """Entries as a numpy array of shape ``(n,)*m`` (always a copy)."""
         if self.is_dense:
             return self._dense.copy()
-        if self.dim ** self.order > dense_cap():
-            raise ValueError(
-                f"dense form needs {self.dim ** self.order} entries, above the "
-                f"cap {dense_cap()} (set MTEQ_DENSE_CAP to raise it)")
+        check_dense_size(self.order, self.dim)
         a = np.zeros((self.dim,) * self.order)
         if self._vals.size:
             a[tuple(self._idx.T)] = self._vals
         return a
 
     def to_dense(self) -> "Tensor":
-        return Tensor.from_dense(self.to_dense_array(),
-                                 semi_symmetric=self._semi_symmetric)
+        return Tensor.from_dense(self.to_dense_array())
 
     def to_coo(self) -> "Tensor":
         if not self.is_dense:
@@ -185,8 +189,7 @@ class Tensor:
         # lexicographic order from_coo expects
         idx = np.argwhere(self._dense != 0.0).astype(np.int64)
         vals = self._dense[tuple(idx.T)] if idx.size else np.zeros(0)
-        return Tensor.from_coo(self.order, self.dim, idx, vals,
-                               semi_symmetric=self._semi_symmetric)
+        return Tensor.from_coo(self.order, self.dim, idx, vals)
 
     def max_abs(self) -> float:
         """Largest entry magnitude; NaN when an entry is NaN.
@@ -212,10 +215,8 @@ class Tensor:
     def scaled(self, factor) -> "Tensor":
         f = float(factor)
         if self.is_dense:
-            return Tensor.from_dense(self._dense * f,
-                                     semi_symmetric=self._semi_symmetric)
-        return Tensor.from_coo(self.order, self.dim, self._idx, self._vals * f,
-                               semi_symmetric=self._semi_symmetric)
+            return Tensor.from_dense(self._dense * f)
+        return Tensor.from_coo(self.order, self.dim, self._idx, self._vals * f)
 
     def diagonal(self) -> np.ndarray:
         """Vector of the entries ``a[i, i, .., i]``."""
@@ -269,9 +270,11 @@ class Tensor:
         the first slot and the same contraction with the tensor's axes
         moved for each later one.  A caller that already holds
         ``partial = partial_contraction(x)`` passes it to spare that pass;
-        the result is the same to the bit.  For a semi-symmetric tensor
-        the sum equals ``(m-1)`` times the first term in exact arithmetic,
-        but not always in floating point, so no shortcut is taken.
+        the result is the same to the bit; this is how the solvers' point
+        record (:mod:`mteq.model`) fuses its contraction with the Jacobian.
+        Tensors carry no symmetry flag, and the sum is formed for every
+        tensor: for a semi-symmetric one it equals ``(m-1)`` times the
+        first term in exact arithmetic, but not always in floating point.
         """
         x = _check_vector(x, self.dim)
         n, m = self.dim, self.order
@@ -297,45 +300,41 @@ class Tensor:
         """Average over all permutations of the trailing ``m-1`` indices.
 
         Leaves ``apply`` unchanged while making the trailing block of the
-        tensor fully symmetric.
+        tensor fully symmetric.  Always a new tensor, even when the
+        entries are already symmetric.
         """
-        if self._semi_symmetric is True:
-            return self
         m = self.order
         perms = list(itertools.permutations(range(1, m)))
         if self.is_dense:
             acc = np.zeros_like(self._dense)
             for p in perms:
                 acc += np.transpose(self._dense, (0,) + p)
-            return Tensor.from_dense(acc / len(perms), semi_symmetric=True)
+            return Tensor.from_dense(acc / len(perms))
         if not self._vals.size:
-            return Tensor.from_coo(m, self.dim, self._idx, self._vals,
-                                   semi_symmetric=True)
+            return Tensor.from_coo(m, self.dim, self._idx, self._vals)
         stacked = np.vstack([self._idx[:, (0,) + p] for p in perms])
         weights = np.tile(self._vals / len(perms), len(perms))
         uniq, inv = np.unique(stacked, axis=0, return_inverse=True)
         vals = np.bincount(inv.ravel(), weights=weights)
         keep = vals != 0.0
-        return Tensor.from_coo(m, self.dim, uniq[keep], vals[keep],
-                               semi_symmetric=True)
+        return Tensor.from_coo(m, self.dim, uniq[keep], vals[keep])
 
-    def is_semi_symmetric(self, tol=1e-13) -> bool:
-        """Whether the trailing indices can be permuted freely (within tol)."""
-        if self._semi_symmetric is not None:
-            return self._semi_symmetric
-        scale = max(1.0, self.max_abs())
+    def is_semi_symmetric(self) -> bool:
+        """Whether the trailing indices can be permuted freely.
+
+        Compares the entries with those of :meth:`semi_symmetrize` on every
+        call, up to ``SEMI_SYMMETRY_TOL`` times ``max(1, max|a|)``.
+        """
+        tol = SEMI_SYMMETRY_TOL * max(1.0, self.max_abs())
         sym = self.semi_symmetrize()
         if self.is_dense:
-            ok = bool(np.max(np.abs(self._dense - sym.to_dense_array())) <= tol * scale)
-        else:
-            merged_idx = np.vstack([self._idx, sym.coo_indices])
-            merged_val = np.concatenate([self._vals, -sym.coo_values])
-            uniq, inv = np.unique(merged_idx, axis=0, return_inverse=True)
-            diff = np.bincount(inv.ravel(), weights=merged_val,
-                               minlength=uniq.shape[0])
-            ok = bool(np.max(np.abs(diff), initial=0.0) <= tol * scale)
-        self._semi_symmetric = ok
-        return ok
+            return bool(np.max(np.abs(self._dense - sym.dense_values)) <= tol)
+        merged_idx = np.vstack([self._idx, sym.coo_indices])
+        merged_val = np.concatenate([self._vals, -sym.coo_values])
+        uniq, inv = np.unique(merged_idx, axis=0, return_inverse=True)
+        diff = np.bincount(inv.ravel(), weights=merged_val,
+                           minlength=uniq.shape[0])
+        return bool(np.max(np.abs(diff), initial=0.0) <= tol)
 
     # ------------------------------------------------------------------
     # structural predicates
@@ -515,10 +514,10 @@ def read_tensor(path) -> Tensor:
             if count != expected:
                 raise FormatError(
                     f"{path}:1: dense count {count} does not match n**m = {expected}")
-            if expected > dense_cap():
-                raise FormatError(
-                    f"{path}: dense tensor needs {expected} entries, above the cap "
-                    f"{dense_cap()} (set MTEQ_DENSE_CAP to raise it)")
+            try:
+                check_dense_size(m, n)
+            except ValueError as exc:
+                raise FormatError(f"{path}: {exc}") from None
             try:
                 values = np.array(fh.read().split(), dtype=float)
             except ValueError:

@@ -26,7 +26,7 @@ def test_gen_writes_problem_files(tmp_path):
     assert (out / "tensor.mt").exists() and (out / "rhs.vec").exists()
 
 
-def test_gen_usage_errors(tmp_path):
+def test_gen_usage_errors(tmp_path, monkeypatch):
     # unknown family: argparse choices reject it with the usual usage exit
     with pytest.raises(SystemExit) as ex:
         run_cli("gen", "--problem", "7", "--out", str(tmp_path))
@@ -34,6 +34,11 @@ def test_gen_usage_errors(tmp_path):
     # the boundary-value family is order 4 only
     assert run_cli("gen", "--problem", "3", "--m", "3", "--n", "10",
                    "--out", str(tmp_path / "x")) == 2
+    # a dense instance above the entry cap
+    monkeypatch.setenv("MTEQ_DENSE_CAP", "10")
+    assert run_cli("gen", "--problem", "1", "--m", "3", "--n", "3",
+                   "--out", str(tmp_path / "p1")) == 2
+    assert not (tmp_path / "p1").exists()
 
 
 def test_solve_round_trip_matches_in_process(tmp_path):
@@ -110,6 +115,19 @@ def test_verify_rejects_non_m_tensor(tmp_path):
     path = tmp_path / "weak.mt"
     write_tensor(path, Tensor.from_dense(dense))
     assert run_cli("verify", str(path)) == EXIT_INFEASIBLE
+
+
+@pytest.mark.parametrize("problem,m,n,expect", [
+    ("1", "3", "8", "yes"), ("2", "3", "8", "yes"), ("3", "4", "8", "yes"),
+    ("4", "3", "8", "no")])
+def test_verify_reads_semi_symmetry_from_the_file(tmp_path, capsys, problem,
+                                                  m, n, expect):
+    out = tmp_path / f"p{problem}"
+    assert run_cli("gen", "--problem", problem, "--m", m, "--n", n,
+                   "--seed", "1", "--out", str(out)) == EXIT_OK
+    capsys.readouterr()
+    run_cli("verify", str(out / "tensor.mt"))
+    assert f"semi-symmetric: {expect}\n" in capsys.readouterr().out
 
 
 def test_verify_missing_file(tmp_path):

@@ -2,6 +2,7 @@
 the problem, and the fused dense kernel behind both."""
 
 import gc
+import types
 import weakref
 
 import numpy as np
@@ -11,14 +12,16 @@ from mteq import (SolverConfig, Tensor, hadamard_power, initial_point,
                   line_search_basic, make_problem, newton_direction, residual,
                   residual_jacobian, solve_nonnegative, solve_positive)
 from mteq.model import _evaluate
-from mteq.problems import gen_problem1, gen_problem4, zero_out_rhs
+from mteq.problems import gen_problem1, gen_problem4, gen_problem5, zero_out_rhs
 
 KERNELS = ("apply", "partial_contraction", "jacobian_matrix")
 
 
 class CountingTensor:
     """Delegates to a tensor and records every kernel call: the vector it
-    was given and whether a partial contraction came with it."""
+    was given and whether a partial contraction came with it.  The
+    tensor's other methods run with the counter as ``self``, so the
+    kernels they call (the dominance test's ``apply``) are counted too."""
 
     def __init__(self, tensor):
         self._tensor = tensor
@@ -27,6 +30,9 @@ class CountingTensor:
     def __getattr__(self, name):
         attr = getattr(self._tensor, name)
         if name not in KERNELS:
+            method = vars(Tensor).get(name)
+            if isinstance(method, types.FunctionType):
+                return types.MethodType(method, self)
             return attr
 
         def counted(x, *args, **kwargs):
@@ -45,9 +51,13 @@ class CountingTensor:
 
 
 def counted_problem(p, zero=False, seed=0):
+    """``p`` rebuilt by ``make_problem`` on a counter, with the calls that
+    construction made cleared."""
     counted = CountingTensor(p.A)
     b = zero_out_rhs(p.b, seed) if zero else p.b
-    return make_problem(counted, b, omega=p.omega), counted
+    q = make_problem(counted, b, omega=p.omega)
+    counted.reset()
+    return q, counted
 
 
 def reference_apply(a, x):
@@ -114,13 +124,24 @@ def test_dense_record_costs_one_pass_before_its_jacobian():
     assert len(counted.calls["partial_contraction"]) == 1
 
 
+def test_initial_point_contracts_with_all_ones_once():
+    # P5 fails the dominance test: make_problem records that, and
+    # initial_point does not repeat it before its first splitting sweep
+    p, counted = counted_problem(gen_problem5(3, 12, 0))
+    assert p.certificate is None
+    init = initial_point(p)
+    assert init.iterations > 0
+    assert counted.at(np.ones(p.n)) == 1
+    first, _ = counted.calls["apply"][0]
+    assert np.array_equal(first, np.ones(p.n))
+
+
 @pytest.mark.parametrize("m,n", [(3, 9), (4, 6)])
-@pytest.mark.parametrize("flag", [True, None], ids=["flagged", "unflagged"])
-def test_fused_kernel_matches_stand_alone_kernels_bitwise(m, n, flag):
-    # a raw P4 tensor is not semi-symmetric, so a (m-1) M shortcut taken
-    # on the flag would change the Jacobian
+def test_fused_kernel_matches_stand_alone_kernels_bitwise(m, n):
+    # a raw P4 tensor is not semi-symmetric, so a (m-1) M shortcut would
+    # change the Jacobian
     a = gen_problem4(m, n, 3).A.to_dense_array()
-    t = Tensor.from_dense(a, semi_symmetric=flag)
+    t = Tensor.from_dense(a)
     x = np.random.default_rng(m).uniform(0.5, 2.0, size=n)
     M = t.partial_contraction(x)
     assert (M @ x).tobytes() == t.apply(x).tobytes() == reference_apply(a, x).tobytes()

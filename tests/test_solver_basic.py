@@ -78,7 +78,7 @@ def test_line_search_accepts_unit_step_near_solution():
     p = small_problem()
     y = hadamard_power(X_ONES * 1.05, 2)
     f = residual(p, y)
-    d = newton_direction(p, y, f)
+    d = newton_direction(p, y)
     cfg = SolverConfig()
     step = line_search_basic(p, y, d, cfg)
     assert step.alpha == 1.0 and step.backtracks == 0
@@ -90,7 +90,7 @@ def test_line_search_backtracks_on_overlong_direction():
     cfg = SolverConfig()
     y = initial_point(p, cfg).y0
     f = residual(p, y)
-    d = newton_direction(p, y, f)
+    d = newton_direction(p, y)
     step = line_search_basic(p, y, 3.0 * d, cfg)
     # tripling the Newton step overshoots; two halvings recover descent
     assert step.alpha == 0.25 and step.backtracks == 2

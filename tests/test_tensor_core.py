@@ -6,6 +6,7 @@ import pytest
 from mteq import (FormatError, Tensor, dense_cap, hadamard_power, m_splitting,
                   nqz_spectral_radius, read_tensor, read_vector, write_tensor,
                   write_vector)
+from mteq.problems import gen_problem1, gen_problem4
 
 from oracles import apply_loops, jacobian_loops
 
@@ -76,6 +77,20 @@ def test_semi_symmetrize_preserves_apply_and_jacobian():
     assert np.allclose(s.apply(x), t.apply(x), rtol=1e-13, atol=0)
     assert np.allclose(s.jacobian_matrix(x), t.jacobian_matrix(x),
                        rtol=1e-12, atol=1e-14)
+
+
+def test_semi_symmetry_is_read_from_the_entries():
+    raw = Tensor.from_dense(gen_problem4(3, 6, 0).A.to_dense_array())
+    assert raw.is_semi_symmetric() is False
+    sym = raw.semi_symmetrize()
+    assert sym is not raw
+    assert sym.is_semi_symmetric() is True
+    assert raw.is_semi_symmetric() is False
+    # symmetric entries still give a new tensor, equal to the old one
+    again = sym.semi_symmetrize()
+    assert again is not sym
+    assert np.allclose(again.to_dense_array(), sym.to_dense_array(),
+                       rtol=1e-15, atol=0)
 
 
 def test_semi_symmetrize_coo_matches_dense():
@@ -244,10 +259,16 @@ def test_reader_rejects_malformed(tmp_path):
 
 
 def test_dense_cap_env_override(tmp_path, monkeypatch):
+    path = tmp_path / "t.mt"
+    write_tensor(path, Tensor.from_dense(random_dense(3, 3, seed=2)))
     monkeypatch.setenv("MTEQ_DENSE_CAP", "10")
     assert dense_cap() == 10
     t = Tensor.from_dense(random_dense(3, 3, seed=1)).to_coo()
     with pytest.raises(ValueError):
         t.to_dense()  # 27 entries > cap of 10
+    with pytest.raises(FormatError, match="27 entries, above the cap 10"):
+        read_tensor(path)
+    with pytest.raises(ValueError, match="27 entries, above the cap 10"):
+        gen_problem1(3, 3, 0)
     monkeypatch.delenv("MTEQ_DENSE_CAP")
     assert t.to_dense().storage == "dense"

@@ -8,7 +8,9 @@ the trace records, both residuals, ``stop_threshold``, ``message`` and
 ``mode``.  It also covers each ``InitialPoint`` (``u``, ``x0`` and ``y0``
 as raw float64 bytes, and ``iterations``); initializer failures enter the
 hash through their message.  Last come the exit code and standard output
-of ``mteq verify --rhs`` on problem files written by ``write_problem``.
+of ``mteq verify --rhs`` on problem files written by ``write_problem``,
+and then the generated instances themselves: the raw float64 bytes of
+``A`` and ``b``, ``omega`` and whether a certificate is attached.
 
 The ensemble:
 
@@ -21,7 +23,9 @@ The ensemble:
 - bad starting points (negative, zero, infeasible, wrong shape) and a
   problem that violates the zero-row coupling assumption;
 - ``mteq verify`` on P1, P2, P4 and P5 at (3, 8), seed 0, and on P3 at
-  n = 24.
+  n = 24;
+- the instances of P1, P2, P4 and P5 at (3, 200), seeds 0 to 2, each with
+  its generated ``b`` and half-zeroed.
 
 The hash depends on the BLAS build, so compare runs on one machine only.
 
@@ -88,16 +92,22 @@ def solves(p, cfg):
     yield report_bytes(mteq.solve_nonnegative(p, init.y0, cfg))
 
 
-def dense_problems():
+def dense_problems(sizes=((3, 30), (4, 8)), seeds=range(8)):
+    """P1, P2, P4 and P5 at each size and seed, plain and half-zeroed."""
     for problem in (1, 2, 4, 5):
         gen = getattr(mteq, f"gen_problem{problem}")
         keep = (0,) if problem == 5 else ()
-        for m, n in ((3, 30), (4, 8)):
-            for seed in range(8):
+        for m, n in sizes:
+            for seed in seeds:
                 p = gen(m, n, seed)
                 yield p
                 b = mteq.zero_out_rhs(p.b, seed, keep=keep)
                 yield mteq.make_problem(p.A, b, omega=p.omega)
+
+
+def instance_bytes(p: mteq.MTeqProblem) -> bytes:
+    return b"|".join([_array(p.A.to_dense_array()), _array(p.b),
+                      _float(p.omega), str(p.certificate is not None).encode()])
 
 
 def bad_starts():
@@ -135,6 +145,8 @@ def ensemble():
             yield from solves(mteq.gen_problem3(n, c0, c1), STENCIL_CONFIG)
     yield from bad_starts()
     yield from verify_outputs()
+    for p in dense_problems(sizes=((3, 200),), seeds=range(3)):
+        yield instance_bytes(p)
 
 
 def main():
@@ -144,7 +156,7 @@ def main():
         digest.update(len(item).to_bytes(8, "little"))
         digest.update(item)
         count += 1
-    print(f"{digest.hexdigest()}  ({count} reports)")
+    print(f"{digest.hexdigest()}  ({count} items)")
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ when it is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,7 +128,9 @@ class MTeqProblem:
     attaches the all-ones vector when the dominance test passes; a problem
     constructed directly carries no certificate unless given one, so
     :func:`~mteq.initializer.initial_point` finds one by splitting sweeps.
-    ``partition`` is computed from ``b``.  Treat instances as immutable
+    ``partition`` is computed from ``b``.  A tensor or right-hand side
+    with a NaN or infinite entry is rejected, each with its own message,
+    before the Z-sign test.  Treat instances as immutable
     after construction: ``_memo`` holds the last evaluated point, computed
     from ``A`` and ``b``.
     """
@@ -144,6 +147,7 @@ class MTeqProblem:
         self.b = np.asarray(self.b, dtype=float)
         if self.b.shape != (self.A.dim,):
             raise ValueError("right-hand side length does not match tensor dimension")
+        _check_finite(self.A, self.b)
         self.partition = partition_indices(self.b)  # rejects negative entries
         if not self.A.is_z_tensor():
             raise ValueError("coefficient tensor must have nonpositive off-diagonal entries")
@@ -161,9 +165,29 @@ class MTeqProblem:
         return self.certificate is not None
 
 
+def _check_finite(A: Tensor, b: np.ndarray) -> None:
+    """Reject a tensor or a right-hand side with a NaN or infinite entry,
+    each with its own message.  The tensor's test reads its cached
+    ``max_abs``."""
+    if not math.isfinite(A.max_abs()):
+        raise ValueError(f"coefficient tensor has a non-finite entry "
+                         f"(max |a| is {A.max_abs()})")
+    bad = np.flatnonzero(~np.isfinite(b))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"right-hand side has a non-finite entry: "
+                         f"b[{i}] is {float(b.flat[i])}")
+
+
 def make_problem(A: Tensor, b, omega=1.0) -> MTeqProblem:
     """Wrap tensor and right-hand side, attaching the all-ones certificate
-    when it happens to work."""
+    when it happens to work.
+
+    The tensor's facts (its largest magnitude, Z sign and dominance test)
+    are cached on ``A``, so building a second problem over the same
+    tensor, such as one with zeros put into ``b``, reads none of its
+    entries again.
+    """
     cert = np.ones(A.dim) if A.is_diag_dominant() else None
     return MTeqProblem(A, np.asarray(b, dtype=float), float(omega),
                        certificate=cert)
@@ -174,8 +198,12 @@ def scale_problem(A: Tensor, b) -> MTeqProblem:
 
     Newton iterates are unchanged by this, but it keeps residual norms and
     the absolute stopping tolerance on a common footing across instances.
+    Non-finite entries are rejected before scaling, where they would
+    spread to every entry.  The scaled tensor starts with the facts of
+    ``A`` that :meth:`~mteq.tensor.Tensor.scaled` carries over.
     """
     b = np.asarray(b, dtype=float)
+    _check_finite(A, b)
     omega = max(A.max_abs(), float(np.abs(b).max()) if b.size else 0.0)
     if omega == 0.0:
         raise ValueError("cannot scale an all-zero problem")

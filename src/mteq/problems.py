@@ -55,19 +55,51 @@ def _uniform_open(rng, size) -> np.ndarray:
     return out
 
 
+def _slab_axis(perm):
+    """First output axis ``q < m-1`` that ``perm`` takes from an input axis
+    other than the last, or ``None`` when there is none (only at m <= 2)."""
+    last = len(perm) - 1
+    return next((q for q in range(last) if perm[q] < last), None)
+
+
 def symmetrize_full(array) -> np.ndarray:
-    """Average an array over all permutations of all its axes."""
+    """Average an array over all permutations of all its axes.
+
+    Every entry is the sum, from zero and in ``itertools.permutations``
+    order, of the entries it meets under each permutation, divided by
+    their number.  The sums run slab by slab: consecutive permutations
+    that share a slab axis ``q`` (see :func:`_slab_axis`) are added one
+    output slab ``acc[.., j, ..]`` at a time, so both the slab and its
+    source slice keep the input's contiguous last axis and the transposed
+    reads stay within one slab.  Each entry sees the same additions in the
+    same order as whole-array sums, so the result is the same to the bit;
+    starting from zeros keeps ``0.0 + (-0.0) = +0.0``.
+    """
     a = np.asarray(array, dtype=float)
     perms = list(itertools.permutations(range(a.ndim)))
     acc = np.zeros_like(a)
-    for p in perms:
-        acc += np.transpose(a, p)
-    return acc / len(perms)
+    for q, group in itertools.groupby(perms, key=_slab_axis):
+        views = [np.transpose(a, p) for p in group]
+        if q is None:
+            for view in views:
+                acc += view
+            continue
+        for j in range(a.shape[q]):
+            where = (slice(None),) * q + (j,)
+            slab = acc[where]
+            for view in views:
+                slab += view[where]
+    acc /= len(perms)
+    return acc
 
 
 def _shifted_identity(s, B: Tensor) -> Tensor:
-    """Dense tensor ``s * I - B`` for a dense ``B``."""
-    a = -B.to_dense_array()
+    """Dense tensor ``s * I - B`` for a dense ``B``.
+
+    Negates ``B``'s read-only entries straight into the one new buffer the
+    result keeps, then adds ``s`` on its diagonal.
+    """
+    a = np.negative(B.dense_values)
     diag = tuple([np.arange(B.dim)] * B.order)
     a[diag] += s
     return Tensor.from_dense(a)
@@ -104,10 +136,14 @@ def problem2_tensor(m, n) -> Tensor:
     """Deterministic tensor ``n^{m-1} I - B`` with ``B = |sin(i1+..+im)|``
     (1-based index sums)."""
     check_dense_size(m, n)
-    grids = np.indices((n,) * m)
-    total = grids.sum(axis=0) + m  # 1-based index sum
-    B = Tensor.from_dense(np.abs(np.sin(total)))
-    return _shifted_identity(float(n) ** (m - 1), B)
+    ones_based = np.arange(1, n + 1, dtype=np.int64)
+    total = ones_based
+    for _ in range(m - 1):
+        total = np.add.outer(total, ones_based)
+    entries = np.sin(total)
+    del total  # free the index sums before _shifted_identity's buffer
+    np.abs(entries, out=entries)
+    return _shifted_identity(float(n) ** (m - 1), Tensor.from_dense(entries))
 
 
 def gen_problem2(m, n, seed=0) -> MTeqProblem:
@@ -177,11 +213,12 @@ def gen_problem5(m, n, seed) -> MTeqProblem:
     check_dense_size(m, n)
     rng = _rng(seed)
     raw = rng.random((n,) * m)
-    B = np.zeros_like(raw)
-    for i in range(1, n):
-        block = (i,) + (slice(0, i),) * (m - 1)
-        B[block] = raw[block]
-    B = Tensor.from_dense(B)
+    # zero raw[i] wherever some trailing index reaches i: the k-th slice
+    # holds the tuples whose first such index is the k-th
+    for i in range(n):
+        for k in range(m - 1):
+            raw[(i,) + (slice(0, i),) * k + (slice(i, None),)] = 0.0
+    B = Tensor.from_dense(raw)
     s = 0.5 * float(B.apply(np.ones(n)).max())
     b = _uniform_open(rng, n)
     return scale_problem(_shifted_identity(s, B), b)

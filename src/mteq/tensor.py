@@ -16,10 +16,17 @@ start from the one-slot contraction ``M = A x^{m-2}``
 (:meth:`Tensor.partial_contraction`): ``A x^{m-1} = M x`` and ``M`` is the
 first term of the derivative matrix, so a caller that needs both at one
 point saves a pass over the tensor.
+
+Facts read from the entries (the largest magnitude, the Z sign, the
+dominance test and the diagonal) are computed on first use and kept on the
+tensor, which is immutable: dense storage is marked read-only, so the
+cached facts cannot go stale.  :meth:`Tensor.scaled` hands on the facts
+that scale exactly, so a scaled problem is not checked twice.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -62,12 +69,37 @@ class FormatError(ValueError):
     """A ``.mt`` or ``.vec`` file could not be parsed."""
 
 
+def _fact(method):
+    """Compute a no-argument query once per tensor.
+
+    The result is kept in the tensor's private fact store under the
+    method's name, so only the first call reads the entries.
+    """
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        facts = self._facts
+        if name not in facts:
+            facts[name] = method(self)
+        return facts[name]
+    return cached
+
+
 class Tensor:
     """Real tensor of order ``m >= 2`` and dimension ``n >= 1``.
 
     Instances are immutable: every operation returns a new object or a
-    plain numpy array.  Use :meth:`from_dense`, :meth:`from_coo` or
-    :meth:`identity` to construct one.
+    plain numpy array, and the stored entries are read-only.
+    :meth:`from_dense` marks the array it stores as read-only; when no copy
+    is needed, that is the caller's own array.  Use :meth:`from_dense`,
+    :meth:`from_coo` or :meth:`identity` to construct one.
+
+    :meth:`max_abs`, :meth:`is_z_tensor`, :meth:`is_diag_dominant` and
+    :meth:`diagonal` read the entries on the first call only; the results
+    are kept in one private per-instance store, and :meth:`diagonal` still
+    returns a copy.  :meth:`is_semi_symmetric` reads the entries on every
+    call.
     """
 
     def __init__(self, order, dim, dense=None, indices=None, values=None):
@@ -80,18 +112,25 @@ class Tensor:
         self._dense = dense
         self._idx = indices
         self._vals = values
+        self._facts = {}
 
     # ------------------------------------------------------------------
     # construction
 
     @classmethod
     def from_dense(cls, array) -> "Tensor":
+        """Dense tensor over ``array``, which is stored read-only.
+
+        A C-contiguous float64 array is stored as it is, without a copy,
+        and writing to it afterwards raises.
+        """
         a = np.ascontiguousarray(array, dtype=float)
         if a.ndim < 2:
             raise ValueError("dense tensor must have at least 2 axes")
         n = a.shape[0]
         if any(s != n for s in a.shape):
             raise ValueError(f"all axes must have equal length, got {a.shape}")
+        a.flags.writeable = False
         return cls(a.ndim, n, dense=a)
 
     @classmethod
@@ -191,6 +230,7 @@ class Tensor:
         vals = self._dense[tuple(idx.T)] if idx.size else np.zeros(0)
         return Tensor.from_coo(self.order, self.dim, idx, vals)
 
+    @_fact
     def max_abs(self) -> float:
         """Largest entry magnitude; NaN when an entry is NaN.
 
@@ -213,19 +253,47 @@ class Tensor:
         return stored
 
     def scaled(self, factor) -> "Tensor":
+        """The tensor with every entry multiplied by ``factor``.
+
+        For a finite ``factor > 0`` the new tensor starts with the facts
+        this one has already computed, where they scale exactly.  Rounding
+        is monotone, so ``max_abs`` becomes ``abs(max_abs * f)``; the
+        diagonal becomes ``d * f``, the same products as the new entries;
+        and a Z-tensor stays one.  A failed Z test does not carry, because
+        a positive off-diagonal entry can underflow to +0, and neither does
+        the dominance test, because scaled row sums round differently.
+        """
         f = float(factor)
         if self.is_dense:
-            return Tensor.from_dense(self._dense * f)
-        return Tensor.from_coo(self.order, self.dim, self._idx, self._vals * f)
+            out = Tensor.from_dense(self._dense * f)
+        else:
+            out = Tensor.from_coo(self.order, self.dim, self._idx, self._vals * f)
+        if f > 0.0 and math.isfinite(f):
+            facts, carried = self._facts, out._facts
+            if "max_abs" in facts:
+                carried["max_abs"] = abs(facts["max_abs"] * f)
+            if "_diagonal" in facts:
+                d = facts["_diagonal"] * f
+                d.flags.writeable = False
+                carried["_diagonal"] = d
+            if facts.get("is_z_tensor"):
+                carried["is_z_tensor"] = True
+        return out
 
     def diagonal(self) -> np.ndarray:
-        """Vector of the entries ``a[i, i, .., i]``."""
+        """Vector of the entries ``a[i, i, .., i]`` (a copy)."""
+        return self._diagonal().copy()
+
+    @_fact
+    def _diagonal(self) -> np.ndarray:
         if self.is_dense:
-            return self._dense[_diag_index(self.order, self.dim)].copy()
-        d = np.zeros(self.dim)
-        if self._vals.size:
-            mask = np.all(self._idx == self._idx[:, :1], axis=1)
-            d[self._idx[mask, 0]] = self._vals[mask]
+            d = self._dense[_diag_index(self.order, self.dim)]
+        else:
+            d = np.zeros(self.dim)
+            if self._vals.size:
+                mask = np.all(self._idx == self._idx[:, :1], axis=1)
+                d[self._idx[mask, 0]] = self._vals[mask]
+        d.flags.writeable = False
         return d
 
     # ------------------------------------------------------------------
@@ -339,6 +407,7 @@ class Tensor:
     # ------------------------------------------------------------------
     # structural predicates
 
+    @_fact
     def is_z_tensor(self) -> bool:
         """True when every off-diagonal entry is <= 0."""
         if self.is_dense:
@@ -352,6 +421,7 @@ class Tensor:
         diag = np.all(self._idx == self._idx[:, :1], axis=1)
         return bool(np.all(self._vals[~diag] <= 0.0))
 
+    @_fact
     def is_diag_dominant(self) -> bool:
         """Operational dominance test: ``A e^{m-1} > 0`` componentwise.
 
@@ -401,7 +471,7 @@ def m_splitting(t: Tensor, s=None):
         s = float(d.max()) if d.size else 0.0
     s = float(s)
     if t.is_dense:
-        b = -t.to_dense_array()
+        b = np.negative(t.dense_values)
         b[_diag_index(t.order, t.dim)] += s
         return s, Tensor.from_dense(b)
     idx = t.coo_indices
@@ -481,7 +551,7 @@ def write_tensor(path, t: Tensor) -> None:
         if t.is_dense:
             count = t.dim ** t.order
             fh.write(f"MT1 {t.order} {t.dim} dense {count}\n")
-            flat = t.to_dense_array().reshape(-1, t.dim)
+            flat = t.dense_values.reshape(-1, t.dim)
             np.savetxt(fh, flat, fmt="%.17g")
         else:
             idx = t.coo_indices
@@ -525,6 +595,7 @@ def read_tensor(path) -> Tensor:
             if values.size != expected:
                 raise FormatError(
                     f"{path}: expected {expected} values, found {values.size}")
+            _check_finite_body(path, values, (n,) * m)
             return Tensor.from_dense(values.reshape((n,) * m))
         rows = []
         vals = []
@@ -546,6 +617,10 @@ def read_tensor(path) -> Tensor:
             if any(i < 1 or i > n for i in tup):
                 raise FormatError(
                     f"{path}:{lineno}: index out of range 1..{n}")
+            if not math.isfinite(val):
+                raise FormatError(
+                    f"{path}:{lineno}: non-finite entry {val} at index "
+                    f"({', '.join(map(str, tup))})")
             rows.append([i - 1 for i in tup])
             vals.append(val)
         if len(vals) != count:
@@ -581,4 +656,16 @@ def read_vector(path) -> np.ndarray:
             raise FormatError(f"{path}: malformed value in vector body") from None
         if values.size != n:
             raise FormatError(f"{path}: expected {n} values, found {values.size}")
+        _check_finite_body(path, values, (n,))
         return values
+
+
+def _check_finite_body(path, values, shape) -> None:
+    """Raise :class:`FormatError` naming the first non-finite entry of a
+    file body read in C order into ``values``, by its 1-based index."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        where = np.unravel_index(bad[0], shape)
+        index = ", ".join(str(int(i) + 1) for i in where)
+        raise FormatError(
+            f"{path}: non-finite entry {float(values[bad[0]])} at index ({index})")

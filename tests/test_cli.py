@@ -130,6 +130,37 @@ def test_verify_reads_semi_symmetry_from_the_file(tmp_path, capsys, problem,
     assert f"semi-symmetric: {expect}\n" in capsys.readouterr().out
 
 
+def _non_finite_files(tmp_path, value, in_tensor, storage):
+    p = gen_problem1(3, 4, 0)
+    a, b = p.A.to_dense_array(), p.b.copy()
+    if in_tensor:
+        a[1, 2, 0] = value
+    else:
+        b[2] = value
+    t = Tensor.from_dense(a)
+    write_tensor(tmp_path / "t.mt", t if storage == "dense" else t.to_coo())
+    write_vector(tmp_path / "b.vec", b)
+    return tmp_path / "t.mt", tmp_path / "b.vec"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("in_tensor,storage", [(True, "dense"), (True, "coo"),
+                                               (False, "dense")],
+                         ids=["tensor-dense", "tensor-coo", "rhs"])
+def test_non_finite_input_is_a_format_error(tmp_path, capsys, value,
+                                            in_tensor, storage):
+    tensor, rhs = _non_finite_files(tmp_path, value, in_tensor, storage)
+    path, index = (tensor, "(2, 3, 1)") if in_tensor else (rhs, "(3)")
+    for argv in (["solve", str(tensor), str(rhs),
+                  "--solution", str(tmp_path / "x.vec")],
+                 ["verify", str(tensor), "--rhs", str(rhs)]):
+        assert run_cli(*argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert f"non-finite entry {value} at index {index}" in err
+    assert not (tmp_path / "x.vec").exists()
+
+
 def test_verify_missing_file(tmp_path):
     assert run_cli("verify", str(tmp_path / "none.mt")) == EXIT_IO
 

@@ -11,8 +11,10 @@ import pytest
 from mteq import (SolverConfig, Tensor, hadamard_power, initial_point,
                   line_search_basic, make_problem, newton_direction, residual,
                   residual_jacobian, solve_nonnegative, solve_positive)
+from mteq import cli
 from mteq.model import _evaluate
-from mteq.problems import gen_problem1, gen_problem4, gen_problem5, zero_out_rhs
+from mteq.problems import (gen_problem1, gen_problem4, gen_problem5,
+                           write_problem, zero_out_rhs)
 
 KERNELS = ("apply", "partial_contraction", "jacobian_matrix")
 
@@ -134,6 +136,43 @@ def test_initial_point_contracts_with_all_ones_once():
     assert counted.at(np.ones(p.n)) == 1
     first, _ = counted.calls["apply"][0]
     assert np.array_equal(first, np.ones(p.n))
+
+
+@pytest.mark.parametrize("gen", [gen_problem1, gen_problem4, gen_problem5])
+def test_zeroed_rebuild_makes_no_contraction(gen):
+    # the generated problem has checked its tensor; a second problem over
+    # the same tensor reads the cached facts
+    p = gen(3, 12, 1)
+    counted = CountingTensor(p.A)
+    q = make_problem(counted, zero_out_rhs(p.b, 1, keep=(0,)), omega=p.omega)
+    assert not any(counted.calls.values())
+    assert (q.certificate is None) == (p.certificate is None)
+
+
+def test_verify_contracts_the_file_tensor_with_all_ones_twice(tmp_path,
+                                                              monkeypatch):
+    # the printed dominance test and sweep 0 of the certificate search;
+    # the problem built for --rhs reuses the cached dominance test
+    p = gen_problem5(3, 8, 0)
+    write_problem(tmp_path, p, {})
+    loaded, applied = [], []
+    read_tensor, original_apply = cli.read_tensor, Tensor.apply
+
+    def read(path):
+        loaded.append(read_tensor(path))
+        return loaded[-1]
+
+    def apply(self, x):
+        applied.append((self, np.array(x)))
+        return original_apply(self, x)
+    monkeypatch.setattr(cli, "read_tensor", read)
+    monkeypatch.setattr(Tensor, "apply", apply)
+    code = cli.main(["verify", str(tmp_path / "tensor.mt"),
+                     "--rhs", str(tmp_path / "rhs.vec")])
+    assert code == cli.EXIT_OK
+    (A,) = loaded
+    ones = np.ones(p.n)
+    assert sum(t is A and np.array_equal(x, ones) for t, x in applied) == 2
 
 
 @pytest.mark.parametrize("m,n", [(3, 9), (4, 6)])

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mteq import (SingularMatrixError, SolverConfig, Tensor, check_assumption,
+from mteq import (MTeqProblem, SingularMatrixError, SolverConfig, Tensor,
+                  check_assumption,
                   feasibility_slack, hadamard_power, in_feasible,
                   in_feasible_split, make_problem, partition_indices, residual,
                   residual_jacobian, scale_problem, zero_block_threshold)
@@ -46,6 +47,26 @@ def test_problem_validation():
         small_problem(b=(1.0, -1.0))  # negative right-hand side
     with pytest.raises(ValueError):
         make_problem(Tensor.identity(3, 2), np.ones(3))  # length mismatch
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 1, 1), (1, 1, 1)], ids=["off", "diag"])
+def test_non_finite_tensor_rejected(value, where):
+    dense = small_problem().A.to_dense_array()
+    dense[where] = value
+    A = Tensor.from_dense(dense)
+    for build in (make_problem, scale_problem, MTeqProblem):
+        with pytest.raises(ValueError, match="coefficient tensor has a non-finite entry"):
+            build(A, np.ones(2))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_rhs_rejected(value):
+    A = small_problem().A
+    b = np.array([1.0, value])
+    for build in (make_problem, scale_problem, MTeqProblem):
+        with pytest.raises(ValueError, match=r"right-hand side has a non-finite entry: b\[1\]"):
+            build(A, b)
 
 
 def test_residual_definition():

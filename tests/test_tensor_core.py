@@ -184,6 +184,94 @@ def test_max_abs_and_z_sign_match_copying_definitions():
     assert not signs["0.5 at (3, 0, 0)"]
 
 
+FACTORS = (0.37, 3.0, 1e-300, 1e300)
+
+
+def _facts(t):
+    return (t.max_abs(), t.is_z_tensor(), t.is_diag_dominant(), t.diagonal())
+
+
+def _same_facts(got, want):
+    return (_same_float(got[0], want[0]) and got[1:3] == want[1:3]
+            and got[3].tobytes() == want[3].tobytes())
+
+
+def _fresh(t):
+    """The same entries in a new tensor, with no facts computed yet."""
+    if t.is_dense:
+        return Tensor.from_dense(t.to_dense_array())
+    return Tensor.from_coo(t.order, t.dim, t.coo_indices, t.coo_values)
+
+
+def test_scaled_carries_facts_equal_to_fresh_ones():
+    cases = [(label, t.to_dense_array()) for label, t in _generated_tensors()]
+    cases += list(_nonfinite_tensors())
+    cases += [("all zeros", np.zeros((3, 3, 3)))]
+    for label, a in cases:
+        dense = Tensor.from_dense(a)
+        for t in (dense, dense.to_coo()):
+            _facts(t)
+            for f in FACTORS:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    s = t.scaled(f)
+                    carried = set(s._facts)
+                    got, want = _facts(s), _facts(_fresh(s))
+                assert _same_facts(got, want), (label, t.storage, f)
+                # Z = False and the dominance test are read from the entries
+                expect = {"max_abs", "_diagonal"} | (
+                    {"is_z_tensor"} if t.is_z_tensor() else set())
+                assert carried == expect, (label, t.storage, f)
+
+
+def test_underflow_makes_a_scaled_tensor_z_from_its_entries():
+    a = -np.ones((2, 2, 2))
+    a[0, 0, 0] = a[1, 1, 1] = 4.0
+    a[0, 1, 0] = 1e-300
+    for t in (Tensor.from_dense(a), Tensor.from_dense(a).to_coo()):
+        assert not t.is_z_tensor()
+        s = t.scaled(1e-300)
+        assert s.to_dense_array()[0, 1, 0] == 0.0
+        assert s.is_z_tensor()
+
+
+@pytest.mark.parametrize("factor", [0.0, -0.5, -np.inf, np.inf, np.nan])
+def test_scaled_by_zero_negative_or_non_finite_carries_nothing(factor):
+    a = random_dense(3, 3, seed=4)
+    for t in (Tensor.from_dense(a), Tensor.from_dense(a).to_coo()):
+        _facts(t)
+        with np.errstate(invalid="ignore"):
+            s = t.scaled(factor)
+            assert s._facts == {}
+            assert _same_facts(_facts(s), _facts(_fresh(s)))
+
+
+def test_facts_are_computed_once(monkeypatch):
+    t = Tensor.from_dense(gen_problem4(3, 6, 0).A.to_dense_array())
+    first = _facts(t)
+    calls = []
+    original = Tensor.apply
+    monkeypatch.setattr(Tensor, "apply",
+                        lambda self, x: calls.append(x) or original(self, x))
+    assert _same_facts(_facts(t), first)
+    assert not calls  # the dominance test is not run again
+    # the diagonal is handed out as a copy of the cached one
+    d = t.diagonal()
+    d[:] = 0.0
+    assert t.diagonal().tobytes() == first[3].tobytes()
+
+
+def test_from_dense_stores_the_array_read_only():
+    arr = random_dense(3, 4, seed=6)
+    t = Tensor.from_dense(arr)
+    with pytest.raises(ValueError):
+        arr[0, 0, 0] = 1.0
+    assert t.max_abs() == np.abs(arr).max()
+    # an array that needs a conversion is copied; the caller's stays writable
+    ints = np.ones((2, 2, 2), dtype=np.int64)
+    Tensor.from_dense(ints)
+    ints[0, 0, 0] = 2
+
+
 def test_hadamard_power():
     x = np.array([4.0, 9.0])
     assert np.array_equal(hadamard_power(x, 0.5), np.array([2.0, 3.0]))

@@ -18,10 +18,11 @@ in exact arithmetic.
 
 Every quantity at a point comes from one private record, built by
 ``_evaluate(p, y)``: ``y``, ``x``, ``g = A x^{m-1}``, ``f = g - b`` and,
-on first use, the residual Jacobian.  On dense storage the record
-contracts the tensor once into ``M = A x^{m-2}``; ``g = M x`` and the
-Jacobian's first term is ``M``, so both match the stand-alone kernels to
-the bit.  The problem keeps the last record in a one-slot memo that is hit
+on first use, the residual Jacobian.  On dense storage the record reads
+the tensor once, through :meth:`~mteq.tensor.Tensor.partial_and_jacobian`:
+one pass over its slabs gives ``M = A x^{m-2}``, with ``g = M x``, and the
+raw Jacobian sum, which the record column-scales on first use.  Both
+match the stand-alone kernels to the bit.  The problem keeps the last record in a one-slot memo that is hit
 only by a ``y`` exactly equal to the record's, which hands the point
 evaluated by :func:`~mteq.initializer.initial_point` or accepted by a line
 search on to the next step without a second contraction.
@@ -204,10 +205,17 @@ def scale_problem(A: Tensor, b) -> MTeqProblem:
     """
     b = np.asarray(b, dtype=float)
     _check_finite(A, b)
-    omega = max(A.max_abs(), float(np.abs(b).max()) if b.size else 0.0)
+    omega = _scale_factor(A.max_abs(), b)
+    return make_problem(A.scaled(1.0 / omega), b / omega, omega=omega)
+
+
+def _scale_factor(max_abs, b) -> float:
+    """The ``omega`` of :func:`scale_problem` for a tensor with largest
+    magnitude ``max_abs`` and a right-hand side ``b``."""
+    omega = max(max_abs, float(np.abs(b).max()) if b.size else 0.0)
     if omega == 0.0:
         raise ValueError("cannot scale an all-zero problem")
-    return make_problem(A.scaled(1.0 / omega), b / omega, omega=omega)
+    return omega
 
 
 def feasibility_slack(b) -> float:
@@ -229,24 +237,25 @@ class _Point:
     """The transformed residual map evaluated at one point ``y``.
 
     Holds ``y``, ``x = y^{1/(m-1)}``, ``g = A x^{m-1}`` and ``f = g - b``
-    as read-only arrays, and builds the residual Jacobian on first use.
-    Dense storage computes ``g = M @ x`` from the partial contraction
-    ``M = A x^{m-2}`` and hands ``M`` to the Jacobian as its first term;
-    COO storage takes ``g`` from ``apply``.  The record keeps the tensor
-    but never the problem, so a problem's memo makes no reference cycle.
+    as read-only arrays, and the residual Jacobian, column-scaled on first
+    use.  Dense storage takes the partial contraction ``M = A x^{m-2}``
+    and the raw Jacobian sum from one fused pass over the tensor and
+    computes ``g = M @ x``; COO storage takes ``g`` from ``apply`` and
+    builds the Jacobian on first use.  The record keeps the tensor but
+    never the problem, so a problem's memo makes no reference cycle.
     """
 
-    __slots__ = ("y", "x", "g", "f", "_A", "_partial", "_jac")
+    __slots__ = ("y", "x", "g", "f", "_A", "_raw_jac", "_jac")
 
     def __init__(self, A: Tensor, b: np.ndarray, y: np.ndarray):
         self.y = y
         self.x = hadamard_power(y, 1.0 / (A.order - 1))
         self._A = A
         if A.is_dense:
-            self._partial = A.partial_contraction(self.x)
-            self.g = self._partial @ self.x
+            partial, self._raw_jac = A.partial_and_jacobian(self.x)
+            self.g = partial @ self.x
         else:
-            self._partial = None
+            self._raw_jac = None
             self.g = A.apply(self.x)
         self.f = self.g - b
         self._jac = None
@@ -261,11 +270,13 @@ class _Point:
         """
         if self._jac is None:
             m = self._A.order
-            jac = self._A.jacobian_matrix(self.x, partial=self._partial)
+            jac = self._raw_jac
+            if jac is None:
+                jac = self._A.jacobian_matrix(self.x)
             scale = hadamard_power(self.y, 1.0 / (m - 1) - 1.0) / (m - 1)
             self._jac = jac * scale[None, :]
             self._jac.flags.writeable = False
-            self._partial = None
+            self._raw_jac = None
         return self._jac
 
 

@@ -7,7 +7,10 @@ draw order per generator this makes every instance bit-reproducible.
 
 Generators 1, 2, 4 and 5 return problems scaled by their largest magnitude
 (see :func:`mteq.model.scale_problem`); generator 3 keeps its natural units
-because its runs are judged by the relative residual.
+because its runs are judged by the relative residual.  Each dense
+generator builds ``A = s I - B`` and scales it in the one buffer it drew
+``B`` into (:func:`_shifted_scaled`), with the same bits as
+``scale_problem(_shifted_identity(s, B), b)``.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import MTeqProblem, make_problem, scale_problem
-from .tensor import Tensor, check_dense_size, write_tensor, write_vector
+from .model import MTeqProblem, _scale_factor, make_problem, scale_problem
+from .tensor import (Tensor, _dense_apply, _diag_index, _max_abs,
+                     check_dense_size, write_tensor, write_vector)
 
 __all__ = [
     "gen_problem1",
@@ -31,7 +35,6 @@ __all__ = [
     "zero_out_rhs",
     "write_problem",
     "symmetrize_full",
-    "problem1_parts",
     "problem2_tensor",
     "GRAVITATIONAL_CONSTANT",
     "CENTRAL_MASS",
@@ -97,26 +100,51 @@ def _shifted_identity(s, B: Tensor) -> Tensor:
     """Dense tensor ``s * I - B`` for a dense ``B``.
 
     Negates ``B``'s read-only entries straight into the one new buffer the
-    result keeps, then adds ``s`` on its diagonal.
+    result keeps, then adds ``s`` on its diagonal.  The generators build
+    the same entries in place (:func:`_shifted_scaled`); this is their
+    reference, and :func:`problem2_tensor` uses it.
     """
     a = np.negative(B.dense_values)
-    diag = tuple([np.arange(B.dim)] * B.order)
-    a[diag] += s
+    a[_diag_index(B.order, B.dim)] += s
     return Tensor.from_dense(a)
 
 
-def problem1_parts(m, n, seed):
-    """Raw ingredients of generator 1: ``(B, s, b)`` before scaling.
+def _shifted_scaled(s, buf, b):
+    """The tensor and ``omega`` of ``scale_problem(_shifted_identity(s,
+    B), b)``, made in ``buf``, a writable buffer holding the entries of
+    ``B``.
 
-    Draw order: the ``n**m`` tensor uniforms first, then the ``n``
-    right-hand side uniforms.
+    Negates ``buf`` in place, adds ``s`` on its diagonal, takes ``max_abs``
+    and ``omega`` as :func:`~mteq.model.scale_problem` does, multiplies by
+    ``1/omega`` in place, and only then wraps the buffer, which the caller
+    gives up.  The Z sign is known by construction: when ``min B >= 0`` (a
+    test that also fails on NaN), every off-diagonal entry of ``s I - B``
+    is ``<= 0``.  That fact and the unscaled ``max_abs`` carry to the
+    scaled tensor by the rule of :meth:`~mteq.tensor.Tensor.scaled`, so
+    nothing reads the entries again to check them.  With an empty ``b``
+    the scale is ``max_abs`` alone.
     """
-    check_dense_size(m, n)
-    rng = _rng(seed)
-    B = Tensor.from_dense(symmetrize_full(rng.random((n,) * m)))
-    s = 1.01 * float(B.apply(np.ones(n)).max())
-    b = _uniform_open(rng, n)
-    return B, s, b
+    nonnegative = bool(buf.min() >= 0.0)
+    np.negative(buf, out=buf)
+    buf[_diag_index(buf.ndim, buf.shape[0])] += s
+    max_abs = _max_abs(buf)
+    omega = _scale_factor(max_abs, b)
+    f = 1.0 / omega
+    buf *= f
+    facts = {"max_abs": max_abs, "is_z_tensor": nonnegative}
+    return Tensor._from_scaled_buffer(buf, f, facts), omega
+
+
+def _shifted_problem(s, buf, b) -> MTeqProblem:
+    """``scale_problem(_shifted_identity(s, B), b)`` built in ``buf``."""
+    A, omega = _shifted_scaled(s, buf, b)
+    return make_problem(A, b / omega, omega=omega)
+
+
+def _dominance_shift(factor, buf) -> float:
+    """``factor * max_i (B e^{m-1})_i`` for the entries ``buf`` of ``B``,
+    by the kernel of :meth:`~mteq.tensor.Tensor.apply`."""
+    return factor * float(_dense_apply(buf, np.ones(buf.shape[0])).max())
 
 
 def gen_problem1(m, n, seed) -> MTeqProblem:
@@ -124,37 +152,63 @@ def gen_problem1(m, n, seed) -> MTeqProblem:
 
     ``B`` is a uniform tensor averaged over all index permutations and
     ``A = s I - B`` with ``s = 1.01 * max_i (B e^{m-1})_i``, which makes
-    ``A`` diagonally dominant by a one-percent margin.
+    ``A`` diagonally dominant by a one-percent margin.  Draw order: the
+    ``n**m`` tensor uniforms first, then the ``n`` right-hand side
+    uniforms.  ``A`` is built in the buffer :func:`symmetrize_full`
+    returns, so two tensor-sized buffers are live only while it runs.
     """
-    B, s, b = problem1_parts(m, n, seed)
-    A = _shifted_identity(s, B)
-    return scale_problem(A, b)
+    check_dense_size(m, n)
+    rng = _rng(seed)
+    buf = symmetrize_full(rng.random((n,) * m))
+    s = _dominance_shift(1.01, buf)
+    b = _uniform_open(rng, n)
+    return _shifted_problem(s, buf, b)
 
 
-@lru_cache(maxsize=8)
-def problem2_tensor(m, n) -> Tensor:
-    """Deterministic tensor ``n^{m-1} I - B`` with ``B = |sin(i1+..+im)|``
-    (1-based index sums)."""
+def _sine_entries(m, n) -> np.ndarray:
+    """The entries ``|sin(i1+..+im)|`` (1-based index sums) of P2's ``B``."""
     check_dense_size(m, n)
     ones_based = np.arange(1, n + 1, dtype=np.int64)
     total = ones_based
     for _ in range(m - 1):
         total = np.add.outer(total, ones_based)
     entries = np.sin(total)
-    del total  # free the index sums before _shifted_identity's buffer
+    del total  # free the index sums before the caller's next buffer
     np.abs(entries, out=entries)
-    return _shifted_identity(float(n) ** (m - 1), Tensor.from_dense(entries))
+    return entries
+
+
+def problem2_tensor(m, n) -> Tensor:
+    """Deterministic tensor ``n^{m-1} I - B`` with ``B = |sin(i1+..+im)|``
+    (1-based index sums), unscaled and built afresh on each call."""
+    return _shifted_identity(float(n) ** (m - 1),
+                             Tensor.from_dense(_sine_entries(m, n)))
+
+
+@lru_cache(maxsize=8)
+def _problem2_scaled(m, n):
+    """``(A, omega)``: :func:`problem2_tensor` scaled by its own largest
+    magnitude ``omega``, built in one buffer.  Cached, so there is one
+    tensor per ``(m, n)``, and its facts are computed once."""
+    return _shifted_scaled(float(n) ** (m - 1), _sine_entries(m, n),
+                           np.zeros(0))
 
 
 def gen_problem2(m, n, seed=0) -> MTeqProblem:
     """Deterministic sine tensor with a seeded right-hand side.
 
     The tensor does not depend on the seed; only the ``n`` uniforms of the
-    right-hand side are drawn.
+    right-hand side are drawn.  Whenever ``max|b|`` does not exceed the
+    tensor's largest magnitude, which holds for every ``n >= 2``, the
+    problem shares the cached scaled tensor and no pass over the tensor
+    is made; otherwise it is ``scale_problem(problem2_tensor(m, n), b)``.
     """
-    A = problem2_tensor(m, n)
+    A, tensor_omega = _problem2_scaled(m, n)
     b = _uniform_open(_rng(seed), n)
-    return scale_problem(A, b)
+    omega = _scale_factor(tensor_omega, b)
+    if omega != tensor_omega:
+        return scale_problem(problem2_tensor(m, n), b)
+    return make_problem(A, b / omega, omega=omega)
 
 
 def gen_problem3(n, c0=1e7, c1=1e7) -> MTeqProblem:
@@ -188,14 +242,15 @@ def gen_problem4(m, n, seed) -> MTeqProblem:
 
     Same construction as generator 1 but the uniform tensor is used raw, so
     the coefficient tensor has no index symmetry at all.  Draw order:
-    tensor uniforms, then right-hand side uniforms.
+    tensor uniforms, then right-hand side uniforms.  ``A`` is built in the
+    buffer of the draw.
     """
     check_dense_size(m, n)
     rng = _rng(seed)
-    B = Tensor.from_dense(rng.random((n,) * m))
-    s = 1.01 * float(B.apply(np.ones(n)).max())
+    buf = rng.random((n,) * m)
+    s = _dominance_shift(1.01, buf)
     b = _uniform_open(rng, n)
-    return scale_problem(_shifted_identity(s, B), b)
+    return _shifted_problem(s, buf, b)
 
 
 def gen_problem5(m, n, seed) -> MTeqProblem:
@@ -206,22 +261,22 @@ def gen_problem5(m, n, seed) -> MTeqProblem:
     shift ``s = 0.5 * max_i (B e^{m-1})_i``, so the all-ones dominance test
     fails even though the strictly triangular ``B`` is nilpotent and any
     positive shift would do.  Draw order: the full ``n**m`` uniform block
-    (then masked), then the right-hand side uniforms.
+    (then masked), then the right-hand side uniforms.  ``A`` is built in
+    the buffer of the draw.
     """
     if n < 2:
         raise ValueError("the triangular generator needs n >= 2")
     check_dense_size(m, n)
     rng = _rng(seed)
-    raw = rng.random((n,) * m)
-    # zero raw[i] wherever some trailing index reaches i: the k-th slice
+    buf = rng.random((n,) * m)
+    # zero buf[i] wherever some trailing index reaches i: the k-th slice
     # holds the tuples whose first such index is the k-th
     for i in range(n):
         for k in range(m - 1):
-            raw[(i,) + (slice(0, i),) * k + (slice(i, None),)] = 0.0
-    B = Tensor.from_dense(raw)
-    s = 0.5 * float(B.apply(np.ones(n)).max())
+            buf[(i,) + (slice(0, i),) * k + (slice(i, None),)] = 0.0
+    s = _dominance_shift(0.5, buf)
     b = _uniform_open(rng, n)
-    return scale_problem(_shifted_identity(s, B), b)
+    return _shifted_problem(s, buf, b)
 
 
 def zero_out_rhs(b, seed, keep=(), fraction=0.5) -> np.ndarray:

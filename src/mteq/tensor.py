@@ -14,14 +14,17 @@ together with its derivative matrix, computed position by position so that
 it is exact for tensors with no symmetry at all.  On dense storage both
 start from the one-slot contraction ``M = A x^{m-2}``
 (:meth:`Tensor.partial_contraction`): ``A x^{m-1} = M x`` and ``M`` is the
-first term of the derivative matrix, so a caller that needs both at one
-point saves a pass over the tensor.
+first term of the derivative matrix.  :meth:`Tensor.partial_and_jacobian`
+takes both from one pass over the slabs ``a[i]`` of the leading index,
+with the same bits as the two stand-alone kernels.
 
 Facts read from the entries (the largest magnitude, the Z sign, the
 dominance test and the diagonal) are computed on first use and kept on the
 tensor, which is immutable: dense storage is marked read-only, so the
 cached facts cannot go stale.  :meth:`Tensor.scaled` hands on the facts
-that scale exactly, so a scaled problem is not checked twice.
+that scale exactly, so a scaled problem is not checked twice, and a
+generator that scales its own buffer in place hands on the same facts by
+the same rule.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ class Tensor:
     :meth:`diagonal` read the entries on the first call only; the results
     are kept in one private per-instance store, and :meth:`diagonal` still
     returns a copy.  :meth:`is_semi_symmetric` reads the entries on every
-    call.
+    call, one slab at a time.
     """
 
     def __init__(self, order, dim, dense=None, indices=None, values=None):
@@ -132,6 +135,19 @@ class Tensor:
             raise ValueError(f"all axes must have equal length, got {a.shape}")
         a.flags.writeable = False
         return cls(a.ndim, n, dense=a)
+
+    @classmethod
+    def _from_scaled_buffer(cls, array, factor, facts) -> "Tensor":
+        """Dense tensor over ``array``, which holds the entries of a tensor
+        with the given ``facts``, already multiplied by ``factor`` in place.
+
+        The new tensor starts with the facts that :meth:`scaled` would
+        carry from a tensor with ``facts``, by the same rule.  The caller
+        gives up ``array``, which is stored read-only like any other.
+        """
+        out = cls.from_dense(array)
+        out._facts.update(_scaled_facts(facts, float(factor)))
+        return out
 
     @classmethod
     def from_coo(cls, order, dim, indices, values) -> "Tensor":
@@ -237,11 +253,7 @@ class Tensor:
         Reads the largest and the smallest entry instead of building an
         ``np.abs`` copy of the stored values.
         """
-        a = self._dense if self.is_dense else self._vals
-        if not a.size:
-            return 0.0
-        # abs turns the -0.0 of an all-zero tensor into 0.0
-        return abs(float(max(a.max(), -a.min())))
+        return _max_abs(self._dense if self.is_dense else self._vals)
 
     def min_entry(self) -> float:
         """Smallest entry, counting implicit zeros of COO storage."""
@@ -256,28 +268,15 @@ class Tensor:
         """The tensor with every entry multiplied by ``factor``.
 
         For a finite ``factor > 0`` the new tensor starts with the facts
-        this one has already computed, where they scale exactly.  Rounding
-        is monotone, so ``max_abs`` becomes ``abs(max_abs * f)``; the
-        diagonal becomes ``d * f``, the same products as the new entries;
-        and a Z-tensor stays one.  A failed Z test does not carry, because
-        a positive off-diagonal entry can underflow to +0, and neither does
-        the dominance test, because scaled row sums round differently.
+        this one has already computed, where they scale exactly (see
+        :func:`_scaled_facts`).
         """
         f = float(factor)
         if self.is_dense:
             out = Tensor.from_dense(self._dense * f)
         else:
             out = Tensor.from_coo(self.order, self.dim, self._idx, self._vals * f)
-        if f > 0.0 and math.isfinite(f):
-            facts, carried = self._facts, out._facts
-            if "max_abs" in facts:
-                carried["max_abs"] = abs(facts["max_abs"] * f)
-            if "_diagonal" in facts:
-                d = facts["_diagonal"] * f
-                d.flags.writeable = False
-                carried["_diagonal"] = d
-            if facts.get("is_z_tensor"):
-                carried["is_z_tensor"] = True
+        out._facts.update(_scaled_facts(self._facts, f))
         return out
 
     def diagonal(self) -> np.ndarray:
@@ -306,7 +305,7 @@ class Tensor:
         """
         x = _check_vector(x, self.dim)
         if self.is_dense:
-            return self.partial_contraction(x) @ x
+            return _dense_apply(self._dense, x)
         if not self._vals.size:
             return np.zeros(self.dim)
         terms = self._vals * np.prod(x[self._idx[:, 1:]], axis=1)
@@ -317,43 +316,34 @@ class Tensor:
 
         The trailing ``m-2`` slots are contracted with ``x``, last slot
         first.  ``M @ x`` is ``apply(x)`` bit for bit, and ``M`` is the
-        first-slot term of ``jacobian_matrix(x)``, so the two share this
-        pass over the tensor.  Read-only when ``m = 2``, where ``M`` is
-        the stored matrix itself.
+        first-slot term of ``jacobian_matrix(x)``.  Read-only when
+        ``m = 2``, where ``M`` is the stored matrix itself.
         """
         if not self.is_dense:
             raise ValueError("COO tensor has no partial contraction kernel")
         x = _check_vector(x, self.dim)
-        out = self.dense_values
-        for _ in range(self.order - 2):
-            out = out @ x
-        return out
+        return _contract(self._dense, x, self.order - 2)
 
-    def jacobian_matrix(self, x, partial=None) -> np.ndarray:
+    def jacobian_matrix(self, x) -> np.ndarray:
         """Derivative matrix of ``x -> A x^{m-1}``.
 
         Differentiates position by position, so the result is exact for
-        tensors with no index symmetry: on dense storage it is the sum of
-        the ``m-1`` one-slot contractions, ``partial_contraction(x)`` for
-        the first slot and the same contraction with the tensor's axes
-        moved for each later one.  A caller that already holds
-        ``partial = partial_contraction(x)`` passes it to spare that pass;
-        the result is the same to the bit; this is how the solvers' point
-        record (:mod:`mteq.model`) fuses its contraction with the Jacobian.
-        Tensors carry no symmetry flag, and the sum is formed for every
-        tensor: for a semi-symmetric one it equals ``(m-1)`` times the
-        first term in exact arithmetic, but not always in floating point.
+        tensors with no index symmetry: on dense storage it is the sum,
+        from zeros, of the ``m-1`` one-slot contractions,
+        ``partial_contraction(x)`` for the first slot and the same
+        contraction with the tensor's axes moved for each later one.  This
+        is the reference for :meth:`partial_and_jacobian`.  Tensors carry
+        no symmetry flag, and the sum is formed for every tensor: for a
+        semi-symmetric one it equals ``(m-1)`` times the first term in
+        exact arithmetic, but not always in floating point.
         """
         x = _check_vector(x, self.dim)
         n, m = self.dim, self.order
         jac = np.zeros((n, n))
         if self.is_dense:
-            jac += self.partial_contraction(x) if partial is None else partial
+            jac += self.partial_contraction(x)
             for p in range(2, m):
-                t = np.moveaxis(self._dense, p, 1)
-                for _ in range(m - 2):
-                    t = t @ x
-                jac += t
+                jac += _contract(np.moveaxis(self._dense, p, 1), x, m - 2)
             return jac
         if not self._vals.size:
             return jac
@@ -364,20 +354,48 @@ class Tensor:
             np.add.at(jac, (self._idx[:, 0], cols[:, p]), others)
         return jac
 
+    def partial_and_jacobian(self, x):
+        """``(partial_contraction(x), jacobian_matrix(x))`` of a dense
+        tensor from one pass over its slabs.
+
+        Slab ``a[i]`` gives row ``i`` of ``M`` and of every slot term,
+        which are added to row ``i`` of the Jacobian from zero in
+        :meth:`jacobian_matrix`'s order, so both results are the same to
+        the bit while each slab is read from memory once.
+        """
+        if not self.is_dense:
+            raise ValueError("COO tensor has no fused contraction kernel")
+        x = _check_vector(x, self.dim)
+        n, m = self.dim, self.order
+        # slot p of the tensor is axis p-1 of a slab; move it to the front
+        moves = [(q,) + tuple(r for r in range(m - 1) if r != q)
+                 for q in range(1, m - 1)]
+        M = np.empty((n, n))
+        jac = np.zeros((n, n))
+        for i, slab in enumerate(self._dense):
+            row = _contract(slab, x, m - 2)
+            M[i] = row
+            acc = jac[i]
+            acc += row
+            for axes in moves:
+                acc += _contract(slab.transpose(axes), x, m - 2)
+        return M, jac
+
     def semi_symmetrize(self) -> "Tensor":
         """Average over all permutations of the trailing ``m-1`` indices.
 
         Leaves ``apply`` unchanged while making the trailing block of the
         tensor fully symmetric.  Always a new tensor, even when the
-        entries are already symmetric.
+        entries are already symmetric.  Dense storage averages one slab
+        ``a[i]`` at a time (:func:`_semi_symmetrize_slab`).
         """
         m = self.order
-        perms = list(itertools.permutations(range(1, m)))
         if self.is_dense:
-            acc = np.zeros_like(self._dense)
-            for p in perms:
-                acc += np.transpose(self._dense, (0,) + p)
-            return Tensor.from_dense(acc / len(perms))
+            acc = np.empty_like(self._dense)
+            for slab, out in zip(self._dense, acc):
+                _semi_symmetrize_slab(slab, out)
+            return Tensor.from_dense(acc)
+        perms = list(itertools.permutations(range(1, m)))
         if not self._vals.size:
             return Tensor.from_coo(m, self.dim, self._idx, self._vals)
         stacked = np.vstack([self._idx[:, (0,) + p] for p in perms])
@@ -391,12 +409,22 @@ class Tensor:
         """Whether the trailing indices can be permuted freely.
 
         Compares the entries with those of :meth:`semi_symmetrize` on every
-        call, up to ``SEMI_SYMMETRY_TOL`` times ``max(1, max|a|)``.
+        call, up to ``SEMI_SYMMETRY_TOL`` times ``max(1, max|a|)``.  Dense
+        storage compares one slab at a time in one slab-sized buffer and
+        stops at the first slab that differs.
         """
         tol = SEMI_SYMMETRY_TOL * max(1.0, self.max_abs())
-        sym = self.semi_symmetrize()
         if self.is_dense:
-            return bool(np.max(np.abs(self._dense - sym.dense_values)) <= tol)
+            sym = np.empty_like(self._dense[0])
+            for slab in self._dense:
+                _semi_symmetrize_slab(slab, sym)
+                np.subtract(slab, sym, out=sym)
+                np.abs(sym, out=sym)
+                # written so that a NaN difference fails the test
+                if not sym.max() <= tol:
+                    return False
+            return True
+        sym = self.semi_symmetrize()
         merged_idx = np.vstack([self._idx, sym.coo_indices])
         merged_val = np.concatenate([self._vals, -sym.coo_values])
         uniq, inv = np.unique(merged_idx, axis=0, return_inverse=True)
@@ -415,7 +443,7 @@ class Tensor:
             # the diagonal; counting them needs no copy of the tensor
             diag = self._dense[_diag_index(self.order, self.dim)]
             loose = self._dense.size - np.count_nonzero(self._dense <= 0.0)
-            return loose == diag.size - np.count_nonzero(diag <= 0.0)
+            return bool(loose == diag.size - np.count_nonzero(diag <= 0.0))
         if not self._vals.size:
             return True
         diag = np.all(self._idx == self._idx[:, :1], axis=1)
@@ -437,6 +465,63 @@ class Tensor:
 
 def _diag_index(order, dim):
     return tuple([np.arange(dim)] * order)
+
+
+def _max_abs(a) -> float:
+    """Largest magnitude in ``a`` (0 when empty, NaN when an entry is NaN)
+    from its largest and smallest entry, without an ``np.abs`` copy."""
+    if not a.size:
+        return 0.0
+    # abs turns the -0.0 of an all-zero tensor into 0.0
+    return abs(float(max(a.max(), -a.min())))
+
+
+def _contract(a, x, times) -> np.ndarray:
+    """Contract the last axis of ``a`` with ``x``, ``times`` times."""
+    for _ in range(times):
+        a = a @ x
+    return a
+
+
+def _dense_apply(a, x) -> np.ndarray:
+    """``A x^{m-1}`` for the entries ``a`` of a dense tensor: the kernel of
+    :meth:`Tensor.apply`, which generators also run on their own buffers."""
+    return _contract(a, x, a.ndim - 2) @ x
+
+
+def _semi_symmetrize_slab(slab, out) -> None:
+    """Write into ``out`` the average of ``slab`` over all permutations of
+    its axes, summed from zero in ``itertools.permutations`` order: slab
+    ``i`` of :meth:`Tensor.semi_symmetrize`, to the bit."""
+    perms = list(itertools.permutations(range(slab.ndim)))
+    out.fill(0.0)
+    for p in perms:
+        out += slab.transpose(p)
+    out /= len(perms)
+
+
+def _scaled_facts(facts, f) -> dict:
+    """The facts in ``facts`` that carry to the entries times ``f``.
+
+    Only a finite ``f > 0`` carries any.  Rounding is monotone, so
+    ``max_abs`` becomes ``abs(max_abs * f)``; the diagonal becomes
+    ``d * f``, the same products as the new entries; and a Z-tensor stays
+    one.  A failed Z test does not carry, because a positive off-diagonal
+    entry can underflow to +0, and neither does the dominance test,
+    because scaled row sums round differently.
+    """
+    if not (f > 0.0 and math.isfinite(f)):
+        return {}
+    carried = {}
+    if "max_abs" in facts:
+        carried["max_abs"] = abs(facts["max_abs"] * f)
+    if "_diagonal" in facts:
+        d = facts["_diagonal"] * f
+        d.flags.writeable = False
+        carried["_diagonal"] = d
+    if facts.get("is_z_tensor"):
+        carried["is_z_tensor"] = True
+    return carried
 
 
 def _check_vector(x, n) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Each point is contracted once: the evaluated-point record, its memo on
-the problem, and the fused dense kernel behind both."""
+the problem, and the fused dense kernel behind both, which reads the
+tensor once for the contraction and the Jacobian."""
 
 import gc
 import types
@@ -16,14 +17,17 @@ from mteq.model import _evaluate
 from mteq.problems import (gen_problem1, gen_problem4, gen_problem5,
                            write_problem, zero_out_rhs)
 
-KERNELS = ("apply", "partial_contraction", "jacobian_matrix")
+KERNELS = ("apply", "partial_contraction", "jacobian_matrix",
+           "partial_and_jacobian")
+# kernels that contract the tensor with their vector
+CONTRACTIONS = ("apply", "partial_contraction", "partial_and_jacobian")
 
 
 class CountingTensor:
-    """Delegates to a tensor and records every kernel call: the vector it
-    was given and whether a partial contraction came with it.  The
-    tensor's other methods run with the counter as ``self``, so the
-    kernels they call (the dominance test's ``apply``) are counted too."""
+    """Delegates to a tensor and records every kernel call by the vector
+    it was given.  The tensor's other methods run with the counter as
+    ``self``, so the kernels they call (the dominance test's ``apply``)
+    are counted too."""
 
     def __init__(self, tensor):
         self._tensor = tensor
@@ -38,7 +42,7 @@ class CountingTensor:
             return attr
 
         def counted(x, *args, **kwargs):
-            self.calls[name].append((np.array(x), kwargs.get("partial") is not None))
+            self.calls[name].append(np.array(x))
             return attr(x, *args, **kwargs)
         return counted
 
@@ -48,8 +52,8 @@ class CountingTensor:
 
     def at(self, x):
         """Number of contractions of the tensor with ``x``."""
-        return sum(np.array_equal(v, x) for k in ("apply", "partial_contraction")
-                   for v, _ in self.calls[k])
+        return sum(np.array_equal(v, x) for k in CONTRACTIONS
+                   for v in self.calls[k])
 
 
 def counted_problem(p, zero=False, seed=0):
@@ -96,9 +100,12 @@ def test_start_is_contracted_once(zero):
     assert rep.converged
     x0 = hadamard_power(init.y0, 1.0 / (p.m - 1))
     assert counted.at(x0) == 1
-    # one certificate check in initial_point, then one record per point
+    # one certificate check in initial_point, then one record per point,
+    # each a single fused pass
     assert len(counted.calls["apply"]) == 1
-    assert len(counted.calls["partial_contraction"]) == 1 + trials(rep)
+    assert len(counted.calls["partial_and_jacobian"]) == 1 + trials(rep)
+    assert not counted.calls["partial_contraction"]
+    assert not counted.calls["jacobian_matrix"]
 
 
 @pytest.mark.parametrize("gen", [gen_problem1, gen_problem4])
@@ -107,10 +114,12 @@ def test_half_zeroed_jacobians_within_one_plus_trials(gen):
         p, counted = counted_problem(gen(3, 30, seed), zero=True, seed=seed)
         rep = solve_nonnegative(p, initial_point(p).y0)
         assert rep.converged
-        jacobians = counted.calls["jacobian_matrix"]
+        jacobians = (counted.calls["jacobian_matrix"]
+                     + counted.calls["partial_and_jacobian"])
         assert 1 <= len(jacobians) <= 1 + trials(rep)
-        # every Jacobian reuses its record's contraction as the first slot
-        assert all(fused for _, fused in jacobians)
+        # every Jacobian comes from its record's one pass over the tensor
+        assert not counted.calls["jacobian_matrix"]
+        assert not counted.calls["partial_contraction"]
 
 
 def test_dense_record_costs_one_pass_before_its_jacobian():
@@ -118,12 +127,14 @@ def test_dense_record_costs_one_pass_before_its_jacobian():
     y = initial_point(p).y0 * 1.5
     counted.reset()
     point = _evaluate(p, y)
-    assert len(counted.calls["partial_contraction"]) == 1
+    assert len(counted.calls["partial_and_jacobian"]) == 1
     assert not counted.calls["apply"] and not counted.calls["jacobian_matrix"]
     first = point.jacobian()
     assert point.jacobian() is first
-    assert len(counted.calls["jacobian_matrix"]) == 1
-    assert len(counted.calls["partial_contraction"]) == 1
+    # the Jacobian came with the record's pass: no second one
+    assert len(counted.calls["partial_and_jacobian"]) == 1
+    assert not counted.calls["jacobian_matrix"]
+    assert not counted.calls["partial_contraction"]
 
 
 def test_initial_point_contracts_with_all_ones_once():
@@ -134,8 +145,7 @@ def test_initial_point_contracts_with_all_ones_once():
     init = initial_point(p)
     assert init.iterations > 0
     assert counted.at(np.ones(p.n)) == 1
-    first, _ = counted.calls["apply"][0]
-    assert np.array_equal(first, np.ones(p.n))
+    assert np.array_equal(counted.calls["apply"][0], np.ones(p.n))
 
 
 @pytest.mark.parametrize("gen", [gen_problem1, gen_problem4, gen_problem5])
@@ -175,7 +185,7 @@ def test_verify_contracts_the_file_tensor_with_all_ones_twice(tmp_path,
     assert sum(t is A and np.array_equal(x, ones) for t, x in applied) == 2
 
 
-@pytest.mark.parametrize("m,n", [(3, 9), (4, 6)])
+@pytest.mark.parametrize("m,n", [(3, 9), (4, 6), (5, 5)])
 def test_fused_kernel_matches_stand_alone_kernels_bitwise(m, n):
     # a raw P4 tensor is not semi-symmetric, so a (m-1) M shortcut would
     # change the Jacobian
@@ -185,8 +195,10 @@ def test_fused_kernel_matches_stand_alone_kernels_bitwise(m, n):
     M = t.partial_contraction(x)
     assert (M @ x).tobytes() == t.apply(x).tobytes() == reference_apply(a, x).tobytes()
     jac = reference_jacobian(a, x)
-    assert t.jacobian_matrix(x, partial=M).tobytes() == jac.tobytes()
     assert t.jacobian_matrix(x).tobytes() == jac.tobytes()
+    fused_M, fused_jac = t.partial_and_jacobian(x)
+    assert fused_M.tobytes() == M.tobytes()
+    assert fused_jac.tobytes() == jac.tobytes()
     # the record's Jacobian is the stand-alone one, column-scaled
     p = make_problem(t, np.ones(n))
     y = hadamard_power(x, m - 1)
@@ -204,11 +216,11 @@ def test_memo_hits_only_on_equal_points():
     point = _evaluate(p, y)
     counted.reset()
     assert _evaluate(p, y.copy()) is point
-    assert not counted.calls["partial_contraction"]
+    assert not counted.calls["partial_and_jacobian"]
     nudged = y.copy()
     nudged[3] = np.nextafter(nudged[3], np.inf)
     assert _evaluate(p, nudged) is not point
-    assert len(counted.calls["partial_contraction"]) == 1
+    assert len(counted.calls["partial_and_jacobian"]) == 1
     # the record keeps its own copy of y: changing the caller's array
     # afterwards cannot make a stale hit
     mine = y.copy()

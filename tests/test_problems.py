@@ -1,12 +1,14 @@
 """Seeded benchmark generators: structure, determinism, and exact values."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mteq import read_tensor, read_vector
-from mteq.problems import (CENTRAL_MASS, GRAVITATIONAL_CONSTANT, gen_problem1,
+from mteq import Tensor, read_tensor, read_vector, scale_problem
+from mteq.problems import (CENTRAL_MASS, GRAVITATIONAL_CONSTANT, _rng,
+                           _shifted_identity, _uniform_open, gen_problem1,
                            gen_problem2, gen_problem3, gen_problem4,
                            gen_problem5, problem2_tensor, symmetrize_full,
                            write_problem, zero_out_rhs)
@@ -131,3 +133,100 @@ def test_write_problem_round_trip(tmp_path):
     b = read_vector(tmp_path / "rhs.vec")
     assert np.array_equal(A.to_dense_array(), p.A.to_dense_array())
     assert np.array_equal(b, p.b)
+
+
+# ----------------------------------------------------------------------
+# each dense generator builds its problem in the buffer it drew; the
+# reference below builds it the long way, from the same draws
+
+def reference_problem(problem, m, n, seed):
+    """``scale_problem(_shifted_identity(s, B), b)`` from the generator's
+    own draws, with ``B`` and ``s`` rebuilt here."""
+    rng = _rng(seed)
+    ones = np.ones(n)
+    if problem == 2:
+        index_sum = np.indices((n,) * m).sum(axis=0) + m  # 1-based
+        B = Tensor.from_dense(np.abs(np.sin(index_sum)))
+        return scale_problem(_shifted_identity(float(n) ** (m - 1), B),
+                             _uniform_open(rng, n))
+    raw = rng.random((n,) * m)
+    if problem == 1:
+        raw = symmetrize_full(raw)
+    if problem == 5:
+        idx = np.indices((n,) * m)
+        raw = np.where(np.all(idx[1:] < idx[0], axis=0), raw, 0.0)
+    B = Tensor.from_dense(raw)
+    s = (0.5 if problem == 5 else 1.01) * float(B.apply(ones).max())
+    return scale_problem(_shifted_identity(s, B), _uniform_open(rng, n))
+
+
+GENERATORS = {1: gen_problem1, 2: gen_problem2, 4: gen_problem4,
+              5: gen_problem5}
+
+
+@pytest.mark.parametrize("m,n", [(3, 30), (4, 8), (5, 6)])
+@pytest.mark.parametrize("problem", [1, 2, 4, 5])
+def test_generator_matches_the_scaled_shift_bitwise(problem, m, n):
+    for seed in (0, 5):
+        got = GENERATORS[problem](m, n, seed)
+        want = reference_problem(problem, m, n, seed)
+        assert got.A.dense_values.tobytes() == want.A.dense_values.tobytes()
+        assert got.b.tobytes() == want.b.tobytes()
+        assert float(got.omega).hex() == float(want.omega).hex()
+        assert (got.certificate is None) == (want.certificate is None)
+        # the facts known by construction equal the ones read afresh
+        fresh = Tensor.from_dense(got.A.to_dense_array())
+        assert float(got.A.max_abs()).hex() == float(fresh.max_abs()).hex()
+        assert got.A.is_z_tensor() is fresh.is_z_tensor() is True
+
+
+def test_problem2_keeps_scale_problem_when_b_outgrows_the_tensor():
+    # at n = 1 the tensor is the scalar 1 - |sin(m)|, which a uniform
+    # right-hand side can exceed; then omega is max|b|
+    A = problem2_tensor(3, 1)
+    seeds = {bool(_uniform_open(_rng(seed), 1)[0] > A.max_abs())
+             for seed in range(12)}
+    assert seeds == {False, True}
+    for seed in range(12):
+        got = gen_problem2(3, 1, seed)
+        want = reference_problem(2, 3, 1, seed)
+        assert got.A.dense_values.tobytes() == want.A.dense_values.tobytes()
+        assert got.b.tobytes() == want.b.tobytes()
+        assert float(got.omega).hex() == float(want.omega).hex()
+
+
+def peak_tensors(gen, m, n):
+    """Peak traced memory of one ``gen(m, n, 0)``, in tensor sizes."""
+    tracemalloc.start()
+    try:
+        gen(m, n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8.0 * n ** m)
+
+
+@pytest.mark.parametrize("gen", [gen_problem4, gen_problem5])
+def test_generator_holds_one_tensor_buffer(gen):
+    assert peak_tensors(gen, 4, 16) < 1.5
+
+
+def test_problem1_holds_two_tensor_buffers_only_while_symmetrizing():
+    assert peak_tensors(gen_problem1, 4, 16) < 2.5
+
+
+def test_second_problem2_makes_no_tensor_pass(monkeypatch):
+    first = gen_problem2(3, 30, 0)
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass over the tensor")
+    for name in ("apply", "partial_contraction", "partial_and_jacobian",
+                 "jacobian_matrix", "scaled", "to_dense_array",
+                 "semi_symmetrize", "min_entry"):
+        monkeypatch.setattr(Tensor, name, no_pass)
+    monkeypatch.setattr(Tensor, "from_dense", no_pass)
+    # every fact the problem checks is already on the cached tensor
+    assert {"max_abs", "is_z_tensor", "is_diag_dominant"} <= set(first.A._facts)
+    second = gen_problem2(3, 30, 1)
+    assert second.A is first.A
+    assert not np.array_equal(second.b, first.b)

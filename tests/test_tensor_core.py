@@ -1,5 +1,7 @@
 """Storage, contraction, and structure checks against brute-force oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from mteq import (FormatError, Tensor, dense_cap, hadamard_power, m_splitting,
                   nqz_spectral_radius, read_tensor, read_vector, write_tensor,
                   write_vector)
 from mteq.problems import gen_problem1, gen_problem4
+from mteq.tensor import SEMI_SYMMETRY_TOL
 
 from oracles import apply_loops, jacobian_loops
 
@@ -98,6 +101,67 @@ def test_semi_symmetrize_coo_matches_dense():
     dense_sym = Tensor.from_dense(arr).semi_symmetrize().to_dense_array()
     coo_sym = Tensor.from_dense(arr).to_coo().semi_symmetrize().to_dense_array()
     assert np.allclose(dense_sym, coo_sym, rtol=1e-13, atol=1e-16)
+
+
+SHAPES = [(2, 5), (3, 1), (3, 7), (4, 5), (5, 4)]
+
+
+def signed_dense(m, n, seed):
+    """Random entries of both signs, with some exact zeros of both signs."""
+    arr = random_dense(m, n, seed)
+    arr[arr > 0.8] = 0.0
+    arr[arr < -0.8] = -0.0
+    return arr
+
+
+def whole_array_semi_symmetrize(a):
+    """Sum of whole transposed views from zeros, then one division."""
+    perms = list(itertools.permutations(range(1, a.ndim)))
+    acc = np.zeros_like(a)
+    for p in perms:
+        acc += np.transpose(a, (0,) + p)
+    return acc / len(perms)
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_partial_and_jacobian_matches_stand_alone_kernels_bitwise(m, n):
+    t = Tensor.from_dense(signed_dense(m, n, seed=m * 7 + n))
+    x = np.random.default_rng(n).uniform(0.5, 2.0, size=n)
+    M, jac = t.partial_and_jacobian(x)
+    assert M.tobytes() == t.partial_contraction(x).tobytes()
+    assert jac.tobytes() == t.jacobian_matrix(x).tobytes()
+    with pytest.raises(ValueError):
+        t.to_coo().partial_and_jacobian(x)
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_semi_symmetrize_by_slabs_matches_whole_array_sums_bitwise(m, n):
+    arr = signed_dense(m, n, seed=m * 5 + n)
+    sym = Tensor.from_dense(arr).semi_symmetrize().dense_values
+    assert sym.tobytes() == whole_array_semi_symmetrize(arr).tobytes()
+
+
+@pytest.mark.parametrize("m,n", [(3, 6), (4, 4)])
+def test_is_semi_symmetric_by_slabs_matches_whole_array_comparison(m, n):
+    def whole_array(a):
+        tol = SEMI_SYMMETRY_TOL * max(1.0, float(np.max(np.abs(a))))
+        return bool(np.max(np.abs(a - whole_array_semi_symmetrize(a))) <= tol)
+
+    raw = signed_dense(m, n, seed=m + n)
+    sym = whole_array_semi_symmetrize(raw)
+    last = (n - 1,) * m
+    near = sym.copy()
+    near[last[:-2] + (0, n - 1)] += 0.5 * SEMI_SYMMETRY_TOL
+    far = sym.copy()
+    far[last[:-2] + (0, n - 1)] += 4.0 * SEMI_SYMMETRY_TOL
+    cases = {"raw": (raw, False), "sym": (sym, True), "near": (near, True),
+             "far": (far, False)}
+    for name, (arr, want) in cases.items():
+        assert whole_array(arr) is want, name
+        assert Tensor.from_dense(arr).is_semi_symmetric() is want, name
+    bad = sym.copy()
+    bad[last] = np.nan
+    assert Tensor.from_dense(bad).is_semi_symmetric() is False
 
 
 def test_from_coo_rejects_duplicates_and_accepts_unsorted():

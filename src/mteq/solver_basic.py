@@ -24,7 +24,7 @@ has zeros, feeds the zero-row threshold; the accepted trial's record then
 gives the next Newton direction.  Every function here takes the point
 ``y`` and reads its record through the memo, never a caller's copy of
 ``f``, ``g`` or ``J``.  A trial that rounds back to the current point
-ends the search without a step.
+ends the search without a step, and the failed solve's message says so.
 """
 
 from __future__ import annotations
@@ -69,38 +69,74 @@ def trial_scale(residual_norm, c) -> float:
     return beta if beta > 0.0 else 1.0
 
 
-def _backtrack(p: MTeqProblem, y, d, cfg: SolverConfig, current_norm,
-               scaled: bool) -> LineSearchResult | None:
-    """Try ``1, beta, beta*rho, beta*rho^2, ...`` for at most
-    ``cfg.max_backtracks`` backtracks and return the first trial that is
-    positive, feasible and descending.
+def _steps(cfg: SolverConfig, current_norm, scaled: bool):
+    """Yield ``(i, alpha)`` for the trials ``1, beta, beta*rho, ...`` of one
+    search, at most ``cfg.max_backtracks`` backtracks.
 
     ``beta`` is ``rho`` for the plain schedule and
-    ``trial_scale(||f(y)||, cfg.c)`` for the scaled one.  The search
-    ends with ``None`` at a trial that rounds to ``y`` itself, or whose
-    descent factor ``1 - 2 sigma alpha`` rounds to 1: that trial and every
-    shorter one would pass the descent test without descending.  The
+    ``trial_scale(||f(y)||, cfg.c)`` for the scaled one.
+    """
+    beta = trial_scale(current_norm, cfg.c) if scaled else cfg.rho
+    alpha = 1.0
+    for i in range(cfg.max_backtracks + 1):
+        yield i, alpha
+        alpha = beta if i == 0 else alpha * cfg.rho
+
+
+def _rounds_away(y, yt, alpha, cfg: SolverConfig) -> str:
+    """Why the trial ``yt = y + alpha d`` ends its search unevaluated, or
+    ``""``: its descent factor ``1 - 2 sigma alpha`` rounds to 1, or it
+    rounds to ``y`` itself.  That trial and every shorter one would pass
+    the descent test without descending."""
+    if 1.0 - 2.0 * cfg.sigma * alpha == 1.0:
+        return "the descent factor 1 - 2 sigma alpha rounds to 1"
+    if np.array_equal(yt, y):
+        return "the trial point rounds to the current point"
+    return ""
+
+
+def _descends(rt, r, alpha, sigma) -> bool:
+    """The descent bound ``rt^2 <= (1 - 2 sigma alpha) r^2``."""
+    return rt * rt <= (1.0 - 2.0 * sigma * alpha) * (r * r)
+
+
+def _backtrack(p: MTeqProblem, y, d, cfg: SolverConfig, current_norm,
+               scaled: bool) -> LineSearchResult | None:
+    """Return the first trial of :func:`_steps` that is positive, feasible
+    and descending.
+
+    The search ends with ``None`` after the last trial, or at a trial that
+    :func:`_rounds_away`; :func:`_search_failure` says which.  The
     accepted trial is the last point evaluated on ``p``, so its record
     stays in the problem's memo.
     """
     if current_norm is None:
         current_norm = float(np.linalg.norm(_evaluate(p, y).f))
-    bound_base = current_norm * current_norm
-    beta = trial_scale(current_norm, cfg.c) if scaled else cfg.rho
-    alpha = 1.0
-    for i in range(cfg.max_backtracks + 1):
+    for i, alpha in _steps(cfg, current_norm, scaled):
         yt = y + alpha * d
-        factor = 1.0 - 2.0 * cfg.sigma * alpha
-        if factor == 1.0 or np.array_equal(yt, y):
+        if _rounds_away(y, yt, alpha, cfg):
             return None
         if np.all(yt > 0.0):
             trial = _evaluate(p, yt)
             if in_feasible_split(p, trial.y, cfg.eps, cfg.eps2):
                 rt = float(np.linalg.norm(trial.f))
-                if rt * rt <= factor * bound_base:
+                if _descends(rt, current_norm, alpha, cfg.sigma):
                     return LineSearchResult(alpha, trial.y, trial.f, rt, i)
-        alpha = beta if i == 0 else alpha * cfg.rho
     return None
+
+
+def _search_failure(y, d, cfg: SolverConfig, current_norm, scaled: bool,
+                    k: int) -> str:
+    """The message for a search from ``y`` along ``d`` that accepted no
+    trial at iteration ``k``: the trial that rounded away, found by
+    replaying the schedule without evaluating anything, or else the
+    exhausted backtracks."""
+    for i, alpha in _steps(cfg, current_norm, scaled):
+        why = _rounds_away(y, y + alpha * d, alpha, cfg)
+        if why:
+            return (f"line search stopped at iteration {k} after {i} "
+                    f"backtracks: {why}")
+    return f"line search exhausted {cfg.max_backtracks} backtracks at iteration {k}"
 
 
 def line_search_basic(p: MTeqProblem, y, d, cfg: SolverConfig,
@@ -120,14 +156,16 @@ def _stop_threshold(p: MTeqProblem, cfg: SolverConfig) -> float:
 
 
 def _damped_newton(p: MTeqProblem, start, cfg: SolverConfig, line_search, *,
-                   start_is_y: bool, mode: str | None = None,
-                   refusal: str = "") -> SolveReport:
+                   start_is_y: bool, scaled: bool = False,
+                   mode: str | None = None, refusal: str = "") -> SolveReport:
     """Run the damped Newton loop from ``start`` and assemble the report.
 
     ``start`` is ``x0``, or ``y0 = x0^{m-1}`` when ``start_is_y`` is set.
     A nonempty ``refusal`` ends the solve with ``ASSUMPTION_VIOLATED``
     before any evaluation.  ``line_search(p, y, d, cfg, current_norm=r)``
-    picks each step; ``mode`` names its rule in the report.
+    picks each step on the schedule of :func:`_steps` that ``scaled``
+    selects; ``mode`` names its rule in the report.  A step that breaks
+    the descent bound ends the solve with ``LINE_SEARCH_FAILURE``.
     """
     threshold = _stop_threshold(p, cfg)
     start = np.asarray(start, dtype=float)
@@ -168,9 +206,14 @@ def _damped_newton(p: MTeqProblem, start, cfg: SolverConfig, line_search, *,
         step = line_search(p, point.y, d, cfg, current_norm=r)
         if step is None:
             status = SolveStatus.LINE_SEARCH_FAILURE
-            message = f"line search exhausted {cfg.max_backtracks} backtracks at iteration {k}"
+            message = _search_failure(point.y, d, cfg, r, scaled, k)
             break
-        assert step.residual_norm <= r
+        if not _descends(step.residual_norm, r, step.alpha, cfg.sigma):
+            status = SolveStatus.LINE_SEARCH_FAILURE
+            message = (f"line search accepted a step that breaks the descent "
+                       f"bound at iteration {k}: alpha {step.alpha!r}, "
+                       f"||f|| {r!r} -> {step.residual_norm!r}")
+            break
         # the accepted trial was the last point evaluated: a memo hit
         point, r = _evaluate(p, step.y_next), step.residual_norm
         trace.append(IterationRecord(k, step.alpha, r, step.backtracks, True,

@@ -51,6 +51,8 @@ def solve_nonnegative(p: MTeqProblem, y0, cfg: SolverConfig | None = None) -> So
     refusal = "" if assumption.ok else (
         "zero-indexed rows without coupling entries: "
         + ", ".join(str(i + 1) for i in assumption.missing))
-    mode = "plain" if cfg.plain_steps else "residual_scaled"
+    scaled = not cfg.plain_steps
     return _damped_newton(p, y0, cfg, line_search_extended, start_is_y=True,
-                          mode=mode, refusal=refusal)
+                          scaled=scaled,
+                          mode="residual_scaled" if scaled else "plain",
+                          refusal=refusal)

@@ -6,7 +6,9 @@ import pytest
 from mteq import (SolveStatus, SolverConfig, Tensor, hadamard_power,
                   initial_point, line_search_basic, make_problem,
                   newton_direction, residual, solve_positive)
-from mteq.problems import gen_problem1
+from mteq.problems import (gen_problem1, gen_problem4, gen_problem5,
+                           zero_out_rhs)
+from mteq.solver_extended import solve_nonnegative
 
 from oracles import two_var_bisection
 
@@ -121,3 +123,32 @@ def test_trace_integrity():
     # recorded norms are reproducible from the recorded iterates
     for rec, y in zip(rep.trace, rep.iterates[1:]):
         assert np.linalg.norm(residual(p, y)) == rec.residual_norm
+
+
+@pytest.mark.parametrize("gen", [gen_problem1, gen_problem4, gen_problem5])
+def test_every_accepted_step_meets_the_descent_bound(gen):
+    # ||f(y_k)||^2 <= (1 - 2 sigma alpha_k) ||f(y_{k-1})||^2, with the
+    # norms recomputed from the recorded iterates
+    cfg = SolverConfig()
+    steps = 0
+    for m, n in ((3, 20), (4, 7)):
+        for seed in range(3):
+            p = gen(m, n, seed)
+            zeroed = make_problem(p.A, zero_out_rhs(p.b, seed, keep=(0,)),
+                                  omega=p.omega)
+            init = initial_point(p, cfg)
+            reports = [solve_nonnegative(zeroed, initial_point(zeroed, cfg).y0, cfg),
+                       solve_nonnegative(p, init.y0, cfg)]
+            if gen is not gen_problem5:
+                reports.append(solve_positive(p, init.x0, cfg))
+            for q, rep in zip((zeroed, p, p), reports):
+                assert rep.converged, rep.message
+                norms = [float(np.linalg.norm(residual(q, y)))
+                         for y in rep.iterates]
+                assert norms[0] == rep.initial_residual
+                for rec, before, after in zip(rep.trace, norms, norms[1:]):
+                    assert after == rec.residual_norm
+                    bound = (1.0 - 2.0 * cfg.sigma * rec.alpha) * (before * before)
+                    assert after * after <= bound
+                    steps += 1
+    assert steps > 20

@@ -122,6 +122,52 @@ def test_solve_along_ascent_directions_ends_in_line_search_failure(monkeypatch):
     assert rep.iterations == 0
 
 
+@pytest.mark.parametrize("b", [(1.0, 0.0), (1.0, 1.0)])
+def test_failed_search_names_the_real_reason(monkeypatch, b):
+    newton = solver_basic.newton_direction
+    p = small_problem(b)
+    start = initial_point(p).y0
+
+    def solve(scale, cfg):
+        monkeypatch.setattr(solver_basic, "newton_direction",
+                            lambda *args, **kwargs: scale * newton(*args, **kwargs))
+        return solve_nonnegative(p, start, cfg)
+
+    # along an ascent direction the trials shrink until the descent factor
+    # rounds to 1, well before the 60th backtrack
+    for cfg in (SolverConfig(), SolverConfig(plain_steps=True)):
+        rep = solve(-1.0, cfg)
+        assert rep.status is SolveStatus.LINE_SEARCH_FAILURE
+        head, why = rep.message.split(": ")
+        assert head.startswith("line search stopped at iteration 1 after ")
+        assert int(head.split()[-2]) < cfg.max_backtracks
+        assert why == "the descent factor 1 - 2 sigma alpha rounds to 1"
+    # a direction too short to move y stops at the unit trial
+    rep = solve(1e-20, SolverConfig())
+    assert rep.status is SolveStatus.LINE_SEARCH_FAILURE
+    assert rep.message == ("line search stopped at iteration 1 after 0 "
+                           "backtracks: the trial point rounds to the current point")
+    # a search that runs out of trials still says so
+    rep = solve(-1.0, SolverConfig(max_backtracks=20))
+    assert rep.message == "line search exhausted 20 backtracks at iteration 1"
+
+
+def test_step_that_breaks_the_descent_bound_ends_the_solve():
+    # the loop checks the bound itself rather than trusting its line
+    # search (it is not an assert, so python -O keeps it)
+    p = small_problem((1.0, 1.0))
+    y0 = initial_point(p).y0
+
+    def uphill(q, y, d, cfg, current_norm=None):
+        step = line_search_extended(q, y, d, cfg, current_norm=current_norm)
+        return step._replace(residual_norm=2.0 * current_norm)
+    rep = solver_basic._damped_newton(p, y0, SolverConfig(), uphill,
+                                      start_is_y=True)
+    assert rep.status is SolveStatus.LINE_SEARCH_FAILURE
+    assert rep.iterations == 0
+    assert "breaks the descent bound at iteration 1" in rep.message
+
+
 def test_assumption_violation_is_structured():
     # diagonal tensor with a zeroed row: that row couples to nothing in I+
     p = make_problem(Tensor.identity(3, 2), np.array([1.0, 0.0]))

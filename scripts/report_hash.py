@@ -14,10 +14,11 @@ and then the generated instances themselves: the raw float64 bytes of
 
 The ensemble:
 
-- P1, P2, P4 and P5 at (m, n) = (3, 30) and (4, 8), seeds 0 to 7, each with
-  its generated ``b`` and half-zeroed, solved with the default config, with
-  ``plain_steps=True`` and with ``max_iter=2``; a positive ``b`` goes
-  through both ``solve_positive`` and ``solve_nonnegative``;
+- P1, P2, P4 and P5 at (m, n) = (3, 30) and (4, 8), and P1 and P4 at
+  (5, 6), seeds 0 to 7, each with its generated ``b`` and half-zeroed,
+  solved with the default config, with ``plain_steps=True`` and with
+  ``max_iter=2``; a positive ``b`` goes through both ``solve_positive``
+  and ``solve_nonnegative``;
 - P3 at n = 24 and 40 with the three boundary pairs of the stencil
   benchmark, stopping on the residual relative to ``||b||``;
 - bad starting points (negative, zero, infeasible, wrong shape) and a
@@ -25,7 +26,8 @@ The ensemble:
 - ``mteq verify`` on P1, P2, P4 and P5 at (3, 8), seed 0, and on P3 at
   n = 24;
 - the instances of P1, P2, P4 and P5 at (3, 200), seeds 0 to 2, each with
-  its generated ``b`` and half-zeroed.
+  its generated ``b`` and half-zeroed, each followed by its solves with
+  the default config.
 
 The hash depends on the BLAS build, so compare runs on one machine only.
 
@@ -92,9 +94,10 @@ def solves(p, cfg):
     yield report_bytes(mteq.solve_nonnegative(p, init.y0, cfg))
 
 
-def dense_problems(sizes=((3, 30), (4, 8)), seeds=range(8)):
-    """P1, P2, P4 and P5 at each size and seed, plain and half-zeroed."""
-    for problem in (1, 2, 4, 5):
+def dense_problems(sizes=((3, 30), (4, 8)), seeds=range(8),
+                   problems=(1, 2, 4, 5)):
+    """Each problem at each size and seed, plain and half-zeroed."""
+    for problem in problems:
         gen = getattr(mteq, f"gen_problem{problem}")
         keep = (0,) if problem == 5 else ()
         for m, n in sizes:
@@ -140,6 +143,9 @@ def ensemble():
     for p in dense_problems():
         for cfg in CONFIGS:
             yield from solves(p, cfg)
+    for p in dense_problems(sizes=((5, 6),), problems=(1, 4)):
+        for cfg in CONFIGS:
+            yield from solves(p, cfg)
     for n in (24, 40):
         for c0, c1 in STENCIL_BOUNDARIES:
             yield from solves(mteq.gen_problem3(n, c0, c1), STENCIL_CONFIG)
@@ -147,6 +153,7 @@ def ensemble():
     yield from verify_outputs()
     for p in dense_problems(sizes=((3, 200),), seeds=range(3)):
         yield instance_bytes(p)
+        yield from solves(p, CONFIGS[0])
 
 
 def main():

@@ -22,10 +22,11 @@ on first use, the residual Jacobian.  On dense storage the record reads
 the tensor once, through :meth:`~mteq.tensor.Tensor.partial_and_jacobian`:
 one pass over its slabs gives ``M = A x^{m-2}``, with ``g = M x``, and the
 raw Jacobian sum, which the record column-scales on first use.  Both
-match the stand-alone kernels to the bit.  The problem keeps the last record in a one-slot memo that is hit
-only by a ``y`` exactly equal to the record's, which hands the point
-evaluated by :func:`~mteq.initializer.initial_point` or accepted by a line
-search on to the next step without a second contraction.
+match the stand-alone kernels to the bit.  The problem keeps the last
+record in a one-slot memo that is hit only by a ``y`` exactly equal to
+the record's, which hands the point evaluated by
+:func:`~mteq.initializer.initial_point` or accepted by a line search on
+to the next step without a second contraction.
 :func:`residual`, :func:`residual_jacobian` and the feasibility tests all
 take ``y`` and read its record; none accepts a caller's copy of ``g``,
 ``f`` or the Jacobian.  Facts about the problem itself (the index

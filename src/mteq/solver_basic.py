@@ -156,16 +156,17 @@ def _stop_threshold(p: MTeqProblem, cfg: SolverConfig) -> float:
 
 
 def _damped_newton(p: MTeqProblem, start, cfg: SolverConfig, line_search, *,
-                   start_is_y: bool, scaled: bool = False,
-                   mode: str | None = None, refusal: str = "") -> SolveReport:
+                   start_is_y: bool, mode: str | None = None,
+                   refusal: str = "") -> SolveReport:
     """Run the damped Newton loop from ``start`` and assemble the report.
 
     ``start`` is ``x0``, or ``y0 = x0^{m-1}`` when ``start_is_y`` is set.
     A nonempty ``refusal`` ends the solve with ``ASSUMPTION_VIOLATED``
     before any evaluation.  ``line_search(p, y, d, cfg, current_norm=r)``
-    picks each step on the schedule of :func:`_steps` that ``scaled``
-    selects; ``mode`` names its rule in the report.  A step that breaks
-    the descent bound ends the solve with ``LINE_SEARCH_FAILURE``.
+    picks each step; ``mode`` names its rule in the report, and
+    ``"residual_scaled"`` is the scaled schedule of :func:`_steps`.  A step
+    that breaks the descent bound ends the solve with
+    ``LINE_SEARCH_FAILURE``.
     """
     threshold = _stop_threshold(p, cfg)
     start = np.asarray(start, dtype=float)
@@ -206,7 +207,8 @@ def _damped_newton(p: MTeqProblem, start, cfg: SolverConfig, line_search, *,
         step = line_search(p, point.y, d, cfg, current_norm=r)
         if step is None:
             status = SolveStatus.LINE_SEARCH_FAILURE
-            message = _search_failure(point.y, d, cfg, r, scaled, k)
+            message = _search_failure(point.y, d, cfg, r,
+                                      mode == "residual_scaled", k)
             break
         if not _descends(step.residual_norm, r, step.alpha, cfg.sigma):
             status = SolveStatus.LINE_SEARCH_FAILURE

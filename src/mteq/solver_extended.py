@@ -51,8 +51,6 @@ def solve_nonnegative(p: MTeqProblem, y0, cfg: SolverConfig | None = None) -> So
     refusal = "" if assumption.ok else (
         "zero-indexed rows without coupling entries: "
         + ", ".join(str(i + 1) for i in assumption.missing))
-    scaled = not cfg.plain_steps
+    mode = "plain" if cfg.plain_steps else "residual_scaled"
     return _damped_newton(p, y0, cfg, line_search_extended, start_is_y=True,
-                          scaled=scaled,
-                          mode="residual_scaled" if scaled else "plain",
-                          refusal=refusal)
+                          mode=mode, refusal=refusal)

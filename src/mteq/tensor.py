@@ -52,6 +52,11 @@ __all__ = [
 
 DEFAULT_DENSE_CAP = 200_000_000
 SEMI_SYMMETRY_TOL = 1e-13  # of max(1, max|a|); see Tensor.is_semi_symmetric
+# Slabs per step of Tensor.partial_and_jacobian: about this many bytes, so
+# that at small n the loop costs little next to the arithmetic, while at
+# large n a block read for the first slot is still in a core's cache for
+# the later ones.
+_FUSED_BLOCK_BYTES = 1 << 20
 
 
 def dense_cap() -> int:
@@ -361,24 +366,27 @@ class Tensor:
         Slab ``a[i]`` gives row ``i`` of ``M`` and of every slot term,
         which are added to row ``i`` of the Jacobian from zero in
         :meth:`jacobian_matrix`'s order, so both results are the same to
-        the bit while each slab is read from memory once.
+        the bit while each slab is read from memory once.  Slabs are taken
+        in blocks of about ``_FUSED_BLOCK_BYTES``.
         """
         if not self.is_dense:
             raise ValueError("COO tensor has no fused contraction kernel")
         x = _check_vector(x, self.dim)
         n, m = self.dim, self.order
-        # slot p of the tensor is axis p-1 of a slab; move it to the front
-        moves = [(q,) + tuple(r for r in range(m - 1) if r != q)
-                 for q in range(1, m - 1)]
+        rows = max(1, _FUSED_BLOCK_BYTES // self._dense[0].nbytes)
+        # np.moveaxis(a, p, 1) for each later slot p
+        moves = [(0, p) + tuple(q for q in range(1, m) if q != p)
+                 for p in range(2, m)]
         M = np.empty((n, n))
         jac = np.zeros((n, n))
-        for i, slab in enumerate(self._dense):
-            row = _contract(slab, x, m - 2)
-            M[i] = row
-            acc = jac[i]
-            acc += row
+        for i in range(0, n, rows):
+            block = self._dense[i:i + rows]
+            part = _contract(block, x, m - 2)
+            M[i:i + rows] = part
+            acc = jac[i:i + rows]
+            acc += part
             for axes in moves:
-                acc += _contract(slab.transpose(axes), x, m - 2)
+                acc += _contract(block.transpose(axes), x, m - 2)
         return M, jac
 
     def semi_symmetrize(self) -> "Tensor":

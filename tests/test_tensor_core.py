@@ -8,6 +8,7 @@ import pytest
 from mteq import (FormatError, Tensor, dense_cap, hadamard_power, m_splitting,
                   nqz_spectral_radius, read_tensor, read_vector, write_tensor,
                   write_vector)
+from mteq import tensor
 from mteq.problems import gen_problem1, gen_problem4
 from mteq.tensor import SEMI_SYMMETRY_TOL
 
@@ -123,9 +124,14 @@ def whole_array_semi_symmetrize(a):
     return acc / len(perms)
 
 
+@pytest.mark.parametrize("slabs", [1, 2, 3, None])
 @pytest.mark.parametrize("m,n", SHAPES)
-def test_partial_and_jacobian_matches_stand_alone_kernels_bitwise(m, n):
-    t = Tensor.from_dense(signed_dense(m, n, seed=m * 7 + n))
+def test_partial_and_jacobian_matches_stand_alone_kernels_bitwise(
+        monkeypatch, m, n, slabs):
+    arr = signed_dense(m, n, seed=m * 7 + n)
+    if slabs is not None:  # else one block holds every slab
+        monkeypatch.setattr(tensor, "_FUSED_BLOCK_BYTES", slabs * arr[0].nbytes)
+    t = Tensor.from_dense(arr)
     x = np.random.default_rng(n).uniform(0.5, 2.0, size=n)
     M, jac = t.partial_and_jacobian(x)
     assert M.tobytes() == t.partial_contraction(x).tobytes()

@@ -5,10 +5,10 @@ import pytest
 
 from mteq import (SolveStatus, SolverConfig, Tensor, hadamard_power,
                   initial_point, line_search_basic, make_problem,
-                  newton_direction, residual, solve_positive)
+                  newton_direction, residual, solve_nonnegative,
+                  solve_positive)
 from mteq.problems import (gen_problem1, gen_problem4, gen_problem5,
                            zero_out_rhs)
-from mteq.solver_extended import solve_nonnegative
 
 from oracles import two_var_bisection
 

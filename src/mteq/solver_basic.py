@@ -106,9 +106,9 @@ def _backtrack(p: MTeqProblem, y, d, cfg: SolverConfig, current_norm,
     and descending.
 
     The search ends with ``None`` after the last trial, or at a trial that
-    :func:`_rounds_away`; :func:`_search_failure` says which.  The
-    accepted trial is the last point evaluated on ``p``, so its record
-    stays in the problem's memo.
+    rounds away (:func:`_rounds_away`); :func:`_search_failure` says
+    which.  The accepted trial is the last point evaluated on ``p``, so
+    its record stays in the problem's memo.
     """
     if current_norm is None:
         current_norm = float(np.linalg.norm(_evaluate(p, y).f))

@@ -219,7 +219,9 @@ def initial_point(p: MTeqProblem, cfg: SolverConfig | None = None) -> InitialPoi
     diagonally dominant tensor); otherwise :func:`find_certificate`
     sweeps for it.  Raises :class:`InitializationError` when no
     certificate vector exists within the sweep cap or the constructed
-    point fails the feasibility check it was built to satisfy.  That
+    point fails the feasibility check it was built to satisfy.  The image
+    ``A u^{m-1}`` of the all-ones certificate is read from the tensor's
+    cached dominance test instead of a new contraction.  That
     check evaluates ``y0`` and leaves its record in the problem's memo,
     so a solver started from ``x0`` or ``y0`` does not contract the
     tensor at the start again.
@@ -234,7 +236,7 @@ def initial_point(p: MTeqProblem, cfg: SolverConfig | None = None) -> InitialPoi
     else:
         target = p.b if part.i_zero.size == 0 else None
         u, sweeps = find_certificate(p.A, rhs=target)
-    au = p.A.apply(u)
+    au = p.A._ones_image() if np.all(u == 1.0) else p.A.apply(u)
     if au.min() <= 0.0:
         raise InitializationError("certificate vector lost positivity of its image")
     m = p.m

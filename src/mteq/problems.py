@@ -11,6 +11,13 @@ because its runs are judged by the relative residual.  Each dense
 generator builds ``A = s I - B`` and scales it in the one buffer it drew
 ``B`` into (:func:`_shifted_scaled`), with the same bits as
 ``scale_problem(_shifted_identity(s, B), b)``.
+
+The tensor draw and every full pass over a dense buffer run over spans of
+its leading axis on up to ``_WORKERS`` threads
+(:func:`~mteq.tensor._over_spans`), with the same bits for any number of
+threads.  The draw can be cut because Philox is counter-based: each span
+draws with its own generator, started at the span's counter
+(:func:`_draw`).
 """
 
 from __future__ import annotations
@@ -23,8 +30,9 @@ from functools import lru_cache
 import numpy as np
 
 from .model import MTeqProblem, _scale_factor, make_problem, scale_problem
-from .tensor import (Tensor, _dense_apply, _diag_index, _max_abs,
-                     check_dense_size, write_tensor, write_vector)
+from .tensor import (_FUSED_BLOCK_BYTES, Tensor, _dense_apply, _diag_index,
+                     _max_abs, _over_spans, check_dense_size, write_tensor,
+                     write_vector)
 
 __all__ = [
     "gen_problem1",
@@ -42,10 +50,34 @@ __all__ = [
 
 GRAVITATIONAL_CONSTANT = 6.67e-11
 CENTRAL_MASS = 5.98e24
+# uint64 outputs per Philox4x64 counter step; one per uniform
+_PHILOX_BLOCK = 4
 
 
 def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
+def _draw(seed, shape):
+    """``(_rng(seed).random(shape), rng)`` with ``rng`` positioned after
+    the draw, which is made over spans of the flat buffer.
+
+    Philox is counter-based, so each span's generator is a fresh
+    ``Philox(key=seed)`` advanced to the span's first counter step, and
+    spans start at multiples of ``_PHILOX_BLOCK`` uniforms.  The
+    generator of the last span is returned, so what it draws next has
+    the bits it would have after one serial draw.
+    """
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+
+    def span(start, stop):
+        bits = np.random.Philox(key=int(seed))
+        bits.advance(start // _PHILOX_BLOCK)
+        rng = np.random.Generator(bits)
+        rng.random(out=flat[start:stop])
+        return rng
+    return out, _over_spans(span, flat.size, out.nbytes, _PHILOX_BLOCK)[-1]
 
 
 def _uniform_open(rng, size) -> np.ndarray:
@@ -68,31 +100,47 @@ def _slab_axis(perm):
 def symmetrize_full(array) -> np.ndarray:
     """Average an array over all permutations of all its axes.
 
-    Every entry is the sum, from zero and in ``itertools.permutations``
-    order, of the entries it meets under each permutation, divided by
-    their number.  The sums run slab by slab: consecutive permutations
-    that share a slab axis ``q`` (see :func:`_slab_axis`) are added one
-    output slab ``acc[.., j, ..]`` at a time, so both the slab and its
-    source slice keep the input's contiguous last axis and the transposed
-    reads stay within one slab.  Each entry sees the same additions in the
-    same order as whole-array sums, so the result is the same to the bit;
-    starting from zeros keeps ``0.0 + (-0.0) = +0.0``.
+    Every entry is the sum, in ``itertools.permutations`` order, of the
+    entries it meets under each permutation, divided by their number.
+    The sums run slab by slab: consecutive permutations that share a slab
+    axis ``q`` (see :func:`_slab_axis`) are added one output slab
+    ``acc[.., j, ..]`` at a time, so both the slab and its source slice
+    keep the input's contiguous last axis and the transposed reads stay
+    within one slab.  The ``j`` loop of each group runs over spans
+    (:func:`~mteq.tensor._over_spans`).  The first group starts each slab
+    as ``first_view + 0.0``, which is ``0.0 + first_view`` bit for bit
+    and so keeps ``0.0 + (-0.0) = +0.0``, and the last group divides each
+    slab while it is still in cache.  Each entry sees the same additions
+    in the same order as whole-array sums from zeros, so the result is
+    the same to the bit.
     """
     a = np.asarray(array, dtype=float)
     perms = list(itertools.permutations(range(a.ndim)))
-    acc = np.zeros_like(a)
-    for q, group in itertools.groupby(perms, key=_slab_axis):
-        views = [np.transpose(a, p) for p in group]
+    groups = [(q, [np.transpose(a, p) for p in group])
+              for q, group in itertools.groupby(perms, key=_slab_axis)]
+    acc = np.empty_like(a)
+
+    def add(views, where, first, last):
+        slab = acc[where]
+        rest = views
+        if first:
+            np.add(views[0][where], 0.0, out=slab)
+            rest = views[1:]
+        for view in rest:
+            slab += view[where]
+        if last:
+            slab /= len(perms)
+
+    for g, (q, views) in enumerate(groups):
+        first, last = g == 0, g == len(groups) - 1
         if q is None:
-            for view in views:
-                acc += view
+            add(views, ..., first, last)
             continue
-        for j in range(a.shape[q]):
-            where = (slice(None),) * q + (j,)
-            slab = acc[where]
-            for view in views:
-                slab += view[where]
-    acc /= len(perms)
+
+        def slabs(start, stop):
+            for j in range(start, stop):
+                add(views, (slice(None),) * q + (j,), first, last)
+        _over_spans(slabs, a.shape[q], a.nbytes)
     return acc
 
 
@@ -114,25 +162,58 @@ def _shifted_scaled(s, buf, b):
     B), b)``, made in ``buf``, a writable buffer holding the entries of
     ``B``.
 
-    Negates ``buf`` in place, adds ``s`` on its diagonal, takes ``max_abs``
-    and ``omega`` as :func:`~mteq.model.scale_problem` does, multiplies by
-    ``1/omega`` in place, and only then wraps the buffer, which the caller
-    gives up.  The Z sign is known by construction: when ``min B >= 0`` (a
-    test that also fails on NaN), every off-diagonal entry of ``s I - B``
-    is ``<= 0``.  That fact and the unscaled ``max_abs`` carry to the
-    scaled tensor by the rule of :meth:`~mteq.tensor.Tensor.scaled`, so
-    nothing reads the entries again to check them.  With an empty ``b``
-    the scale is ``max_abs`` alone.
+    Sets the diagonal ``d`` aside and reads the smallest and the largest
+    off-diagonal entry of ``B`` in one pass over blocks of ``buf``.  A
+    maximum does no rounding, so ``max_abs`` of ``s I - B`` is
+    :func:`~mteq.tensor._max_abs` of those two and the new diagonal
+    ``(-d) + s``; a NaN entry makes it NaN.  The Z sign follows too: every
+    off-diagonal entry of ``s I - B`` is ``<= 0`` exactly when the
+    smallest one of ``B`` is ``>= 0``, a test that fails on NaN.  ``omega``
+    is taken as :func:`~mteq.model.scale_problem` does, and a second pass
+    multiplies ``buf`` by ``-1/omega`` in place, which is ``(-B) / omega``
+    bit for bit because rounding is sign-symmetric; the diagonal becomes
+    ``((-d) + s) / omega``.  Both passes run over spans
+    (:func:`~mteq.tensor._over_spans`).  Only then is the buffer, which
+    the caller gives up, wrapped.  The Z sign and the unscaled
+    ``max_abs`` carry to the scaled tensor by the rule of
+    :meth:`~mteq.tensor.Tensor.scaled`, so nothing reads the entries
+    again to check them.  With an empty ``b`` the scale is ``max_abs``
+    alone.
     """
-    nonnegative = bool(buf.min() >= 0.0)
-    np.negative(buf, out=buf)
-    buf[_diag_index(buf.ndim, buf.shape[0])] += s
-    max_abs = _max_abs(buf)
+    diag = _diag_index(buf.ndim, buf.shape[0])
+    shifted = -buf[diag] + s
+    if buf.size > 1:
+        # an off-diagonal entry stands in for the diagonal
+        buf[diag] = buf.flat[1]
+        lo, hi = _extremes(buf)
+    else:
+        lo = hi = 0.0  # no off-diagonal entry; 0 changes neither test
+    max_abs = _max_abs(np.concatenate(([lo, hi], shifted)))
     omega = _scale_factor(max_abs, b)
     f = 1.0 / omega
-    buf *= f
-    facts = {"max_abs": max_abs, "is_z_tensor": nonnegative}
+
+    def scale(start, stop):
+        buf[start:stop] *= -f
+    _over_spans(scale, buf.shape[0], buf.nbytes)
+    buf[diag] = shifted * f
+    facts = {"max_abs": max_abs, "is_z_tensor": bool(lo >= 0.0)}
     return Tensor._from_scaled_buffer(buf, f, facts), omega
+
+
+def _extremes(buf):
+    """``(buf.min(), buf.max())``, NaN when an entry is NaN, from one pass
+    over blocks of slabs small enough that ``max`` finds them in cache."""
+    rows = max(1, _FUSED_BLOCK_BYTES // buf[0].nbytes)
+
+    def span(start, stop):
+        found = []
+        for i in range(start, stop, rows):
+            block = buf[i:min(i + rows, stop)]
+            found.append((block.min(), block.max()))
+        return found
+    found = np.array([e for part in _over_spans(span, buf.shape[0], buf.nbytes)
+                      for e in part])
+    return float(found[:, 0].min()), float(found[:, 1].max())
 
 
 def _shifted_problem(s, buf, b) -> MTeqProblem:
@@ -158,8 +239,9 @@ def gen_problem1(m, n, seed) -> MTeqProblem:
     returns, so two tensor-sized buffers are live only while it runs.
     """
     check_dense_size(m, n)
-    rng = _rng(seed)
-    buf = symmetrize_full(rng.random((n,) * m))
+    raw, rng = _draw(seed, (n,) * m)
+    buf = symmetrize_full(raw)
+    del raw  # free the draw before the next buffer
     s = _dominance_shift(1.01, buf)
     b = _uniform_open(rng, n)
     return _shifted_problem(s, buf, b)
@@ -246,8 +328,7 @@ def gen_problem4(m, n, seed) -> MTeqProblem:
     buffer of the draw.
     """
     check_dense_size(m, n)
-    rng = _rng(seed)
-    buf = rng.random((n,) * m)
+    buf, rng = _draw(seed, (n,) * m)
     s = _dominance_shift(1.01, buf)
     b = _uniform_open(rng, n)
     return _shifted_problem(s, buf, b)
@@ -267,13 +348,15 @@ def gen_problem5(m, n, seed) -> MTeqProblem:
     if n < 2:
         raise ValueError("the triangular generator needs n >= 2")
     check_dense_size(m, n)
-    rng = _rng(seed)
-    buf = rng.random((n,) * m)
-    # zero buf[i] wherever some trailing index reaches i: the k-th slice
-    # holds the tuples whose first such index is the k-th
-    for i in range(n):
-        for k in range(m - 1):
-            buf[(i,) + (slice(0, i),) * k + (slice(i, None),)] = 0.0
+    buf, rng = _draw(seed, (n,) * m)
+
+    def mask(start, stop):
+        # zero buf[i] wherever some trailing index reaches i: the k-th
+        # slice holds the tuples whose first such index is the k-th
+        for i in range(start, stop):
+            for k in range(m - 1):
+                buf[(i,) + (slice(0, i),) * k + (slice(i, None),)] = 0.0
+    _over_spans(mask, n, buf.nbytes)
     s = _dominance_shift(0.5, buf)
     b = _uniform_open(rng, n)
     return _shifted_problem(s, buf, b)

@@ -19,12 +19,21 @@ takes both from one pass over the slabs ``a[i]`` of the leading index,
 with the same bits as the two stand-alone kernels.
 
 Facts read from the entries (the largest magnitude, the Z sign, the
-dominance test and the diagonal) are computed on first use and kept on the
-tensor, which is immutable: dense storage is marked read-only, so the
-cached facts cannot go stale.  :meth:`Tensor.scaled` hands on the facts
+dominance test with its image ``A e^{m-1}``, and the diagonal) are
+computed on first use and kept on the tensor, which is immutable: dense
+storage is marked read-only, so the cached facts cannot go stale.  :meth:`Tensor.scaled` hands on the facts
 that scale exactly, so a scaled problem is not checked twice, and a
 generator that scales its own buffer in place hands on the same facts by
 the same rule.
+
+Every full pass over a dense tensor of at least ``_PARALLEL_MIN_BYTES``
+(the contraction kernels here, and the generators' passes in
+:mod:`mteq.problems`) runs through :func:`_over_spans`.  It cuts the
+leading axis into at most ``_WORKERS`` contiguous spans, one per CPU this
+process may run on, and runs them on threads of one process.  Each output
+entry is computed by one thread, with the same operations in the same
+order as on one thread, so results do not depend on the number of
+threads.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import functools
 import itertools
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -57,6 +67,19 @@ SEMI_SYMMETRY_TOL = 1e-13  # of max(1, max|a|); see Tensor.is_semi_symmetric
 # large n a block read for the first slot is still in a core's cache for
 # the later ones.
 _FUSED_BLOCK_BYTES = 1 << 20
+# Passes over fewer bytes than this stay on the calling thread, where
+# handing them to other threads would cost more than it saves.
+_PARALLEL_MIN_BYTES = 4 << 20
+# Threads per pass: the CPUs this process may run on, up to a cap.
+_MAX_WORKERS = 8
+_WORKERS = min(_MAX_WORKERS, (len(os.sched_getaffinity(0))
+                              if hasattr(os, "sched_getaffinity")
+                              else os.cpu_count() or 1))
+# Span boundaries of a matrix-vector product fall on multiples of this
+# many rows.  BLAS gemv kernels take rows in groups (4 in OpenBLAS's
+# x86-64 kernels), and a row's bits depend on where it falls in them.
+_GEMV_ROWS = 16
+_pool = None
 
 
 def dense_cap() -> int:
@@ -75,6 +98,51 @@ def check_dense_size(order, dim) -> None:
 
 class FormatError(ValueError):
     """A ``.mt`` or ``.vec`` file could not be parsed."""
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The module's thread pool, created on first use."""
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(max_workers=_MAX_WORKERS,
+                                   thread_name_prefix="mteq-pass")
+    return _pool
+
+
+def _drop_pool() -> None:
+    # a forked child has none of its parent's threads
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _over_spans(task, length, nbytes, step=1) -> list:
+    """``[task(start, stop), ...]`` over contiguous spans of
+    ``range(length)``, in order.
+
+    A pass over at least ``_PARALLEL_MIN_BYTES`` (``nbytes``) is cut into
+    at most ``_WORKERS`` spans, each but the last a multiple of ``step``
+    long, so that no span is shorter than ``step``.  The calling thread
+    runs the first span and the module's pool the others; a smaller pass
+    is one span on the calling thread.  Tasks must write disjoint parts of
+    their outputs and must not call this function.
+    """
+    units = length // step
+    parts = min(_WORKERS, units) if nbytes >= _PARALLEL_MIN_BYTES else 1
+    if parts <= 1:
+        return [task(0, length)]
+    cuts = [step * (units * k // parts) for k in range(parts)] + [length]
+    pool = _executor()
+    rest = [pool.submit(task, start, stop)
+            for start, stop in zip(cuts[1:-1], cuts[2:])]
+    try:
+        first = task(cuts[0], cuts[1])
+    finally:
+        wait(rest)
+    return [first] + [f.result() for f in rest]
 
 
 def _fact(method):
@@ -103,11 +171,12 @@ class Tensor:
     is needed, that is the caller's own array.  Use :meth:`from_dense`,
     :meth:`from_coo` or :meth:`identity` to construct one.
 
-    :meth:`max_abs`, :meth:`is_z_tensor`, :meth:`is_diag_dominant` and
-    :meth:`diagonal` read the entries on the first call only; the results
-    are kept in one private per-instance store, and :meth:`diagonal` still
-    returns a copy.  :meth:`is_semi_symmetric` reads the entries on every
-    call, one slab at a time.
+    :meth:`max_abs`, :meth:`is_z_tensor`, :meth:`is_diag_dominant` (with
+    the image ``A e^{m-1}`` it tests) and :meth:`diagonal` read the
+    entries on the first call only; the results are kept in one private
+    per-instance store, and :meth:`diagonal` still returns a copy.
+    :meth:`is_semi_symmetric` reads the entries on every call, one slab at
+    a time.
     """
 
     def __init__(self, order, dim, dense=None, indices=None, values=None):
@@ -322,12 +391,21 @@ class Tensor:
         The trailing ``m-2`` slots are contracted with ``x``, last slot
         first.  ``M @ x`` is ``apply(x)`` bit for bit, and ``M`` is the
         first-slot term of ``jacobian_matrix(x)``.  Read-only when
-        ``m = 2``, where ``M`` is the stored matrix itself.
+        ``m = 2``, where ``M`` is the stored matrix itself; otherwise the
+        slabs are contracted over the spans of :func:`_over_spans`.
         """
         if not self.is_dense:
             raise ValueError("COO tensor has no partial contraction kernel")
         x = _check_vector(x, self.dim)
-        return _contract(self._dense, x, self.order - 2)
+        times = self.order - 2
+        if not times:
+            return self._dense
+        out = np.empty((self.dim, self.dim))
+
+        def rows(start, stop):
+            out[start:stop] = _contract(self._dense[start:stop], x, times)
+        _over_spans(rows, self.dim, self._dense.nbytes)
+        return out
 
     def jacobian_matrix(self, x) -> np.ndarray:
         """Derivative matrix of ``x -> A x^{m-1}``.
@@ -367,7 +445,8 @@ class Tensor:
         which are added to row ``i`` of the Jacobian from zero in
         :meth:`jacobian_matrix`'s order, so both results are the same to
         the bit while each slab is read from memory once.  Slabs are taken
-        in blocks of about ``_FUSED_BLOCK_BYTES``.
+        in blocks of about ``_FUSED_BLOCK_BYTES`` within each span of
+        :func:`_over_spans`.
         """
         if not self.is_dense:
             raise ValueError("COO tensor has no fused contraction kernel")
@@ -379,14 +458,18 @@ class Tensor:
                  for p in range(2, m)]
         M = np.empty((n, n))
         jac = np.zeros((n, n))
-        for i in range(0, n, rows):
-            block = self._dense[i:i + rows]
-            part = _contract(block, x, m - 2)
-            M[i:i + rows] = part
-            acc = jac[i:i + rows]
-            acc += part
-            for axes in moves:
-                acc += _contract(block.transpose(axes), x, m - 2)
+
+        def span(start, stop):
+            for i in range(start, stop, rows):
+                end = min(i + rows, stop)
+                block = self._dense[i:end]
+                part = _contract(block, x, m - 2)
+                M[i:end] = part
+                acc = jac[i:end]
+                acc += part
+                for axes in moves:
+                    acc += _contract(block.transpose(axes), x, m - 2)
+        _over_spans(span, n, self._dense.nbytes)
         return M, jac
 
     def semi_symmetrize(self) -> "Tensor":
@@ -466,9 +549,18 @@ class Tensor:
         small scale-relative margin so that rows whose coefficients sum to
         zero in exact arithmetic are not misclassified by rounding.
         """
-        ax = self.apply(np.ones(self.dim))
+        ax = self._ones_image()
         margin = 1e-12 * max(1.0, self.max_abs())
         return bool(np.all(ax > margin))
+
+    @_fact
+    def _ones_image(self) -> np.ndarray:
+        """``A e^{m-1}`` (read-only): the image of the all-ones vector,
+        which the dominance test reads and
+        :func:`~mteq.initializer.initial_point` reuses."""
+        ax = self.apply(np.ones(self.dim))
+        ax.flags.writeable = False
+        return ax
 
 
 def _diag_index(order, dim):
@@ -493,8 +585,16 @@ def _contract(a, x, times) -> np.ndarray:
 
 def _dense_apply(a, x) -> np.ndarray:
     """``A x^{m-1}`` for the entries ``a`` of a dense tensor: the kernel of
-    :meth:`Tensor.apply`, which generators also run on their own buffers."""
-    return _contract(a, x, a.ndim - 2) @ x
+    :meth:`Tensor.apply`, which generators also run on their own buffers.
+
+    Each span of slabs ends with its own matrix-vector product, so spans
+    are cut at multiples of ``_GEMV_ROWS``."""
+    out = np.empty(a.shape[0])
+
+    def rows(start, stop):
+        out[start:stop] = _contract(a[start:stop], x, a.ndim - 2) @ x
+    _over_spans(rows, a.shape[0], a.nbytes, _GEMV_ROWS)
+    return out
 
 
 def _semi_symmetrize_slab(slab, out) -> None:
@@ -515,8 +615,9 @@ def _scaled_facts(facts, f) -> dict:
     ``max_abs`` becomes ``abs(max_abs * f)``; the diagonal becomes
     ``d * f``, the same products as the new entries; and a Z-tensor stays
     one.  A failed Z test does not carry, because a positive off-diagonal
-    entry can underflow to +0, and neither does the dominance test,
-    because scaled row sums round differently.
+    entry can underflow to +0, and neither do the dominance test and the
+    image ``A e^{m-1}`` it reads, because scaled row sums round
+    differently.
     """
     if not (f > 0.0 and math.isfinite(f)):
         return {}

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from mteq import Tensor, read_tensor, read_vector, scale_problem
+from mteq.model import _scale_factor
 from mteq.problems import (CENTRAL_MASS, GRAVITATIONAL_CONSTANT, _rng,
-                           _shifted_identity, _uniform_open, gen_problem1,
+                           _shifted_identity, _shifted_scaled,
+                           _uniform_open, gen_problem1,
                            gen_problem2, gen_problem3, gen_problem4,
                            gen_problem5, problem2_tensor, symmetrize_full,
                            write_problem, zero_out_rhs)
@@ -139,16 +141,14 @@ def test_write_problem_round_trip(tmp_path):
 # each dense generator builds its problem in the buffer it drew; the
 # reference below builds it the long way, from the same draws
 
-def reference_problem(problem, m, n, seed):
-    """``scale_problem(_shifted_identity(s, B), b)`` from the generator's
-    own draws, with ``B`` and ``s`` rebuilt here."""
+def reference_parts(problem, m, n, seed):
+    """``(B, s, b)`` from the generator's own draws, rebuilt here."""
     rng = _rng(seed)
     ones = np.ones(n)
     if problem == 2:
         index_sum = np.indices((n,) * m).sum(axis=0) + m  # 1-based
         B = Tensor.from_dense(np.abs(np.sin(index_sum)))
-        return scale_problem(_shifted_identity(float(n) ** (m - 1), B),
-                             _uniform_open(rng, n))
+        return B, float(n) ** (m - 1), _uniform_open(rng, n)
     raw = rng.random((n,) * m)
     if problem == 1:
         raw = symmetrize_full(raw)
@@ -157,16 +157,50 @@ def reference_problem(problem, m, n, seed):
         raw = np.where(np.all(idx[1:] < idx[0], axis=0), raw, 0.0)
     B = Tensor.from_dense(raw)
     s = (0.5 if problem == 5 else 1.01) * float(B.apply(ones).max())
-    return scale_problem(_shifted_identity(s, B), _uniform_open(rng, n))
+    return B, s, _uniform_open(rng, n)
+
+
+def reference_problem(problem, m, n, seed):
+    """``scale_problem(_shifted_identity(s, B), b)`` from the generator's
+    own draws, with ``B`` and ``s`` rebuilt here."""
+    B, s, b = reference_parts(problem, m, n, seed)
+    return scale_problem(_shifted_identity(s, B), b)
 
 
 GENERATORS = {1: gen_problem1, 2: gen_problem2, 4: gen_problem4,
               5: gen_problem5}
 
 
+def check_shifted_scaled(monkeypatch, B, s, b):
+    """``_shifted_scaled(s, B, b)`` against ``_shifted_identity(s, B)``
+    scaled the long way, with the facts it hands on read afresh."""
+    handed = []
+    build = Tensor._from_scaled_buffer.__func__
+
+    def spy(cls, array, factor, facts):
+        handed.append(dict(facts))
+        return build(cls, array, factor, facts)
+    with monkeypatch.context() as patch:
+        patch.setattr(Tensor, "_from_scaled_buffer", classmethod(spy))
+        A, omega = _shifted_scaled(s, B.to_dense_array(), b)
+    shifted = _shifted_identity(s, B)
+    (facts,) = handed
+    assert facts["is_z_tensor"] is shifted.is_z_tensor()
+    if np.isnan(shifted.max_abs()):
+        assert np.isnan(facts["max_abs"]) and np.isnan(omega)
+        assert np.isnan(A.dense_values).all()
+        return
+    assert float(facts["max_abs"]).hex() == float(shifted.max_abs()).hex()
+    want_omega = _scale_factor(shifted.max_abs(), b)
+    assert float(omega).hex() == float(want_omega).hex()
+    want = shifted.scaled(1.0 / want_omega)
+    assert A.dense_values.tobytes() == want.dense_values.tobytes()
+
+
 @pytest.mark.parametrize("m,n", [(3, 30), (4, 8), (5, 6)])
 @pytest.mark.parametrize("problem", [1, 2, 4, 5])
-def test_generator_matches_the_scaled_shift_bitwise(problem, m, n):
+def test_generator_matches_the_scaled_shift_bitwise(problem, m, n,
+                                                    monkeypatch):
     for seed in (0, 5):
         got = GENERATORS[problem](m, n, seed)
         want = reference_problem(problem, m, n, seed)
@@ -178,6 +212,15 @@ def test_generator_matches_the_scaled_shift_bitwise(problem, m, n):
         fresh = Tensor.from_dense(got.A.to_dense_array())
         assert float(got.A.max_abs()).hex() == float(fresh.max_abs()).hex()
         assert got.A.is_z_tensor() is fresh.is_z_tensor() is True
+    # the same build over B with a negative entry or a NaN put in, off and
+    # on the diagonal: the Z sign reads only the off-diagonal entries, and
+    # a NaN makes max_abs NaN
+    B, s, b = reference_parts(problem, m, n, 0)
+    for where in ((0,) * (m - 1) + (n - 1,), (n - 1,) * m):
+        for value in (-0.25, np.nan):
+            entries = B.to_dense_array()
+            entries[where] = value
+            check_shifted_scaled(monkeypatch, Tensor.from_dense(entries), s, b)
 
 
 def test_problem2_keeps_scale_problem_when_b_outgrows_the_tensor():

@@ -281,13 +281,15 @@ def test_scaled_carries_facts_equal_to_fresh_ones():
         dense = Tensor.from_dense(a)
         for t in (dense, dense.to_coo()):
             _facts(t)
+            assert "_ones_image" in t._facts
             for f in FACTORS:
                 with np.errstate(over="ignore", invalid="ignore"):
                     s = t.scaled(f)
                     carried = set(s._facts)
                     got, want = _facts(s), _facts(_fresh(s))
                 assert _same_facts(got, want), (label, t.storage, f)
-                # Z = False and the dominance test are read from the entries
+                # Z = False, the dominance test and the image A e^{m-1} it
+                # reads are read from the entries
                 expect = {"max_abs", "_diagonal"} | (
                     {"is_z_tensor"} if t.is_z_tensor() else set())
                 assert carried == expect, (label, t.storage, f)
@@ -328,6 +330,15 @@ def test_facts_are_computed_once(monkeypatch):
     d = t.diagonal()
     d[:] = 0.0
     assert t.diagonal().tobytes() == first[3].tobytes()
+
+
+def test_ones_image_is_the_read_only_apply_of_all_ones():
+    for t in (Tensor.from_dense(random_dense(3, 5, seed=2)),
+              Tensor.from_dense(random_dense(4, 3, seed=3)).to_coo()):
+        image = t._ones_image()
+        assert image.tobytes() == t.apply(np.ones(t.dim)).tobytes()
+        assert not image.flags.writeable
+        assert t._ones_image() is image
 
 
 def test_from_dense_stores_the_array_read_only():

@@ -29,11 +29,11 @@ the same rule.
 Every full pass over a dense tensor of at least ``_PARALLEL_MIN_BYTES``
 (the contraction kernels here, and the generators' passes in
 :mod:`mteq.problems`) runs through :func:`_over_spans`.  It cuts the
-leading axis into at most ``_WORKERS`` contiguous spans, one per CPU this
-process may run on, and runs them on threads of one process.  Each output
-entry is computed by one thread, with the same operations in the same
-order as on one thread, so results do not depend on the number of
-threads.
+leading axis into contiguous spans of about ``_SPAN_BYTES``, which up to
+``_WORKERS`` threads of one process, one per CPU this process may run on,
+take one at a time.  Each output entry is computed by one thread, with
+the same operations in the same order as on one thread, so results do not
+depend on the number of threads or on which thread ran which span.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -70,6 +71,10 @@ _FUSED_BLOCK_BYTES = 1 << 20
 # Passes over fewer bytes than this stay on the calling thread, where
 # handing them to other threads would cost more than it saves.
 _PARALLEL_MIN_BYTES = 4 << 20
+# Bytes per span of a parallel pass: small enough that threads finish
+# within a span of each other, large enough that taking a span costs
+# little next to running it.
+_SPAN_BYTES = 4 << 20
 # Threads per pass: the CPUs this process may run on, up to a cap.
 _MAX_WORKERS = 8
 _WORKERS = min(_MAX_WORKERS, (len(os.sched_getaffinity(0))
@@ -124,25 +129,46 @@ def _over_spans(task, length, nbytes, step=1) -> list:
     ``range(length)``, in order.
 
     A pass over at least ``_PARALLEL_MIN_BYTES`` (``nbytes``) is cut into
-    at most ``_WORKERS`` spans, each but the last a multiple of ``step``
-    long, so that no span is shorter than ``step``.  The calling thread
-    runs the first span and the module's pool the others; a smaller pass
-    is one span on the calling thread.  Tasks must write disjoint parts of
-    their outputs and must not call this function.
+    spans of about ``_SPAN_BYTES``, at least one per thread and each but
+    the last a multiple of ``step`` long, so that no span is shorter than
+    ``step``.  The calling thread and ``_WORKERS - 1`` threads of the
+    module's pool take the spans one at a time, in order, until none is
+    left, so a thread that runs slowly holds the pass up by one span at
+    most, and one that has not started when the spans run out is not
+    waited for; which thread runs a span changes no result.  A
+    smaller pass is one span on the calling thread.  Tasks must write
+    disjoint parts of their outputs and must not call this function.
     """
     units = length // step
     parts = min(_WORKERS, units) if nbytes >= _PARALLEL_MIN_BYTES else 1
     if parts <= 1:
         return [task(0, length)]
-    cuts = [step * (units * k // parts) for k in range(parts)] + [length]
+    count = min(units, max(parts, nbytes // _SPAN_BYTES))
+    cuts = [step * (units * k // count) for k in range(count)] + [length]
+    spans = list(zip(cuts, cuts[1:]))
+    results = [None] * count
+    lock = threading.Lock()
+    claims = iter(range(count))
+
+    def drain():
+        while True:
+            with lock:
+                k = next(claims, None)
+            if k is None:
+                return
+            results[k] = task(*spans[k])
+
     pool = _executor()
-    rest = [pool.submit(task, start, stop)
-            for start, stop in zip(cuts[1:-1], cuts[2:])]
+    helpers = [pool.submit(drain) for _ in range(parts - 1)]
     try:
-        first = task(cuts[0], cuts[1])
+        drain()
     finally:
-        wait(rest)
-    return [first] + [f.result() for f in rest]
+        # a helper that has not started would find no span left
+        started = [helper for helper in helpers if not helper.cancel()]
+        wait(started)
+    for helper in started:
+        helper.result()
+    return results
 
 
 def _fact(method):

@@ -4,6 +4,9 @@ small or COO tensors start no thread."""
 
 import itertools
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ WORKERS = (1, 2, 3)
 
 
 class CountingPool:
-    """Wraps the module's pool and counts the spans handed to it."""
+    """Wraps the module's pool and counts the tasks handed to it."""
 
     def __init__(self, pool):
         self.pool = pool
@@ -32,10 +35,11 @@ class CountingPool:
 
 @pytest.fixture
 def spans(monkeypatch):
-    """``run(w, fn, *args)``: ``fn(*args)`` with every pass cut into
-    ``w`` threads' spans; ``run.submitted`` counts the spans other threads
-    ran."""
+    """``run(w, fn, *args)``: ``fn(*args)`` with every pass run on ``w``
+    threads, cut into spans of one step each when ``w > 1``;
+    ``run.submitted`` counts the threads handed a share of a pass."""
     monkeypatch.setattr(tensor, "_PARALLEL_MIN_BYTES", 0)
+    monkeypatch.setattr(tensor, "_SPAN_BYTES", 1)
     counting = CountingPool(tensor._executor())
     monkeypatch.setattr(tensor, "_executor", lambda: counting)
 
@@ -53,17 +57,52 @@ def spans(monkeypatch):
 
 def test_over_spans_covers_the_range_in_order(monkeypatch):
     monkeypatch.setattr(tensor, "_PARALLEL_MIN_BYTES", 0)
-    for w, length, step in itertools.product((1, 2, 3, 5), (1, 7, 33, 100),
-                                             (1, 4, 16)):
+    monkeypatch.setattr(tensor, "_SPAN_BYTES", 10)
+    for w, length, step, nbytes in itertools.product(
+            (1, 2, 3, 5), (1, 7, 33, 100), (1, 4, 16), (0, 60, 1000)):
         monkeypatch.setattr(tensor, "_WORKERS", w)
-        got = _over_spans(lambda a, b: (a, b), length, 0, step)
+        got = _over_spans(lambda a, b: (a, b), length, nbytes, step)
         assert got[0][0] == 0 and got[-1][1] == length
         assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
-        assert len(got) == max(1, min(w, length // step))
+        units = length // step
+        if min(w, units) > 1:
+            assert len(got) == min(units, max(w, nbytes // 10))
+        else:
+            assert len(got) == 1
         # every span but the last is a whole number of steps, and none
         # is shorter than a step unless the range is
         assert all((b - a) % step == 0 for a, b in got[:-1])
         assert all(b - a >= min(step, length) for a, b in got)
+
+
+def test_a_thread_that_has_not_started_holds_up_no_pass(monkeypatch):
+    busy = ThreadPoolExecutor(max_workers=1)
+    release = threading.Event()
+    busy.submit(release.wait, 10)  # the pool's one thread is taken
+    handed = []
+
+    def submit(fn):
+        handed.append(busy.submit(fn))
+        return handed[-1]
+    monkeypatch.setattr(tensor, "_PARALLEL_MIN_BYTES", 0)
+    monkeypatch.setattr(tensor, "_SPAN_BYTES", 1)
+    monkeypatch.setattr(tensor, "_executor",
+                        lambda: SimpleNamespace(submit=submit))
+    monkeypatch.setattr(tensor, "_WORKERS", 3)
+    ran = []
+
+    def task(a, b):
+        ran.append((a, b))
+        return a
+    try:
+        assert _over_spans(task, 10, 5) == [0, 2, 4, 6, 8]
+        # the calling thread ran every span and did not wait for the others
+        assert ran == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]
+        assert len(handed) == 2 and all(f.cancelled() for f in handed)
+        assert not release.is_set()
+    finally:
+        release.set()
+        busy.shutdown()
 
 
 @pytest.mark.parametrize("m,n", [(3, 5), (2, 7), (4, 3), (3, 9), (5, 3)])

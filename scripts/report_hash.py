@@ -9,8 +9,11 @@ the trace records, both residuals, ``stop_threshold``, ``message`` and
 as raw float64 bytes, and ``iterations``); initializer failures enter the
 hash through their message.  Last come the exit code and standard output
 of ``mteq verify --rhs`` on problem files written by ``write_problem``,
-and then the generated instances themselves: the raw float64 bytes of
-``A`` and ``b``, ``omega`` and whether a certificate is attached.
+the bytes of the ``tensor.mt`` and ``rhs.vec`` files that ``write_problem``
+writes, the output of ``mteq solve`` from a tensor written as
+``tensor.npy``, and then the generated instances themselves: the raw
+float64 bytes of ``A`` and ``b``, ``omega`` and whether a certificate is
+attached.
 
 The ensemble:
 
@@ -25,6 +28,15 @@ The ensemble:
   problem that violates the zero-row coupling assumption;
 - ``mteq verify`` on P1, P2, P4 and P5 at (3, 8), seed 0, and on P3 at
   n = 24;
+- the files ``write_problem`` writes for P1, P2, P4 and P5 at (3, 8) and
+  (4, 20), seed 0, and for P3 at n = 24, each with its tensor stored dense
+  and as COO;
+- the exit code, standard output, solution file and trace (without its
+  wall-clock column) of ``mteq solve --trace`` from ``tensor.npy`` for P1
+  at (3, 30), seed 0, and P5 at (3, 30), seed 0, half-zeroed.  Versions
+  of mteq without the ``.npy`` format write and read that file as text,
+  so the same hash on both sides of a change to the formats shows that a
+  solve from ``.npy`` gives the bits of a solve from text;
 - the instances of P1, P2, P4 and P5 at (3, 200), seeds 0 to 2, each with
   its generated ``b`` and half-zeroed, each followed by its solves with
   the default config.
@@ -39,6 +51,7 @@ Run from the repository root:
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import os
@@ -139,6 +152,48 @@ def verify_outputs():
             yield f"{code}|{buf.getvalue()}".encode()
 
 
+def written_files():
+    """Bytes of the tensor and right-hand side files of ``write_problem``."""
+    problems = [getattr(mteq, f"gen_problem{k}")(m, n, 0)
+                for m, n in ((3, 8), (4, 20)) for k in (1, 2, 4, 5)]
+    problems.append(mteq.gen_problem3(24))
+    with tempfile.TemporaryDirectory() as tmp:
+        for p in problems:
+            other = p.A.to_coo() if p.A.is_dense else p.A.to_dense()
+            for A in (p.A, other):
+                q = mteq.make_problem(A, p.b, omega=p.omega)
+                mteq.write_problem(tmp, q, {})
+                for name in ("tensor.mt", "rhs.vec"):
+                    with open(os.path.join(tmp, name), "rb") as fh:
+                        yield fh.read()
+
+
+def npy_solves():
+    """Exit code, output, solution and trace of ``mteq solve`` from
+    ``tensor.npy``."""
+    p1 = mteq.gen_problem1(3, 30, 0)
+    p5 = mteq.gen_problem5(3, 30, 0)
+    p5 = mteq.make_problem(p5.A, mteq.zero_out_rhs(p5.b, 0, keep=(0,)),
+                           omega=p5.omega)
+    with tempfile.TemporaryDirectory() as tmp:
+        for p in (p1, p5):
+            mteq.write_problem(tmp, p, {})
+            tensor = os.path.join(tmp, "tensor.npy")
+            mteq.write_tensor(tensor, p.A)
+            solution = os.path.join(tmp, "x.vec")
+            trace = os.path.join(tmp, "trace.csv")
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli_main(["solve", tensor, os.path.join(tmp, "rhs.vec"),
+                                 "--solution", solution, "--trace", trace])
+            with open(solution, "rb") as fh:
+                x = fh.read()
+            with open(trace, newline="") as fh:
+                rows = [[v for k, v in row.items() if k != "elapsed_ms"]
+                        for row in csv.DictReader(fh)]
+            yield f"{code}|{buf.getvalue()}|{rows}".encode() + x
+
+
 def ensemble():
     for p in dense_problems():
         for cfg in CONFIGS:
@@ -151,6 +206,8 @@ def ensemble():
             yield from solves(mteq.gen_problem3(n, c0, c1), STENCIL_CONFIG)
     yield from bad_starts()
     yield from verify_outputs()
+    yield from written_files()
+    yield from npy_solves()
     for p in dense_problems(sizes=((3, 200),), seeds=range(3)):
         yield instance_bytes(p)
         yield from solves(p, CONFIGS[0])

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Four subcommands: ``solve`` runs either solver on ``.mt``/``.vec`` files,
-``gen`` materializes benchmark instances, ``verify`` reports the structural
-certificates of a tensor, and ``bench`` aggregates seeded trials into the
-iteration/time tables.
+Four subcommands: ``solve`` runs either solver on a tensor file (``.mt``
+text or dense ``.npy``) and a ``.vec`` file, ``gen`` materializes benchmark
+instances, ``verify`` reports the structural certificates of a tensor, and
+``bench`` aggregates seeded trials into the iteration/time tables.
 
 Exit codes of ``solve``: 0 converged, 2 iteration cap, 3 infeasibility or a
 structural refusal, 1 file errors.  ``verify`` exits 0 only when a strong
@@ -23,8 +23,8 @@ import numpy as np
 from .initializer import InitializationError, find_certificate, initial_point
 from .model import (MTeqProblem, SolverConfig, check_assumption, make_problem,
                     scale_problem)
-from .problems import (gen_problem1, gen_problem2, gen_problem3, gen_problem4,
-                       gen_problem5, write_problem, zero_out_rhs)
+from .problems import (TENSOR_FILES, gen_problem1, gen_problem2, gen_problem3,
+                       gen_problem4, gen_problem5, write_problem, zero_out_rhs)
 from .report import SolveReport, SolveStatus, estimate_order, write_trace_csv
 from .solver_basic import solve_positive
 from .solver_extended import solve_nonnegative
@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve A x^{m-1} = b from files")
-    p_solve.add_argument("tensor", help="coefficient tensor (.mt)")
+    p_solve.add_argument("tensor",
+                         help="coefficient tensor (.mt text or dense .npy)")
     p_solve.add_argument("rhs", help="right-hand side (.vec)")
     p_solve.add_argument("--solution", default="solution.vec",
                          help="output path for the solution vector")
@@ -100,11 +101,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--keep", default=None,
                        help="comma-separated 1-based indices kept positive "
                             "when zeroing (default: 1 for problem 5)")
+    p_gen.add_argument("--format", choices=sorted(TENSOR_FILES), default="text",
+                       help="tensor file: tensor.mt text (default) or "
+                            "tensor.npy binary, dense tensors only")
     p_gen.add_argument("--out", required=True, help="output directory")
 
     p_verify = sub.add_parser("verify",
                               help="report structural certificates of a tensor")
-    p_verify.add_argument("tensor", help="coefficient tensor (.mt)")
+    p_verify.add_argument("tensor",
+                          help="coefficient tensor (.mt text or dense .npy)")
     p_verify.add_argument("--rhs", default=None,
                           help="optional right-hand side for the coupling check")
 
@@ -231,6 +236,9 @@ def cmd_gen(args) -> int:
         keep = _parse_keep(args.keep, args.n, args.problem)
         p = _generate(args.problem, args.m, args.n, args.seed, args.c0, args.c1)
         p = _apply_zeroing(p, args.zero_frac, keep, args.seed)
+        if args.format == "npy" and not p.A.is_dense:
+            raise ValueError(f"problem {args.problem} has a COO tensor; "
+                             f"--format npy holds dense tensors only")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP  # usage-level error
@@ -245,11 +253,12 @@ def cmd_gen(args) -> int:
         },
     }
     try:
-        write_problem(args.out, p, manifest)
+        write_problem(args.out, p, manifest, fmt=args.format)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote tensor.mt, rhs.vec, manifest.json to {args.out}")
+    print(f"wrote {TENSOR_FILES[args.format]}, rhs.vec, manifest.json "
+          f"to {args.out}")
     return EXIT_OK
 
 

@@ -25,7 +25,9 @@ in the coordinates ``log x^{m-1}``, so every iterate stays positive
 however far the extrapolation reaches; a mixed iterate that is not finite
 is replaced by the plain Jacobi value and the history restarts.  Each
 sweep costs one contraction ``A x^{m-1}``, shared by the positivity test
-and the next Jacobi value.
+and the next Jacobi value; sweep 0, at the all-ones vector, reads the
+image the tensor cached for its dominance test, and the feasible start
+reuses the image of the last sweep.
 """
 
 from __future__ import annotations
@@ -151,6 +153,16 @@ def find_certificate(A: Tensor, rhs=None, max_sweeps=MAX_SWEEPS):
     iterates diverge, or when the sweep cap runs out; the message then
     gives how close the last iterate came to passing the test.
     """
+    u, sweeps, _ = _sweep(A, rhs, max_sweeps)
+    return u, sweeps
+
+
+def _sweep(A: Tensor, rhs=None, max_sweeps=MAX_SWEEPS):
+    """:func:`find_certificate`'s ``(u, sweeps)`` with the image
+    ``A u^{m-1}`` of its last sweep, so that :func:`initial_point` does not
+    contract the tensor at ``u`` again.  Sweep 0 reads the all-ones image
+    that the tensor caches (:meth:`~mteq.tensor.Tensor._ones_image`).
+    """
     e = np.ones(A.dim)
     if rhs is None:
         target = e
@@ -177,11 +189,11 @@ def find_certificate(A: Tensor, rhs=None, max_sweeps=MAX_SWEEPS):
     # Overflow is caught below by the finiteness tests.
     with np.errstate(over="ignore", invalid="ignore"):
         for sweep in range(cap + 1):
-            ax = A.apply(x)
+            ax = A.apply(x) if sweep else A._ones_image()
             if not np.all(np.isfinite(ax)):
                 raise _diverged(sweep)
             if np.all(ax > floor):
-                return x, sweep
+                return x, sweep, ax
             if sweep == cap:
                 break
             w = _jacobi_power(d, target, xm, ax)
@@ -220,11 +232,11 @@ def initial_point(p: MTeqProblem, cfg: SolverConfig | None = None) -> InitialPoi
     sweeps for it.  Raises :class:`InitializationError` when no
     certificate vector exists within the sweep cap or the constructed
     point fails the feasibility check it was built to satisfy.  The image
-    ``A u^{m-1}`` of the all-ones certificate is read from the tensor's
-    cached dominance test instead of a new contraction.  That
-    check evaluates ``y0`` and leaves its record in the problem's memo,
-    so a solver started from ``x0`` or ``y0`` does not contract the
-    tensor at the start again.
+    ``A u^{m-1}`` is not contracted again: it is the last sweep's, or for
+    the all-ones certificate the one the tensor's dominance test cached.
+    The feasibility check evaluates ``y0`` and leaves its record in the
+    problem's memo, so a solver started from ``x0`` or ``y0`` does not
+    contract the tensor at the start again.
     """
     cfg = cfg or SolverConfig()
     part = p.partition
@@ -233,10 +245,10 @@ def initial_point(p: MTeqProblem, cfg: SolverConfig | None = None) -> InitialPoi
             "right-hand side has no positive components; only x = 0 could solve this")
     if p.certificate is not None:
         u, sweeps = p.certificate, 0
+        au = p.A._ones_image() if np.all(u == 1.0) else p.A.apply(u)
     else:
         target = p.b if part.i_zero.size == 0 else None
-        u, sweeps = find_certificate(p.A, rhs=target)
-    au = p.A._ones_image() if np.all(u == 1.0) else p.A.apply(u)
+        u, sweeps, au = _sweep(p.A, rhs=target)
     if au.min() <= 0.0:
         raise InitializationError("certificate vector lost positivity of its image")
     m = p.m

@@ -384,6 +384,11 @@ def check_assumption(p: MTeqProblem) -> AssumptionReport:
     Rows with ``b_i = 0`` can only be driven to a positive solution if they
     couple to the positive-indexed variables: some ``a[i, i2, .., im] != 0``
     with every trailing index in ``I+``.  Vacuously true when ``b > 0``.
+
+    Dense storage views each zero row's slab ``a[i]`` as rows of its last
+    index and reads the rows whose other indices lie in ``I+``, in blocks
+    that double in size, until one has a nonzero entry in the ``I+``
+    columns: usually the first row settles it.
     """
     part = p.partition
     iplus = part.i_plus
@@ -391,11 +396,14 @@ def check_assumption(p: MTeqProblem) -> AssumptionReport:
     if part.i_zero.size:
         A = p.A
         if A.is_dense:
-            block = tuple([iplus] * (A.order - 1))
+            n = A.dim
+            # flat row numbers of the index tuples in I+^{m-2}, in C order
+            rows = np.zeros(1, dtype=np.int64)
+            for _ in range(A.order - 2):
+                rows = (rows[:, None] * n + iplus).ravel()
             dense = A.dense_values
             for i in part.i_zero:
-                sub = dense[int(i)][np.ix_(*block)] if iplus.size else np.zeros(0)
-                if not np.any(sub != 0.0):
+                if not _couples(dense[int(i)].reshape(-1, n), rows, iplus):
                     missing.append(int(i))
         else:
             idx = A.coo_indices
@@ -410,3 +418,16 @@ def check_assumption(p: MTeqProblem) -> AssumptionReport:
     return AssumptionReport(ok=not missing, missing=tuple(missing),
                             i_plus_size=int(iplus.size),
                             i_zero_size=int(part.i_zero.size))
+
+
+def _couples(slab, rows, cols) -> bool:
+    """Whether some row ``slab[r]``, ``r`` in ``rows``, has a nonzero entry
+    in ``cols``; rows are read in blocks of 1, 2, 4, ... until one does."""
+    start, size = 0, 1
+    while start < rows.size:
+        block = slab[rows[start:start + size]]
+        if np.any(block[:, cols]):
+            return True
+        start += size
+        size *= 2
+    return False

@@ -386,10 +386,19 @@ def zero_out_rhs(b, seed, keep=(), fraction=0.5) -> np.ndarray:
     return b
 
 
-def write_problem(outdir, p: MTeqProblem, manifest: dict) -> None:
-    """Write ``tensor.mt``, ``rhs.vec`` and ``manifest.json`` into a directory."""
+# File name of the tensor that write_problem writes, per format.
+TENSOR_FILES = {"text": "tensor.mt", "npy": "tensor.npy"}
+
+
+def write_problem(outdir, p: MTeqProblem, manifest: dict, fmt="text") -> None:
+    """Write the tensor, ``rhs.vec`` and ``manifest.json`` into a directory.
+
+    The tensor goes to ``TENSOR_FILES[fmt]``: ``tensor.mt`` text, or
+    ``tensor.npy`` for ``fmt="npy"``, which holds dense tensors only
+    (:func:`~mteq.tensor.write_tensor` raises ``ValueError`` for COO).
+    """
     os.makedirs(outdir, exist_ok=True)
-    write_tensor(os.path.join(outdir, "tensor.mt"), p.A)
+    write_tensor(os.path.join(outdir, TENSOR_FILES[fmt]), p.A)
     write_vector(os.path.join(outdir, "rhs.vec"), p.b)
     payload = dict(manifest)
     payload.setdefault("m", p.m)

@@ -39,9 +39,12 @@ depend on the number of threads or on which thread ran which span.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import math
 import os
+import re
+import stat
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -102,7 +105,7 @@ def check_dense_size(order, dim) -> None:
 
 
 class FormatError(ValueError):
-    """A ``.mt`` or ``.vec`` file could not be parsed."""
+    """A ``.mt``, ``.npy`` or ``.vec`` file could not be parsed."""
 
 
 def _executor() -> ThreadPoolExecutor:
@@ -764,27 +767,78 @@ def nqz_spectral_radius(t: Tensor, tol=1e-10, max_iter=5000):
 #          coo:     <count> lines of "i1 .. im value" with 1-based indices
 # ``.vec`` line 1:  <n>
 #          then:    n values
-# Writers emit 17 significant digits, which round-trips IEEE doubles.
+# ``.npy``          numpy's own format (NEP 1) for dense tensors only: a
+#                   header giving dtype '<f8', C order and shape (n,)*m,
+#                   then the n**m values as raw little-endian float64 in
+#                   the order of the dense text body.
+# Text writers emit 17 significant digits, which round-trips IEEE doubles.
+#
+# No file body is held as one Python object per value.  Text readers parse
+# bodies in chunks of about _TEXT_CHUNK_BYTES straight into the result, and
+# text writers format about _TEXT_CHUNK_VALUES values per ``%`` call.
+# read_tensor tells a .npy file from text by its magic bytes, whatever its
+# name, and reads its body into private memory.  It does not memory-map
+# the file: the finiteness test reads every page anyway, and a map would
+# break (SIGBUS) when the same path is rewritten while the tensor lives.
+
+_TEXT_CHUNK_BYTES = 1 << 20
+_TEXT_CHUNK_VALUES = 1 << 16
+_WHITESPACE = (b" ", b"\n", b"\t", b"\r", b"\v", b"\f")
+_NOT_WHITESPACE = re.compile(rb"\S")
+_NPY_MAGIC = b"\x93NUMPY"
+_NPY_DTYPE = np.dtype("<f8")
+
 
 def write_tensor(path, t: Tensor) -> None:
+    """Write ``t`` to ``path``: as ``.npy`` when the path ends in
+    ``.npy`` (dense tensors only), otherwise as ``.mt`` text."""
+    if os.fspath(path).endswith(".npy"):
+        if not t.is_dense:
+            raise ValueError(f"{path}: .npy files hold dense tensors only; "
+                             f"write a COO tensor as .mt text")
+        with open(path, "wb") as fh:
+            np.lib.format.write_array(fh, t.dense_values, version=(1, 0),
+                                      allow_pickle=False)
+        return
     with open(path, "w") as fh:
         if t.is_dense:
             count = t.dim ** t.order
             fh.write(f"MT1 {t.order} {t.dim} dense {count}\n")
-            flat = t.dense_values.reshape(-1, t.dim)
-            np.savetxt(fh, flat, fmt="%.17g")
+            # one line per row of the last index, as np.savetxt wrote them
+            line = " ".join(["%.17g"] * t.dim) + "\n"
+            _write_chunks(fh, t.dense_values.reshape(-1, t.dim), line)
         else:
-            idx = t.coo_indices
-            vals = t.coo_values
-            fh.write(f"MT1 {t.order} {t.dim} coo {vals.shape[0]}\n")
-            for row, v in zip(idx, vals):
-                ones_based = " ".join(str(int(i) + 1) for i in row)
-                fh.write(f"{ones_based} {v:.17g}\n")
+            m, count = t.order, t.coo_values.shape[0]
+            fh.write(f"MT1 {m} {t.dim} coo {count}\n")
+            # 1-based indices as floats, which "%d" prints as integers
+            line = "%d " * m + "%.17g\n"
+            step = max(1, _TEXT_CHUNK_VALUES // (m + 1))
+            for start in range(0, count, step):
+                entries = np.column_stack([t.coo_indices[start:start + step] + 1,
+                                           t.coo_values[start:start + step]])
+                _write_chunks(fh, entries, line)
+
+
+def _write_chunks(fh, rows, line) -> None:
+    """Write each row of the 2-D array ``rows`` with the ``%`` template
+    ``line``, one ``%`` call per chunk of rows."""
+    step = max(1, _TEXT_CHUNK_VALUES // max(1, rows.shape[1]))
+    for start in range(0, rows.shape[0], step):
+        chunk = rows[start:start + step]
+        fh.write(line * chunk.shape[0] % tuple(chunk.ravel().tolist()))
 
 
 def read_tensor(path) -> Tensor:
-    with open(path) as fh:
-        header = fh.readline()
+    """Read a tensor from ``.mt`` text or, told apart by its magic bytes,
+    a dense ``.npy`` file.
+
+    Raises :class:`FormatError` naming the file for any malformed header
+    or body, a dense size above :func:`dense_cap`, or a non-finite entry.
+    """
+    with open(path, "rb") as fh:
+        if fh.peek(len(_NPY_MAGIC))[:len(_NPY_MAGIC)] == _NPY_MAGIC:
+            return Tensor.from_dense(_read_npy(fh, path))
+        header = fh.readline().decode(errors="replace")
         parts = header.split()
         if len(parts) != 5 or parts[0] != "MT1":
             raise FormatError(
@@ -804,65 +858,123 @@ def read_tensor(path) -> Tensor:
             if count != expected:
                 raise FormatError(
                     f"{path}:1: dense count {count} does not match n**m = {expected}")
-            try:
-                check_dense_size(m, n)
-            except ValueError as exc:
-                raise FormatError(f"{path}: {exc}") from None
-            try:
-                values = np.array(fh.read().split(), dtype=float)
-            except ValueError:
-                raise FormatError(f"{path}: malformed value in dense body") from None
-            if values.size != expected:
-                raise FormatError(
-                    f"{path}: expected {expected} values, found {values.size}")
+            _check_dense_cap(path, m, n)
+            values = _read_text_values(fh, path, expected, "dense body")
             _check_finite_body(path, values, (n,) * m)
             return Tensor.from_dense(values.reshape((n,) * m))
-        rows = []
-        vals = []
-        lineno = 1
-        for line in fh:
-            lineno += 1
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != m + 1:
-                raise FormatError(
-                    f"{path}:{lineno}: expected {m} indices and a value, "
-                    f"got {len(tokens)} fields")
-            try:
-                tup = [int(tok) for tok in tokens[:m]]
-                val = float(tokens[m])
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: malformed entry") from None
-            if any(i < 1 or i > n for i in tup):
-                raise FormatError(
-                    f"{path}:{lineno}: index out of range 1..{n}")
-            if not math.isfinite(val):
-                raise FormatError(
-                    f"{path}:{lineno}: non-finite entry {val} at index "
-                    f"({', '.join(map(str, tup))})")
-            rows.append([i - 1 for i in tup])
-            vals.append(val)
-        if len(vals) != count:
+        return _read_coo_body(io.TextIOWrapper(fh), path, m, n, count)
+
+
+def _read_coo_body(fh, path, m, n, count) -> Tensor:
+    """The ``count`` entries of a COO body, one text line each."""
+    rows = []
+    vals = []
+    lineno = 1
+    for line in fh:
+        lineno += 1
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != m + 1:
             raise FormatError(
-                f"{path}: header promised {count} entries, found {len(vals)}")
+                f"{path}:{lineno}: expected {m} indices and a value, "
+                f"got {len(tokens)} fields")
         try:
-            return Tensor.from_coo(m, n, rows, vals)
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+            tup = [int(tok) for tok in tokens[:m]]
+            val = float(tokens[m])
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: malformed entry") from None
+        if any(i < 1 or i > n for i in tup):
+            raise FormatError(
+                f"{path}:{lineno}: index out of range 1..{n}")
+        if not math.isfinite(val):
+            raise FormatError(
+                f"{path}:{lineno}: non-finite entry {val} at index "
+                f"({', '.join(map(str, tup))})")
+        rows.append([i - 1 for i in tup])
+        vals.append(val)
+    if len(vals) != count:
+        raise FormatError(
+            f"{path}: header promised {count} entries, found {len(vals)}")
+    try:
+        return Tensor.from_coo(m, n, rows, vals)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _check_dense_cap(path, m, n) -> None:
+    """:func:`check_dense_size` for a file, as a :class:`FormatError`."""
+    try:
+        check_dense_size(m, n)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _read_npy(fh, path) -> np.ndarray:
+    """The array of a dense ``.npy`` file, checked before it is allocated.
+
+    The header must give dtype ``'<f8'``, C order and a shape ``(n,)*m``
+    with ``m >= 2``, ``n >= 1`` and ``n**m`` within :func:`dense_cap`, and
+    the file must hold exactly ``n**m`` values after it.  The body is read
+    into a new array, not mapped.
+    """
+    fmt = np.lib.format
+    try:
+        version = fmt.read_magic(fh)
+        if version == (1, 0):
+            shape, fortran, dtype = fmt.read_array_header_1_0(fh)
+        elif version == (2, 0):
+            shape, fortran, dtype = fmt.read_array_header_2_0(fh)
+        else:
+            raise ValueError(f"unsupported version {version}")
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"{path}: malformed .npy header: {exc}") from None
+    if dtype.hasobject:
+        raise FormatError(f"{path}: .npy body holds pickled Python objects; "
+                          f"only float64 values are read")
+    if dtype != _NPY_DTYPE:
+        raise FormatError(f"{path}: .npy dtype {dtype.str!r} is not "
+                          f"little-endian float64 ('<f8')")
+    if fortran:
+        raise FormatError(f"{path}: .npy body is in Fortran order; "
+                          f"only C order is read")
+    if len(shape) < 2 or shape[0] < 1 or any(s != shape[0] for s in shape):
+        raise FormatError(f"{path}: .npy shape {shape} is not (n,)*m "
+                          f"with m >= 2 and n >= 1")
+    _check_dense_cap(path, len(shape), shape[0])
+    body = math.prod(shape) * _NPY_DTYPE.itemsize
+    left = _bytes_left(fh)
+    if left is not None and left != body:
+        raise FormatError(f"{path}: .npy file has {left} bytes after its "
+                          f"header, expected {body} for shape {shape}")
+    values = np.empty(shape)
+    view = memoryview(values).cast("B")
+    done = 0
+    while done < body:
+        got = fh.readinto(view[done:])
+        if not got:
+            raise FormatError(
+                f"{path}: .npy body ended after {done} of {body} bytes")
+        done += got
+    if fh.read(1):
+        raise FormatError(f"{path}: .npy file has bytes after its body")
+    _check_finite_body(path, values, shape)
+    return values
 
 
 def write_vector(path, x) -> None:
+    """Write ``x`` as ``.vec`` text: its length, then one value per line."""
     x = np.asarray(x, dtype=float).ravel()
     with open(path, "w") as fh:
         fh.write(f"{x.size}\n")
-        for v in x:
-            fh.write(f"{v:.17g}\n")
+        _write_chunks(fh, x.reshape(-1, 1), "%.17g\n")
 
 
 def read_vector(path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline()
+    """Read a ``.vec`` text file; raises :class:`FormatError` naming the
+    file for a malformed header or body or a non-finite entry."""
+    with open(path, "rb") as fh:
+        header = fh.readline().decode(errors="replace")
         try:
             n = int(header.split()[0])
         except (IndexError, ValueError):
@@ -870,22 +982,69 @@ def read_vector(path) -> np.ndarray:
                 f"{path}:1: expected the vector length, got {header.strip()!r}") from None
         if n < 0:
             raise FormatError(f"{path}:1: negative length")
-        try:
-            values = np.array(fh.read().split(), dtype=float)
-        except ValueError:
-            raise FormatError(f"{path}: malformed value in vector body") from None
-        if values.size != n:
-            raise FormatError(f"{path}: expected {n} values, found {values.size}")
+        values = _read_text_values(fh, path, n, "vector body")
         _check_finite_body(path, values, (n,))
         return values
 
 
+def _read_text_values(fh, path, count, what) -> np.ndarray:
+    """The ``count`` whitespace-separated values that remain in the binary
+    file ``fh``, parsed in chunks of about ``_TEXT_CHUNK_BYTES``.
+
+    Each chunk is cut after its last whitespace byte, and the token it cuts
+    through is carried into the next chunk.  A chunk of whitespace only
+    holds no value (``np.fromstring`` would read one).  A token numpy
+    cannot parse raises :class:`FormatError` "malformed value"; so does
+    one that Python's ``float`` takes but numpy does not, such as
+    ``1_000``.
+    """
+    left = _bytes_left(fh)
+    # k values take at least 2k - 1 bytes, so a short file allocates less
+    out = np.empty(count if left is None else min(count, left // 2 + 1))
+    found = 0
+    tail = b""
+    while True:
+        block = fh.read(_TEXT_CHUNK_BYTES)
+        chunk = tail + block
+        if block:
+            cut = max(chunk.rfind(c) for c in _WHITESPACE) + 1
+            chunk, tail = chunk[:cut], chunk[cut:]
+        if _NOT_WHITESPACE.search(chunk):
+            try:
+                values = np.fromstring(chunk, sep=" ")
+            except ValueError:
+                raise FormatError(f"{path}: malformed value in {what}") from None
+            if found + values.size <= out.size:
+                out[found:found + values.size] = values
+            found += values.size
+        if not block:
+            break
+    if found != count:
+        raise FormatError(f"{path}: expected {count} values, found {found}")
+    return out
+
+
+def _bytes_left(fh):
+    """Bytes after the position of ``fh``; ``None`` unless it is a
+    regular file (a pipe, say)."""
+    st = os.fstat(fh.fileno())
+    return st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else None
+
+
 def _check_finite_body(path, values, shape) -> None:
     """Raise :class:`FormatError` naming the first non-finite entry of a
-    file body read in C order into ``values``, by its 1-based index."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        where = np.unravel_index(bad[0], shape)
+    file body read in C order into ``values``, by its 1-based index.
+
+    Tests ``_TEXT_CHUNK_VALUES`` values at a time, so no mask the size of
+    the body is allocated.
+    """
+    flat = values.reshape(-1)
+    for start in range(0, flat.size, _TEXT_CHUNK_VALUES):
+        part = flat[start:start + _TEXT_CHUNK_VALUES]
+        if np.isfinite(part).all():
+            continue
+        first = start + int(np.flatnonzero(~np.isfinite(part))[0])
+        where = np.unravel_index(first, shape)
         index = ", ".join(str(int(i) + 1) for i in where)
         raise FormatError(
-            f"{path}: non-finite entry {float(values[bad[0]])} at index ({index})")
+            f"{path}: non-finite entry {float(flat[first])} at index ({index})")

@@ -107,3 +107,18 @@ def two_var_bisection(dense, b, hi=100.0):
 
     x1 = _bisect(outer, 0.0, hi)
     return np.array([x1, inner(x1)])
+
+
+def missing_rows_blocks(dense, i_plus, i_zero):
+    """Zero rows without a coupling entry, by copying each row's whole
+    ``I+`` block: the dense test of ``check_assumption`` before it scanned
+    rows."""
+    dense = np.asarray(dense)
+    i_plus = np.asarray(i_plus, dtype=np.int64)
+    block = tuple([i_plus] * (dense.ndim - 1))
+    missing = []
+    for i in i_zero:
+        sub = dense[int(i)][np.ix_(*block)] if i_plus.size else np.zeros(0)
+        if not np.any(sub != 0.0):
+            missing.append(int(i))
+    return tuple(missing)

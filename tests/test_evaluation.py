@@ -139,14 +139,26 @@ def test_dense_record_costs_one_pass_before_its_jacobian():
 
 
 def test_initial_point_contracts_with_all_ones_once():
-    # P5 fails the dominance test: make_problem records that, and
-    # initial_point does not repeat it before its first splitting sweep
-    p, counted = counted_problem(gen_problem5(3, 12, 0))
+    # P5 fails the dominance test, which contracts with all ones once.
+    # Sweep 0 of the certificate search reads that image, every later
+    # sweep contracts once, and the start reuses the last sweep's image
+    # of the certificate instead of contracting at it again.
+    q = gen_problem5(3, 12, 0)
+    counted = CountingTensor(Tensor.from_dense(q.A.to_dense_array()))
+    p = make_problem(counted, q.b)
     assert p.certificate is None
     init = initial_point(p)
     assert init.iterations > 0
-    assert counted.at(np.ones(p.n)) == 1
-    assert np.array_equal(counted.calls["apply"][0], np.ones(p.n))
+    ones = np.ones(p.n)
+    assert counted.at(ones) == 1
+    assert np.array_equal(counted.calls["apply"][0], ones)
+    assert len(counted.calls["apply"]) == 1 + init.iterations
+    assert counted.at(init.u) == 1
+    # the feasibility check of the start is its record's one pass
+    x0 = hadamard_power(init.y0, 1.0 / (p.m - 1))
+    assert len(counted.calls["partial_and_jacobian"]) == counted.at(x0) == 1
+    assert not counted.calls["partial_contraction"]
+    assert not counted.calls["jacobian_matrix"]
 
 
 @pytest.mark.parametrize("gen", [gen_problem1, gen_problem4, gen_problem5])
@@ -160,10 +172,10 @@ def test_zeroed_rebuild_makes_no_contraction(gen):
     assert (q.certificate is None) == (p.certificate is None)
 
 
-def test_verify_contracts_the_file_tensor_with_all_ones_twice(tmp_path,
-                                                              monkeypatch):
-    # the printed dominance test and sweep 0 of the certificate search;
-    # the problem built for --rhs reuses the cached dominance test
+def test_verify_contracts_the_file_tensor_with_all_ones_once(tmp_path,
+                                                             monkeypatch):
+    # the printed dominance test; sweep 0 of the certificate search and
+    # the problem built for --rhs read the image it cached
     p = gen_problem5(3, 8, 0)
     write_problem(tmp_path, p, {})
     loaded, applied = [], []
@@ -183,7 +195,7 @@ def test_verify_contracts_the_file_tensor_with_all_ones_twice(tmp_path,
     assert code == cli.EXIT_OK
     (A,) = loaded
     ones = np.ones(p.n)
-    assert sum(t is A and np.array_equal(x, ones) for t, x in applied) == 2
+    assert sum(t is A and np.array_equal(x, ones) for t, x in applied) == 1
 
 
 @pytest.mark.parametrize("m,n", [(3, 9), (4, 6), (5, 5)])

@@ -10,7 +10,7 @@ from mteq import (MTeqProblem, SingularMatrixError, SolverConfig, Tensor,
                   residual_jacobian, scale_problem, zero_block_threshold)
 from mteq.problems import gen_problem1
 
-from oracles import fd_jacobian
+from oracles import fd_jacobian, missing_rows_blocks
 
 
 def small_problem(b=(1.0, 1.0)):
@@ -171,3 +171,28 @@ def test_check_assumption():
     assert 1 in rep.missing or (1,) == rep.missing  # 0-based row 1 lacks coupling
     # all-positive b: nothing to check
     assert check_assumption(small_problem()).ok
+
+
+@pytest.mark.parametrize("m,n", [(2, 9), (3, 7), (4, 5)])
+def test_check_assumption_matches_block_copies(m, n):
+    # sparse random Z-tensors, with -0.0 entries, so that some zero rows
+    # couple to I+ and some do not, on dense and on COO storage
+    rng = np.random.default_rng(10 * m + n)
+    seen = set()
+    for density in (0.01, 0.05, 0.2, 1.0):
+        for _ in range(4):
+            a = -rng.uniform(0.1, 1.0, size=(n,) * m)
+            a[rng.random(a.shape) >= density] = 0.0
+            a[rng.random(a.shape) < 0.1] = -0.0
+            a[(np.arange(n),) * m] = n
+            b = rng.uniform(0.5, 1.0, size=n) * (rng.random(n) < 0.5)
+            b[rng.integers(n)] = 1.0
+            part = partition_indices(b)
+            expect = missing_rows_blocks(a, part.i_plus, part.i_zero)
+            dense = Tensor.from_dense(a)
+            for t in (dense, dense.to_coo()):
+                rep = check_assumption(make_problem(t, b))
+                assert rep.missing == expect
+                assert rep.ok == (not expect)
+            seen.add(bool(expect))
+    assert seen == {True, False}

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initializer import InitializationError, find_certificate, initial_point
-from .model import (MTeqProblem, SolverConfig, check_assumption, make_problem,
-                    scale_problem)
+from .model import MTeqProblem, SolverConfig, make_problem, scale_problem
 from .problems import (TENSOR_FILES, gen_problem1, gen_problem2, gen_problem3,
                        gen_problem4, gen_problem5, write_problem, zero_out_rhs)
 from .report import SolveReport, SolveStatus, estimate_order, write_trace_csv
@@ -163,7 +162,7 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     if p.partition.i_zero.size:
-        assumption = check_assumption(p)
+        assumption = p.assumption
         if not assumption.ok:
             rows = ", ".join(str(i + 1) for i in assumption.missing)
             print(f"refused: zero-indexed rows without coupling entries: {rows}",
@@ -305,7 +304,7 @@ def cmd_verify(args) -> int:
         except ValueError as exc:
             print(f"right-hand side rejected: {exc}", file=sys.stderr)
             return EXIT_IO
-        rep = check_assumption(p)
+        rep = p.assumption
         print(f"right-hand side: {rep.i_plus_size} positive, {rep.i_zero_size} zero entries")
         if rep.i_zero_size:
             verdict = "pass" if rep.ok else (

@@ -22,20 +22,21 @@ on first use, the residual Jacobian.  On dense storage the record reads
 the tensor once, through :meth:`~mteq.tensor.Tensor.partial_and_jacobian`:
 one pass over its slabs gives ``M = A x^{m-2}``, with ``g = M x``, and the
 raw Jacobian sum, which the record column-scales on first use.  Both
-match the stand-alone kernels to the bit.  The problem keeps the last
-record in a one-slot memo that is hit only by a ``y`` exactly equal to
-the record's, which hands the point evaluated by
+are what ``partial_contraction`` and ``jacobian_matrix`` return.  The
+problem keeps the last record in a one-slot memo that is hit only by a
+``y`` exactly equal to the record's, which hands the point evaluated by
 :func:`~mteq.initializer.initial_point` or accepted by a line search on
 to the next step without a second contraction.
 :func:`residual`, :func:`residual_jacobian` and the feasibility tests all
 take ``y`` and read its record; none accepts a caller's copy of ``g``,
 ``f`` or the Jacobian.  Facts about the problem itself (the index
 partition of ``b``, the certificate of :func:`make_problem`) are fixed
-when it is built.
+when it is built, and its :func:`check_assumption` report on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -130,11 +131,11 @@ class MTeqProblem:
     attaches the all-ones vector when the dominance test passes; a problem
     constructed directly carries no certificate unless given one, so
     :func:`~mteq.initializer.initial_point` finds one by splitting sweeps.
-    ``partition`` is computed from ``b``.  A tensor or right-hand side
-    with a NaN or infinite entry is rejected, each with its own message,
-    before the Z-sign test.  Treat instances as immutable
-    after construction: ``_memo`` holds the last evaluated point, computed
-    from ``A`` and ``b``.
+    ``partition`` is computed from ``b``, and ``assumption`` is kept from
+    its first use.  A tensor or right-hand side with a NaN or infinite
+    entry is rejected, each with its own message, before the Z-sign test.
+    Treat instances as immutable after construction: ``_memo`` holds the
+    last evaluated point, computed from ``A`` and ``b``.
     """
 
     A: Tensor
@@ -165,6 +166,11 @@ class MTeqProblem:
     @property
     def certified_strong_m(self) -> bool:
         return self.certificate is not None
+
+    @functools.cached_property
+    def assumption(self) -> AssumptionReport:
+        """:func:`check_assumption` of this problem, run on first use."""
+        return check_assumption(self)
 
 
 def _check_finite(A: Tensor, b: np.ndarray) -> None:

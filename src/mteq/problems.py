@@ -10,7 +10,7 @@ Generators 1, 2, 4 and 5 return problems scaled by their largest magnitude
 because its runs are judged by the relative residual.  Each dense
 generator builds ``A = s I - B`` and scales it in the one buffer it drew
 ``B`` into (:func:`_shifted_scaled`), with the same bits as
-``scale_problem(_shifted_identity(s, B), b)``.
+``scale_problem(m_splitting(B, s)[1], b)``.
 
 The tensor draw and every full pass over a dense buffer run over spans of
 its leading axis on up to ``_WORKERS`` threads
@@ -22,6 +22,7 @@ draws with its own generator, started at the span's counter
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -29,9 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import MTeqProblem, _scale_factor, make_problem, scale_problem
-from .tensor import (_FUSED_BLOCK_BYTES, Tensor, _dense_apply, _diag_index,
-                     _max_abs, _over_spans, check_dense_size, write_tensor,
+from .model import MTeqProblem, _scale_factor, make_problem
+from .tensor import (_FUSED_BLOCK_BYTES, Tensor, _diag_index, _max_abs,
+                     _over_spans, _slot_terms, check_dense_size, write_tensor,
                      write_vector)
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "zero_out_rhs",
     "write_problem",
     "symmetrize_full",
-    "problem2_tensor",
     "GRAVITATIONAL_CONSTANT",
     "CENTRAL_MASS",
 ]
@@ -144,23 +144,9 @@ def symmetrize_full(array) -> np.ndarray:
     return acc
 
 
-def _shifted_identity(s, B: Tensor) -> Tensor:
-    """Dense tensor ``s * I - B`` for a dense ``B``.
-
-    Negates ``B``'s read-only entries straight into the one new buffer the
-    result keeps, then adds ``s`` on its diagonal.  The generators build
-    the same entries in place (:func:`_shifted_scaled`); this is their
-    reference, and :func:`problem2_tensor` uses it.
-    """
-    a = np.negative(B.dense_values)
-    a[_diag_index(B.order, B.dim)] += s
-    return Tensor.from_dense(a)
-
-
 def _shifted_scaled(s, buf, b):
-    """The tensor and ``omega`` of ``scale_problem(_shifted_identity(s,
-    B), b)``, made in ``buf``, a writable buffer holding the entries of
-    ``B``.
+    """The tensor and ``omega`` of ``scale_problem(m_splitting(B, s)[1],
+    b)``, made in ``buf``, a writable buffer holding the entries of ``B``.
 
     Sets the diagonal ``d`` aside and reads the smallest and the largest
     off-diagonal entry of ``B`` in one pass over blocks of ``buf``.  A
@@ -217,7 +203,7 @@ def _extremes(buf):
 
 
 def _shifted_problem(s, buf, b) -> MTeqProblem:
-    """``scale_problem(_shifted_identity(s, B), b)`` built in ``buf``."""
+    """``scale_problem(m_splitting(B, s)[1], b)`` built in ``buf``."""
     A, omega = _shifted_scaled(s, buf, b)
     return make_problem(A, b / omega, omega=omega)
 
@@ -225,7 +211,8 @@ def _shifted_problem(s, buf, b) -> MTeqProblem:
 def _dominance_shift(factor, buf) -> float:
     """``factor * max_i (B e^{m-1})_i`` for the entries ``buf`` of ``B``,
     by the kernel of :meth:`~mteq.tensor.Tensor.apply`."""
-    return factor * float(_dense_apply(buf, np.ones(buf.shape[0])).max())
+    ones = np.ones(buf.shape[0])
+    return factor * float((_slot_terms(buf, ones, False)[0] @ ones).max())
 
 
 def gen_problem1(m, n, seed) -> MTeqProblem:
@@ -260,18 +247,12 @@ def _sine_entries(m, n) -> np.ndarray:
     return entries
 
 
-def problem2_tensor(m, n) -> Tensor:
-    """Deterministic tensor ``n^{m-1} I - B`` with ``B = |sin(i1+..+im)|``
-    (1-based index sums), unscaled and built afresh on each call."""
-    return _shifted_identity(float(n) ** (m - 1),
-                             Tensor.from_dense(_sine_entries(m, n)))
-
-
 @lru_cache(maxsize=8)
 def _problem2_scaled(m, n):
-    """``(A, omega)``: :func:`problem2_tensor` scaled by its own largest
-    magnitude ``omega``, built in one buffer.  Cached, so there is one
-    tensor per ``(m, n)``, and its facts are computed once."""
+    """``(A, omega)``: P2's tensor ``n^{m-1} I - B`` scaled by its own
+    largest magnitude ``omega``, built in one buffer
+    (:func:`_shifted_scaled`).  Cached, so there is one tensor per
+    ``(m, n)``, and its facts are computed once."""
     return _shifted_scaled(float(n) ** (m - 1), _sine_entries(m, n),
                            np.zeros(0))
 
@@ -279,17 +260,18 @@ def _problem2_scaled(m, n):
 def gen_problem2(m, n, seed=0) -> MTeqProblem:
     """Deterministic sine tensor with a seeded right-hand side.
 
-    The tensor does not depend on the seed; only the ``n`` uniforms of the
-    right-hand side are drawn.  Whenever ``max|b|`` does not exceed the
-    tensor's largest magnitude, which holds for every ``n >= 2``, the
-    problem shares the cached scaled tensor and no pass over the tensor
-    is made; otherwise it is ``scale_problem(problem2_tensor(m, n), b)``.
+    The tensor is ``n^{m-1} I - B`` with ``B = |sin(i1+..+im)|`` (1-based
+    index sums) and does not depend on the seed; only the ``n`` uniforms
+    of the right-hand side are drawn.  Whenever ``max|b|`` does not
+    exceed the tensor's largest magnitude, which holds for every
+    ``n >= 2``, the problem shares the cached scaled tensor and no pass
+    over the tensor is made; otherwise (``n = 1``) it is built afresh.
     """
     A, tensor_omega = _problem2_scaled(m, n)
     b = _uniform_open(_rng(seed), n)
     omega = _scale_factor(tensor_omega, b)
     if omega != tensor_omega:
-        return scale_problem(problem2_tensor(m, n), b)
+        return _shifted_problem(float(n) ** (m - 1), _sine_entries(m, n), b)
     return make_problem(A, b / omega, omega=omega)
 
 
@@ -396,9 +378,14 @@ def write_problem(outdir, p: MTeqProblem, manifest: dict, fmt="text") -> None:
     The tensor goes to ``TENSOR_FILES[fmt]``: ``tensor.mt`` text, or
     ``tensor.npy`` for ``fmt="npy"``, which holds dense tensors only
     (:func:`~mteq.tensor.write_tensor` raises ``ValueError`` for COO).
+    Once it is written, the tensor file of any other format is removed,
+    so the directory never pairs ``rhs.vec`` with an older tensor.
     """
     os.makedirs(outdir, exist_ok=True)
     write_tensor(os.path.join(outdir, TENSOR_FILES[fmt]), p.A)
+    for stale in set(TENSOR_FILES.values()) - {TENSOR_FILES[fmt]}:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(outdir, stale))
     write_vector(os.path.join(outdir, "rhs.vec"), p.b)
     payload = dict(manifest)
     payload.setdefault("m", p.m)

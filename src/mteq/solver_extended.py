@@ -15,7 +15,7 @@ survives the damping.  ``SolverConfig.plain_steps`` selects the plain
 
 from __future__ import annotations
 
-from .model import MTeqProblem, SolverConfig, check_assumption
+from .model import MTeqProblem, SolverConfig
 from .report import SolveReport
 from .solver_basic import (LineSearchResult, _backtrack, _damped_newton,
                            trial_scale)
@@ -47,7 +47,7 @@ def solve_nonnegative(p: MTeqProblem, y0, cfg: SolverConfig | None = None) -> So
     ``mode`` is ``"plain"`` or ``"residual_scaled"``.
     """
     cfg = cfg or SolverConfig()
-    assumption = check_assumption(p)
+    assumption = p.assumption
     refusal = "" if assumption.ok else (
         "zero-indexed rows without coupling entries: "
         + ", ".join(str(i + 1) for i in assumption.missing))

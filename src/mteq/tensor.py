@@ -11,12 +11,11 @@ The central operation is ``apply``, the multilinear map
     (A x^{m-1})_i = sum over i2..im of a[i, i2, .., im] * x[i2] * ... * x[im],
 
 together with its derivative matrix, computed position by position so that
-it is exact for tensors with no symmetry at all.  On dense storage both
-start from the one-slot contraction ``M = A x^{m-2}``
-(:meth:`Tensor.partial_contraction`): ``A x^{m-1} = M x`` and ``M`` is the
-first term of the derivative matrix.  :meth:`Tensor.partial_and_jacobian`
-takes both from one pass over the slabs ``a[i]`` of the leading index,
-with the same bits as the two stand-alone kernels.
+it is exact for tensors with no symmetry at all.  On dense storage every
+contraction is one pass of :func:`_slot_terms` over the slabs ``a[i]`` of
+the leading index.  It gives ``M = A x^{m-2}``, with ``A x^{m-1} = M x``,
+and, when asked, the derivative matrix: the sum of ``M`` and the other
+one-slot contractions.
 
 Facts read from the entries (the largest magnitude, the Z sign, the
 dominance test with its image ``A e^{m-1}``, and the diagonal) are
@@ -66,10 +65,10 @@ __all__ = [
 
 DEFAULT_DENSE_CAP = 200_000_000
 SEMI_SYMMETRY_TOL = 1e-13  # of max(1, max|a|); see Tensor.is_semi_symmetric
-# Slabs per step of Tensor.partial_and_jacobian: about this many bytes, so
-# that at small n the loop costs little next to the arithmetic, while at
-# large n a block read for the first slot is still in a core's cache for
-# the later ones.
+# Slabs per step of a pass that builds the derivative matrix: about this
+# many bytes, so that at small n the loop costs little next to the
+# arithmetic, while at large n a block read for the first slot is still in
+# a core's cache for the later ones.
 _FUSED_BLOCK_BYTES = 1 << 20
 # Passes over fewer bytes than this stay on the calling thread, where
 # handing them to other threads would cost more than it saves.
@@ -83,10 +82,6 @@ _MAX_WORKERS = 8
 _WORKERS = min(_MAX_WORKERS, (len(os.sched_getaffinity(0))
                               if hasattr(os, "sched_getaffinity")
                               else os.cpu_count() or 1))
-# Span boundaries of a matrix-vector product fall on multiples of this
-# many rows.  BLAS gemv kernels take rows in groups (4 in OpenBLAS's
-# x86-64 kernels), and a row's bits depend on where it falls in them.
-_GEMV_ROWS = 16
 _pool = None
 
 
@@ -408,7 +403,7 @@ class Tensor:
         """
         x = _check_vector(x, self.dim)
         if self.is_dense:
-            return _dense_apply(self._dense, x)
+            return self.partial_contraction(x) @ x
         if not self._vals.size:
             return np.zeros(self.dim)
         terms = self._vals * np.prod(x[self._idx[:, 1:]], axis=1)
@@ -418,45 +413,30 @@ class Tensor:
         """The ``n x n`` matrix ``M = A x^{m-2}`` of a dense tensor.
 
         The trailing ``m-2`` slots are contracted with ``x``, last slot
-        first.  ``M @ x`` is ``apply(x)`` bit for bit, and ``M`` is the
-        first-slot term of ``jacobian_matrix(x)``.  Read-only when
-        ``m = 2``, where ``M`` is the stored matrix itself; otherwise the
-        slabs are contracted over the spans of :func:`_over_spans`.
+        first, by :func:`_slot_terms`.  ``M @ x`` is ``apply(x)``, and ``M``
+        is the first-slot term of ``jacobian_matrix(x)``.  Read-only when
+        ``m = 2``, where ``M`` is the stored matrix itself.
         """
         if not self.is_dense:
             raise ValueError("COO tensor has no partial contraction kernel")
-        x = _check_vector(x, self.dim)
-        times = self.order - 2
-        if not times:
-            return self._dense
-        out = np.empty((self.dim, self.dim))
-
-        def rows(start, stop):
-            out[start:stop] = _contract(self._dense[start:stop], x, times)
-        _over_spans(rows, self.dim, self._dense.nbytes)
-        return out
+        return _slot_terms(self._dense, _check_vector(x, self.dim), False)[0]
 
     def jacobian_matrix(self, x) -> np.ndarray:
         """Derivative matrix of ``x -> A x^{m-1}``.
 
         Differentiates position by position, so the result is exact for
         tensors with no index symmetry: on dense storage it is the sum,
-        from zeros, of the ``m-1`` one-slot contractions,
-        ``partial_contraction(x)`` for the first slot and the same
-        contraction with the tensor's axes moved for each later one.  This
-        is the reference for :meth:`partial_and_jacobian`.  Tensors carry
-        no symmetry flag, and the sum is formed for every tensor: for a
+        from zeros, of the ``m-1`` one-slot contractions, slot by slot,
+        from one pass of :func:`_slot_terms`.  Tensors carry no symmetry
+        flag, and the sum is formed for every tensor: for a
         semi-symmetric one it equals ``(m-1)`` times the first term in
         exact arithmetic, but not always in floating point.
         """
         x = _check_vector(x, self.dim)
+        if self.is_dense:
+            return _slot_terms(self._dense, x, True)[1]
         n, m = self.dim, self.order
         jac = np.zeros((n, n))
-        if self.is_dense:
-            jac += self.partial_contraction(x)
-            for p in range(2, m):
-                jac += _contract(np.moveaxis(self._dense, p, 1), x, m - 2)
-            return jac
         if not self._vals.size:
             return jac
         cols = self._idx[:, 1:]
@@ -468,38 +448,10 @@ class Tensor:
 
     def partial_and_jacobian(self, x):
         """``(partial_contraction(x), jacobian_matrix(x))`` of a dense
-        tensor from one pass over its slabs.
-
-        Slab ``a[i]`` gives row ``i`` of ``M`` and of every slot term,
-        which are added to row ``i`` of the Jacobian from zero in
-        :meth:`jacobian_matrix`'s order, so both results are the same to
-        the bit while each slab is read from memory once.  Slabs are taken
-        in blocks of about ``_FUSED_BLOCK_BYTES`` within each span of
-        :func:`_over_spans`.
-        """
+        tensor from one pass of :func:`_slot_terms`."""
         if not self.is_dense:
             raise ValueError("COO tensor has no fused contraction kernel")
-        x = _check_vector(x, self.dim)
-        n, m = self.dim, self.order
-        rows = max(1, _FUSED_BLOCK_BYTES // self._dense[0].nbytes)
-        # np.moveaxis(a, p, 1) for each later slot p
-        moves = [(0, p) + tuple(q for q in range(1, m) if q != p)
-                 for p in range(2, m)]
-        M = np.empty((n, n))
-        jac = np.zeros((n, n))
-
-        def span(start, stop):
-            for i in range(start, stop, rows):
-                end = min(i + rows, stop)
-                block = self._dense[i:end]
-                part = _contract(block, x, m - 2)
-                M[i:end] = part
-                acc = jac[i:end]
-                acc += part
-                for axes in moves:
-                    acc += _contract(block.transpose(axes), x, m - 2)
-        _over_spans(span, n, self._dense.nbytes)
-        return M, jac
+        return _slot_terms(self._dense, _check_vector(x, self.dim), True)
 
     def semi_symmetrize(self) -> "Tensor":
         """Average over all permutations of the trailing ``m-1`` indices.
@@ -612,18 +564,40 @@ def _contract(a, x, times) -> np.ndarray:
     return a
 
 
-def _dense_apply(a, x) -> np.ndarray:
-    """``A x^{m-1}`` for the entries ``a`` of a dense tensor: the kernel of
-    :meth:`Tensor.apply`, which generators also run on their own buffers.
+def _slot_terms(a, x, jacobian):
+    """``(M, J)`` for the entries ``a`` of a dense tensor: ``M = A x^{m-2}``
+    and the derivative matrix ``J`` of ``x -> A x^{m-1}``, or ``None``
+    unless ``jacobian`` is set.  At ``m = 2`` ``M`` alone is ``a`` itself.
 
-    Each span of slabs ends with its own matrix-vector product, so spans
-    are cut at multiples of ``_GEMV_ROWS``."""
-    out = np.empty(a.shape[0])
+    The one pass over the slabs ``a[i]`` that every dense contraction
+    makes, over the spans of :func:`_over_spans`: each span whole for ``M``
+    alone, in blocks of about ``_FUSED_BLOCK_BYTES`` for ``J``.  Slot
+    ``p`` contracts slab ``a[i]`` with its axis ``p`` moved to the front,
+    and row ``i`` of ``J`` adds these terms from zero, slot by slot, so no
+    row's bits depend on how the slabs are grouped.
+    """
+    n, m = a.shape[0], a.ndim
+    if m == 2 and not jacobian:
+        return a, None
+    rows = max(1, _FUSED_BLOCK_BYTES // a[0].nbytes) if jacobian else n
+    slots = [(0, p) + tuple(q for q in range(1, m) if q != p)
+             for p in range(2, m)]
+    M = np.empty((n, n))
+    jac = np.zeros((n, n)) if jacobian else None
 
-    def rows(start, stop):
-        out[start:stop] = _contract(a[start:stop], x, a.ndim - 2) @ x
-    _over_spans(rows, a.shape[0], a.nbytes, _GEMV_ROWS)
-    return out
+    def span(start, stop):
+        for i in range(start, stop, rows):
+            end = min(i + rows, stop)
+            block = a[i:end]
+            part = _contract(block, x, m - 2)
+            M[i:end] = part
+            if jacobian:
+                acc = jac[i:end]
+                acc += part
+                for axes in slots:
+                    acc += _contract(block.transpose(axes), x, m - 2)
+    _over_spans(span, n, a.nbytes)
+    return M, jac
 
 
 def _semi_symmetrize_slab(slab, out) -> None:

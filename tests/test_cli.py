@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from mteq import (SolverConfig, Tensor, initial_point, read_vector,
+from mteq import (SolverConfig, Tensor, initial_point, model, read_vector,
                   solve_positive, write_tensor, write_vector)
 from mteq.cli import EXIT_CAP, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, bench_cell, main
 from mteq.problems import gen_problem1
@@ -97,6 +97,38 @@ def test_solve_zeroed_rhs_uses_extended_path(tmp_path, flags, mode):
         rows = list(csv.DictReader(fh))
     assert rows and {row["mode"] for row in rows} == {mode}
     assert read_vector(tmp_path / "s.vec").min() > 0.0
+
+
+@pytest.mark.parametrize("coupled", [True, False],
+                         ids=["coupled", "uncoupled"])
+def test_solve_checks_the_assumption_once(tmp_path, monkeypatch, capsys,
+                                          coupled):
+    if coupled:
+        out = tmp_path / "p1z"
+        run_cli("gen", "--problem", "1", "--m", "3", "--n", "8", "--seed", "1",
+                "--zero-frac", "0.5", "--out", str(out))
+        tensor, rhs = out / "tensor.mt", out / "rhs.vec"
+    else:
+        # row 2 of the identity has no entry a[2, 1, 1] to couple it to b_1
+        tensor, rhs = tmp_path / "eye.mt", tmp_path / "b.vec"
+        write_tensor(tensor, Tensor.identity(3, 2, storage="dense"))
+        write_vector(rhs, [1.0, 0.0])
+    calls = []
+    check = model.check_assumption
+
+    def counted(p):
+        calls.append(p)
+        return check(p)
+    monkeypatch.setattr(model, "check_assumption", counted)
+    sol = tmp_path / "s.vec"
+    code = run_cli("solve", str(tensor), str(rhs), "--solution", str(sol))
+    assert len(calls) == 1
+    if coupled:
+        assert code == EXIT_OK and sol.exists()
+    else:
+        assert code == EXIT_INFEASIBLE and not sol.exists()
+        assert ("refused: zero-indexed rows without coupling entries: 2"
+                in capsys.readouterr().err)
 
 
 def test_verify_accepts_strong_m_tensor(tmp_path):

@@ -66,15 +66,24 @@ def counted_problem(p, zero=False, seed=0):
     return q, counted
 
 
-def reference_apply(a, x):
+# The bitwise references for the dense kernels, in plain numpy on whole
+# arrays: no library kernel runs in them.
+
+def reference_partial(a, x):
+    """``A x^{m-2}``: the trailing slots contracted one at a time, last
+    slot first."""
     out = a
-    for _ in range(a.ndim - 1):
+    for _ in range(a.ndim - 2):
         out = out @ x
     return out
 
 
+def reference_apply(a, x):
+    return reference_partial(a, x) @ x
+
+
 def reference_jacobian(a, x):
-    """Sum of the one-slot contractions, slot by slot."""
+    """Sum of the one-slot contractions from zeros, slot by slot."""
     m, n = a.ndim, a.shape[0]
     jac = np.zeros((n, n))
     for slot in range(1, m):
@@ -206,6 +215,7 @@ def test_fused_kernel_matches_stand_alone_kernels_bitwise(m, n):
     t = Tensor.from_dense(a)
     x = np.random.default_rng(m).uniform(0.5, 2.0, size=n)
     M = t.partial_contraction(x)
+    assert M.tobytes() == reference_partial(a, x).tobytes()
     assert (M @ x).tobytes() == t.apply(x).tobytes() == reference_apply(a, x).tobytes()
     jac = reference_jacobian(a, x)
     assert t.jacobian_matrix(x).tobytes() == jac.tobytes()

@@ -320,11 +320,11 @@ def test_npy_solve_matches_text_and_in_process(tmp_path, capsys, problem, zero):
         args += ["--zero-frac", "0.5"]
     for fmt in ("text", "npy"):
         assert main(["gen", *args, "--format", fmt,
-                     "--out", str(tmp_path / "p")]) == EXIT_OK
+                     "--out", str(tmp_path / fmt)]) == EXIT_OK
     assert "wrote tensor.npy, rhs.vec" in capsys.readouterr().out
     reports = {}
-    for name in ("tensor.mt", "tensor.npy"):
-        code, x, rows = _solve_cli(tmp_path, tmp_path / "p", name)
+    for fmt, name in (("text", "tensor.mt"), ("npy", "tensor.npy")):
+        code, x, rows = _solve_cli(tmp_path, tmp_path / fmt, name)
         reports[name] = (code, x.tobytes(), rows, capsys.readouterr().out)
     assert reports["tensor.mt"] == reports["tensor.npy"]
     code, x, rows, _ = reports["tensor.npy"]
@@ -340,6 +340,22 @@ def test_npy_solve_matches_text_and_in_process(tmp_path, capsys, problem, zero):
     assert x == rep.x_final.tobytes()
     assert [float(r["residual"]) for r in rows] == \
         [rec.residual_norm for rec in rep.trace]
+
+
+@pytest.mark.parametrize("first,second", [("text", "npy"), ("npy", "text")])
+def test_gen_removes_the_tensor_file_of_the_other_format(tmp_path, first,
+                                                         second):
+    names = {"text": "tensor.mt", "npy": "tensor.npy"}
+    out = tmp_path / "p"
+    for fmt, seed in ((first, "1"), (second, "2")):
+        assert main(["gen", "--problem", "1", "--m", "3", "--n", "5",
+                     "--seed", seed, "--format", fmt,
+                     "--out", str(out)]) == EXIT_OK
+    # only the second instance is left to solve
+    assert not (out / names[first]).exists()
+    got = read_tensor(out / names[second])
+    want = gen_problem1(3, 5, 2).A
+    assert got.dense_values.tobytes() == want.dense_values.tobytes()
 
 
 def test_gen_npy_refuses_a_coo_problem(tmp_path, capsys):

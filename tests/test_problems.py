@@ -6,14 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mteq import Tensor, read_tensor, read_vector, scale_problem
+from mteq import (Tensor, m_splitting, read_tensor, read_vector,
+                  scale_problem)
 from mteq.model import _scale_factor
 from mteq.problems import (CENTRAL_MASS, GRAVITATIONAL_CONSTANT, _rng,
-                           _shifted_identity, _shifted_scaled,
-                           _uniform_open, gen_problem1,
+                           _shifted_scaled, _uniform_open, gen_problem1,
                            gen_problem2, gen_problem3, gen_problem4,
-                           gen_problem5, problem2_tensor, symmetrize_full,
-                           write_problem, zero_out_rhs)
+                           gen_problem5, symmetrize_full, write_problem,
+                           zero_out_rhs)
 
 
 def test_problem1_structure():
@@ -50,7 +50,8 @@ def test_symmetrize_full_is_permutation_invariant():
 
 
 def test_problem2_entries():
-    raw = problem2_tensor(3, 4).to_dense_array()
+    B, s, _ = reference_parts(2, 3, 4, 0)
+    raw = m_splitting(B, s)[1].to_dense_array()
     # s = n^{m-1} on the diagonal minus |sin| of the 1-based index sum
     assert raw[0, 0, 0] == pytest.approx(16.0 - abs(np.sin(3.0)), rel=1e-15)
     assert raw[0, 1, 2] == pytest.approx(-abs(np.sin(6.0)), rel=1e-15)
@@ -161,10 +162,10 @@ def reference_parts(problem, m, n, seed):
 
 
 def reference_problem(problem, m, n, seed):
-    """``scale_problem(_shifted_identity(s, B), b)`` from the generator's
-    own draws, with ``B`` and ``s`` rebuilt here."""
+    """``scale_problem(s I - B, b)`` from the generator's own draws, with
+    ``B`` and ``s`` rebuilt here and ``s I - B`` built by ``m_splitting``."""
     B, s, b = reference_parts(problem, m, n, seed)
-    return scale_problem(_shifted_identity(s, B), b)
+    return scale_problem(m_splitting(B, s)[1], b)
 
 
 GENERATORS = {1: gen_problem1, 2: gen_problem2, 4: gen_problem4,
@@ -172,8 +173,9 @@ GENERATORS = {1: gen_problem1, 2: gen_problem2, 4: gen_problem4,
 
 
 def check_shifted_scaled(monkeypatch, B, s, b):
-    """``_shifted_scaled(s, B, b)`` against ``_shifted_identity(s, B)``
-    scaled the long way, with the facts it hands on read afresh."""
+    """``_shifted_scaled(s, B, b)`` against ``s I - B`` from
+    ``m_splitting`` scaled the long way, with the facts it hands on read
+    afresh."""
     handed = []
     build = Tensor._from_scaled_buffer.__func__
 
@@ -183,7 +185,7 @@ def check_shifted_scaled(monkeypatch, B, s, b):
     with monkeypatch.context() as patch:
         patch.setattr(Tensor, "_from_scaled_buffer", classmethod(spy))
         A, omega = _shifted_scaled(s, B.to_dense_array(), b)
-    shifted = _shifted_identity(s, B)
+    shifted = m_splitting(B, s)[1]
     (facts,) = handed
     assert facts["is_z_tensor"] is shifted.is_z_tensor()
     if np.isnan(shifted.max_abs()):
@@ -226,7 +228,8 @@ def test_generator_matches_the_scaled_shift_bitwise(problem, m, n,
 def test_problem2_keeps_scale_problem_when_b_outgrows_the_tensor():
     # at n = 1 the tensor is the scalar 1 - |sin(m)|, which a uniform
     # right-hand side can exceed; then omega is max|b|
-    A = problem2_tensor(3, 1)
+    B, s, _ = reference_parts(2, 3, 1, 0)
+    A = m_splitting(B, s)[1]
     seeds = {bool(_uniform_open(_rng(seed), 1)[0] > A.max_abs())
              for seed in range(12)}
     assert seeds == {False, True}

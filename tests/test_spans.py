@@ -157,10 +157,11 @@ def test_generators_do_not_depend_on_workers(spans, m, n):
 def kernels(t, x):
     M, jac = t.partial_and_jacobian(x)
     return (t.apply(x).tobytes(), t.partial_contraction(x).tobytes(),
-            M.tobytes(), jac.tobytes(), t._ones_image().tobytes())
+            t.jacobian_matrix(x).tobytes(), M.tobytes(), jac.tobytes(),
+            t._ones_image().tobytes())
 
 
-@pytest.mark.parametrize("m,n", [(2, 53), (3, 37), (4, 33)])
+@pytest.mark.parametrize("m,n", [(2, 53), (2, 801), (3, 37), (4, 33), (5, 7)])
 def test_kernels_do_not_depend_on_workers(spans, m, n):
     a = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n,) * m)
     x = np.random.default_rng(m).uniform(0.5, 2.0, size=n)

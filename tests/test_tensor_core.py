@@ -13,6 +13,7 @@ from mteq.problems import gen_problem1, gen_problem4
 from mteq.tensor import SEMI_SYMMETRY_TOL
 
 from oracles import apply_loops, jacobian_loops
+from test_evaluation import reference_jacobian, reference_partial
 
 
 def random_dense(m, n, seed):
@@ -134,8 +135,11 @@ def test_partial_and_jacobian_matches_stand_alone_kernels_bitwise(
     t = Tensor.from_dense(arr)
     x = np.random.default_rng(n).uniform(0.5, 2.0, size=n)
     M, jac = t.partial_and_jacobian(x)
+    assert M.tobytes() == reference_partial(arr, x).tobytes()
+    assert jac.tobytes() == reference_jacobian(arr, x).tobytes()
     assert M.tobytes() == t.partial_contraction(x).tobytes()
     assert jac.tobytes() == t.jacobian_matrix(x).tobytes()
+    assert (M @ x).tobytes() == t.apply(x).tobytes()
     with pytest.raises(ValueError):
         t.to_coo().partial_and_jacobian(x)
 

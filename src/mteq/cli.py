@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,35 +39,36 @@ EXIT_INFEASIBLE = 3
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--eps", type=float, default=0.1,
-                     help="feasibility floor factor (default 0.1)")
-    sub.add_argument("--eps2", type=float, default=0.05,
-                     help="zero-row threshold factor (default 0.05)")
-    sub.add_argument("--sigma", type=float, default=0.1,
-                     help="descent constant of the line search (default 0.1)")
-    sub.add_argument("--rho", type=float, default=0.5,
-                     help="backtracking shrink factor (default 0.5)")
-    sub.add_argument("--eta", type=float, default=1e-10,
-                     help="residual-norm stopping tolerance (default 1e-10)")
-    sub.add_argument("--c", type=float, default=1.0,
-                     help="scale of the retried near-unit step (default 1.0)")
-    sub.add_argument("--max-iter", type=int, default=300,
-                     help="iteration cap (default 300)")
-    sub.add_argument("--max-backtracks", type=int, default=60,
-                     help="line-search trial cap (default 60)")
-    sub.add_argument("--relative", action="store_true",
-                     help="stop on the residual relative to ||b||")
-    sub.add_argument("--plain-steps", action="store_true",
-                     help="disable the residual-scaled retry of the unit step")
+    """One flag per :class:`SolverConfig` field, named after it (``--relative``
+    for ``relative_stop``) and defaulting to the field's default."""
+    helps = {
+        "eps": "feasibility floor factor",
+        "eps2": "zero-row threshold factor",
+        "sigma": "descent constant of the line search",
+        "rho": "backtracking shrink factor",
+        "eta": "residual-norm stopping tolerance",
+        "c": "scale of the retried near-unit step",
+        "max_iter": "iteration cap",
+        "max_backtracks": "line-search trial cap",
+        "relative_stop": "stop on the residual relative to ||b||",
+        "plain_steps": "disable the residual-scaled retry of the unit step",
+    }
+    for field in fields(SolverConfig):
+        name, default = field.name, field.default
+        flag = "--" + ("relative" if name == "relative_stop"
+                       else name.replace("_", "-"))
+        if isinstance(default, bool):
+            sub.add_argument(flag, dest=name, action="store_true",
+                             help=helps[name])
+        else:
+            sub.add_argument(flag, dest=name, type=type(default),
+                             default=default,
+                             help=f"{helps[name]} (default {default})")
 
 
 def _config_from(args) -> SolverConfig:
-    return SolverConfig(eps=args.eps, eps2=args.eps2, sigma=args.sigma,
-                        rho=args.rho, eta=args.eta, c=args.c,
-                        max_iter=args.max_iter,
-                        max_backtracks=args.max_backtracks,
-                        relative_stop=args.relative,
-                        plain_steps=args.plain_steps)
+    return SolverConfig(**{field.name: getattr(args, field.name)
+                           for field in fields(SolverConfig)})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -413,14 +413,10 @@ def check_assumption(p: MTeqProblem) -> AssumptionReport:
                     missing.append(int(i))
         else:
             idx = A.coo_indices
-            vals = A.coo_values
-            if vals.size:
-                trailing_ok = np.all(np.isin(idx[:, 1:], iplus), axis=1)
-                usable = trailing_ok & (vals != 0.0)
-                rows_with = set(idx[usable, 0].tolist())
-            else:
-                rows_with = set()
-            missing = [int(i) for i in part.i_zero if int(i) not in rows_with]
+            usable = (np.all(np.isin(idx[:, 1:], iplus), axis=1)
+                      & (A.coo_values != 0.0))
+            coupled = np.isin(part.i_zero, idx[usable, 0])
+            missing = part.i_zero[~coupled].tolist()
     return AssumptionReport(ok=not missing, missing=tuple(missing),
                             i_plus_size=int(iplus.size),
                             i_zero_size=int(part.i_zero.size))

@@ -38,13 +38,13 @@ depend on the number of threads or on which thread ran which span.
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import math
 import os
 import re
 import stat
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -747,9 +747,11 @@ def nqz_spectral_radius(t: Tensor, tol=1e-10, max_iter=5000):
 #                   the order of the dense text body.
 # Text writers emit 17 significant digits, which round-trips IEEE doubles.
 #
-# No file body is held as one Python object per value.  Text readers parse
-# bodies in chunks of about _TEXT_CHUNK_BYTES straight into the result, and
-# text writers format about _TEXT_CHUNK_VALUES values per ``%`` call.
+# No file body is held as one Python object per value.  Dense and vector
+# text bodies are parsed in chunks of about _TEXT_CHUNK_BYTES straight into
+# the result, a COO body by one ``np.loadtxt`` call; both take numpy's
+# number parsing, so ``1_000`` is malformed.  Text writers format about
+# _TEXT_CHUNK_VALUES values per ``%`` call.
 # read_tensor tells a .npy file from text by its magic bytes, whatever its
 # name, and reads its body into private memory.  It does not memory-map
 # the file: the finiteness test reads every page anyway, and a map would
@@ -836,42 +838,39 @@ def read_tensor(path) -> Tensor:
             values = _read_text_values(fh, path, expected, "dense body")
             _check_finite_body(path, values, (n,) * m)
             return Tensor.from_dense(values.reshape((n,) * m))
-        return _read_coo_body(io.TextIOWrapper(fh), path, m, n, count)
+        return _read_coo_body(fh, path, m, n, count)
 
 
 def _read_coo_body(fh, path, m, n, count) -> Tensor:
-    """The ``count`` entries of a COO body, one text line each."""
-    rows = []
-    vals = []
-    lineno = 1
-    for line in fh:
-        lineno += 1
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) != m + 1:
-            raise FormatError(
-                f"{path}:{lineno}: expected {m} indices and a value, "
-                f"got {len(tokens)} fields")
-        try:
-            tup = [int(tok) for tok in tokens[:m]]
-            val = float(tokens[m])
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: malformed entry") from None
-        if any(i < 1 or i > n for i in tup):
-            raise FormatError(
-                f"{path}:{lineno}: index out of range 1..{n}")
-        if not math.isfinite(val):
-            raise FormatError(
-                f"{path}:{lineno}: non-finite entry {val} at index "
-                f"({', '.join(map(str, tup))})")
-        rows.append([i - 1 for i in tup])
-        vals.append(val)
-    if len(vals) != count:
-        raise FormatError(
-            f"{path}: header promised {count} entries, found {len(vals)}")
+    """The ``count`` entries of a COO body, one line of ``m`` 1-based
+    indices and a value each, parsed by numpy's reader in one call."""
+    entry = np.dtype([("index", np.int64, (m,)), ("value", float)])
     try:
-        return Tensor.from_coo(m, n, rows, vals)
+        with warnings.catch_warnings():
+            # numpy warns on a body without lines; the count test decides
+            warnings.simplefilter("ignore", UserWarning)
+            body = np.loadtxt(fh, dtype=entry, comments=None, ndmin=1)
+    except ValueError as exc:
+        # numpy's text ends in advice on ``usecols``, which is not ours
+        raise FormatError(
+            f"{path}: malformed COO body: {str(exc).split(';')[0]}") from None
+    if body.size != count:
+        raise FormatError(
+            f"{path}: header promised {count} entries, found {body.size}")
+    idx, vals = body["index"], body["value"]
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise FormatError(f"{path}: non-finite entry {float(vals[k])} at "
+                          f"index {tuple(idx[k].tolist())}")
+    bad = ((idx < 1) | (idx > n)).any(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise FormatError(f"{path}: index out of range 1..{n}: "
+                          f"{tuple(idx[k].tolist())}")
+    idx -= 1
+    try:
+        return Tensor.from_coo(m, n, idx, vals)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
 

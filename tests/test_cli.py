@@ -1,6 +1,7 @@
 """Command-line entry points: exit codes, files, and round trips."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from mteq import (SolverConfig, Tensor, initial_point, model, read_vector,
                   solve_positive, write_tensor, write_vector)
-from mteq.cli import EXIT_CAP, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, bench_cell, main
+from mteq.cli import (EXIT_CAP, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, _config_from,
+                      bench_cell, build_parser, main)
 from mteq.problems import gen_problem1
 
 
@@ -65,6 +67,21 @@ def test_solve_round_trip_matches_in_process(tmp_path):
     for row, rec in zip(rows, rep.trace):
         assert float(row["residual"]) == rec.residual_norm
         assert float(row["alpha"]) == rec.alpha
+
+
+@pytest.mark.parametrize("command", [["solve", "t.mt", "b.vec"],
+                                     ["bench", "--problem", "1", "--sizes", "3,4"]],
+                         ids=["solve", "bench"])
+def test_solver_flags_default_to_the_config_defaults(command):
+    parser = build_parser()
+    args = parser.parse_args(command)
+    for field in dataclasses.fields(SolverConfig):
+        assert getattr(args, field.name) == field.default, field.name
+    assert _config_from(args) == SolverConfig()
+    args = parser.parse_args(command + ["--relative", "--plain-steps",
+                                        "--max-iter", "7", "--eta", "1e-6"])
+    assert _config_from(args) == SolverConfig(relative_stop=True, plain_steps=True,
+                                              max_iter=7, eta=1e-6)
 
 
 def test_solve_exit_codes(tmp_path):

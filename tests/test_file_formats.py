@@ -126,9 +126,11 @@ def test_tensor_read_from_a_pipe(tmp_path):
     # found while it is read
     a = gen_problem1(3, 4, 0).A
     write_tensor(tmp_path / "t.mt", a)
+    write_tensor(tmp_path / "c.mt", a.to_coo())
     write_tensor(tmp_path / "t.npy", a)
     npy = (tmp_path / "t.npy").read_bytes()
-    cases = [((tmp_path / "t.mt").read_bytes(), None), (npy, None),
+    cases = [((tmp_path / "t.mt").read_bytes(), None),
+             ((tmp_path / "c.mt").read_bytes(), None), (npy, None),
              (npy[:-8], "body ended after 504 of 512 bytes"),
              (npy + b"\0", "bytes after its body")]
     fifo = tmp_path / "fifo"
@@ -138,7 +140,7 @@ def test_tensor_read_from_a_pipe(tmp_path):
         writer.start()
         try:
             if message is None:
-                assert read_tensor(fifo).dense_values.tobytes() == \
+                assert read_tensor(fifo).to_dense_array().tobytes() == \
                     a.dense_values.tobytes()
             else:
                 with pytest.raises(FormatError, match=message):
@@ -223,6 +225,70 @@ def test_dense_text_read_allocates_about_the_tensor(tmp_path):
         tracemalloc.stop()
     assert back.dense_values.tobytes() == a.dense_values.tobytes()
     assert peak < 2 * nbytes + (2 << 20), f"peak {peak} for {nbytes} bytes"
+
+
+# ----------------------------------------------------------------------
+# COO text bodies
+
+
+def test_coo_body_reads_blank_lines_and_crlf(tmp_path):
+    (tmp_path / "t.mt").write_bytes(b"MT1 3 4 coo 3\r\n\r\n 4 1 2   -0.5\r\n\n  \t \n"
+                                    b"1 1 1 2.5e+300\r\n1 2 3 1e-5")
+    t = read_tensor(tmp_path / "t.mt")
+    assert t.coo_indices.tolist() == [[0, 0, 0], [0, 1, 2], [3, 0, 1]]
+    assert t.coo_values.tolist() == [2.5e+300, 1e-5, -0.5]
+
+
+def test_empty_coo_body_is_an_all_zero_tensor(tmp_path):
+    for body in ("MT1 2 3 coo 0\n", "MT1 2 3 coo 0\n\n   \n"):
+        (tmp_path / "t.mt").write_text(body)
+        assert read_tensor(tmp_path / "t.mt").nnz == 0
+
+
+MALFORMED_COO = {
+    "m-fields": ("1 1 1 1.0\n2 2 2.0\n", "requires 4 columns but 3 were found"),
+    "m+2-fields": ("1 1 1 1.0\n2 2 2 2 2.0\n",
+                   "requires 4 columns but 5 were found"),
+    "index-1.5": ("1 1 1 1.0\n1.5 2 2 2.0\n", "could not convert string '1.5'"),
+    "index-1.0": ("1 1 1 1.0\n1.0 2 2 2.0\n", "could not convert string '1.0'"),
+    "index-1_0": ("1 1 1 1.0\n1_0 2 2 2.0\n", "could not convert string '1_0'"),
+    "value-1_000": ("1 1 1 1.0\n2 2 2 1_000\n",
+                    "could not convert string '1_000'"),
+    "index-0": ("1 1 1 1.0\n2 0 2 2.0\n",
+                r"index out of range 1..4: \(2, 0, 2\)"),
+    "index-n+1": ("1 1 1 1.0\n2 5 2 2.0\n",
+                  r"index out of range 1..4: \(2, 5, 2\)"),
+    "nan": ("1 1 1 1.0\n2 3 4 nan\n",
+            r"non-finite entry nan at index \(2, 3, 4\)"),
+    "repeated": ("2 3 4 1.0\n2 3 4 2.0\n", r"duplicate index tuple"),
+    "fewer": ("1 1 1 1.0\n", "header promised 2 entries, found 1"),
+    "more": ("1 1 1 1.0\n2 2 2 2.0\n3 3 3 3.0\n",
+             "header promised 2 entries, found 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COO))
+def test_malformed_coo_body_is_a_format_error(tmp_path, case):
+    body, message = MALFORMED_COO[case]
+    (tmp_path / "t.mt").write_text("MT1 3 4 coo 2\n" + body)
+    with pytest.raises(FormatError, match=f"t.mt: .*{message}"):
+        read_tensor(tmp_path / "t.mt")
+
+
+def test_coo_text_read_allocates_about_its_arrays(tmp_path):
+    a = gen_problem1(3, 60, 0).A.to_coo()
+    write_tensor(tmp_path / "t.mt", a)
+    nbytes = a.coo_indices.nbytes + a.coo_values.nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        back = read_tensor(tmp_path / "t.mt")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.coo_indices, a.coo_indices)
+    assert back.coo_values.tobytes() == a.coo_values.tobytes()
+    assert peak < 4 * nbytes + (2 << 20), f"peak {peak} for {nbytes} bytes"
 
 
 # ----------------------------------------------------------------------

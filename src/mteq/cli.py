@@ -165,9 +165,8 @@ def cmd_solve(args) -> int:
     if p.partition.i_zero.size:
         assumption = p.assumption
         if not assumption.ok:
-            rows = ", ".join(str(i + 1) for i in assumption.missing)
-            print(f"refused: zero-indexed rows without coupling entries: {rows}",
-                  file=sys.stderr)
+            print(f"refused: zero-indexed rows without coupling entries: "
+                  f"{assumption.missing_text}", file=sys.stderr)
             return EXIT_INFEASIBLE
     try:
         init = initial_point(p, cfg)
@@ -309,7 +308,7 @@ def cmd_verify(args) -> int:
         print(f"right-hand side: {rep.i_plus_size} positive, {rep.i_zero_size} zero entries")
         if rep.i_zero_size:
             verdict = "pass" if rep.ok else (
-                "fail (rows " + ", ".join(str(i + 1) for i in rep.missing) + ")")
+                f"fail (rows {rep.missing_text})")
             print(f"zero-row coupling check: {verdict}")
     print(f"verdict: {'strong M-tensor certificate found' if certified else 'no strong M-tensor certificate'}")
     return EXIT_OK if certified else EXIT_INFEASIBLE

@@ -18,13 +18,13 @@ in exact arithmetic.
 
 Every quantity at a point comes from one private record, built by
 ``_evaluate(p, y)``: ``y``, ``x``, ``g = A x^{m-1}``, ``f = g - b`` and,
-on first use, the residual Jacobian.  On dense storage the record reads
-the tensor once, through :meth:`~mteq.tensor.Tensor.partial_and_jacobian`:
-one pass over its slabs gives ``M = A x^{m-2}``, with ``g = M x``, and the
-raw Jacobian sum, which the record column-scales on first use.  Both
-are what ``partial_contraction`` and ``jacobian_matrix`` return.  The
-problem keeps the last record in a one-slot memo that is hit only by a
-``y`` exactly equal to the record's, which hands the point evaluated by
+on first use, the residual Jacobian.  The record takes ``g`` and the raw
+Jacobian sum from the tensor's ``image_and_jacobian``: dense storage
+gives both from one pass over its slabs, COO storage gives ``g`` alone and
+the record asks ``jacobian_matrix`` on first use, so no code here asks
+which storage a tensor has.  The problem keeps the last record in a
+one-slot memo that is hit only by a ``y`` exactly equal to the record's,
+which hands the point evaluated by
 :func:`~mteq.initializer.initial_point` or accepted by a line search on
 to the next step without a second contraction.
 :func:`residual`, :func:`residual_jacobian` and the feasibility tests all
@@ -163,10 +163,6 @@ class MTeqProblem:
     def n(self) -> int:
         return self.A.dim
 
-    @property
-    def certified_strong_m(self) -> bool:
-        return self.certificate is not None
-
     @functools.cached_property
     def assumption(self) -> AssumptionReport:
         """:func:`check_assumption` of this problem, run on first use."""
@@ -245,11 +241,10 @@ class _Point:
 
     Holds ``y``, ``x = y^{1/(m-1)}``, ``g = A x^{m-1}`` and ``f = g - b``
     as read-only arrays, and the residual Jacobian, column-scaled on first
-    use.  Dense storage takes the partial contraction ``M = A x^{m-2}``
-    and the raw Jacobian sum from one fused pass over the tensor and
-    computes ``g = M @ x``; COO storage takes ``g`` from ``apply`` and
-    builds the Jacobian on first use.  The record keeps the tensor but
-    never the problem, so a problem's memo makes no reference cycle.
+    use, from the raw sum that the tensor's ``image_and_jacobian`` gives
+    with ``g`` or, when it gives none, from ``jacobian_matrix``.  The
+    record keeps the tensor but never the problem, so a problem's memo
+    makes no reference cycle.
     """
 
     __slots__ = ("y", "x", "g", "f", "_A", "_raw_jac", "_jac")
@@ -258,12 +253,7 @@ class _Point:
         self.y = y
         self.x = hadamard_power(y, 1.0 / (A.order - 1))
         self._A = A
-        if A.is_dense:
-            partial, self._raw_jac = A.partial_and_jacobian(self.x)
-            self.g = partial @ self.x
-        else:
-            self._raw_jac = None
-            self.g = A.apply(self.x)
+        self.g, self._raw_jac = A.image_and_jacobian(self.x)
         self.f = self.g - b
         self._jac = None
         for a in (self.x, self.g, self.f):
@@ -375,13 +365,18 @@ class AssumptionReport:
 
     ``ok`` holds when every zero-indexed row owns a nonzero entry whose
     trailing indices all lie in the positive index set; ``missing`` lists
-    the rows (0-based) where no such entry exists.
+    the rows (0-based) where no such entry exists, and ``missing_text``
+    the same rows 1-based, as messages print them.
     """
 
     ok: bool
     missing: tuple
     i_plus_size: int
     i_zero_size: int
+
+    @property
+    def missing_text(self) -> str:
+        return ", ".join(str(i + 1) for i in self.missing)
 
 
 def check_assumption(p: MTeqProblem) -> AssumptionReport:
@@ -390,46 +385,12 @@ def check_assumption(p: MTeqProblem) -> AssumptionReport:
     Rows with ``b_i = 0`` can only be driven to a positive solution if they
     couple to the positive-indexed variables: some ``a[i, i2, .., im] != 0``
     with every trailing index in ``I+``.  Vacuously true when ``b > 0``.
-
-    Dense storage views each zero row's slab ``a[i]`` as rows of its last
-    index and reads the rows whose other indices lie in ``I+``, in blocks
-    that double in size, until one has a nonzero entry in the ``I+``
-    columns: usually the first row settles it.
+    The tensor's ``uncoupled_rows`` finds the rows that do not.
     """
     part = p.partition
-    iplus = part.i_plus
-    missing = []
-    if part.i_zero.size:
-        A = p.A
-        if A.is_dense:
-            n = A.dim
-            # flat row numbers of the index tuples in I+^{m-2}, in C order
-            rows = np.zeros(1, dtype=np.int64)
-            for _ in range(A.order - 2):
-                rows = (rows[:, None] * n + iplus).ravel()
-            dense = A.dense_values
-            for i in part.i_zero:
-                if not _couples(dense[int(i)].reshape(-1, n), rows, iplus):
-                    missing.append(int(i))
-        else:
-            idx = A.coo_indices
-            usable = (np.all(np.isin(idx[:, 1:], iplus), axis=1)
-                      & (A.coo_values != 0.0))
-            coupled = np.isin(part.i_zero, idx[usable, 0])
-            missing = part.i_zero[~coupled].tolist()
+    missing = (p.A.uncoupled_rows(part.i_zero, part.i_plus)
+               if part.i_zero.size else [])
     return AssumptionReport(ok=not missing, missing=tuple(missing),
-                            i_plus_size=int(iplus.size),
+                            i_plus_size=int(part.i_plus.size),
                             i_zero_size=int(part.i_zero.size))
 
-
-def _couples(slab, rows, cols) -> bool:
-    """Whether some row ``slab[r]``, ``r`` in ``rows``, has a nonzero entry
-    in ``cols``; rows are read in blocks of 1, 2, 4, ... until one does."""
-    start, size = 0, 1
-    while start < rows.size:
-        block = slab[rows[start:start + size]]
-        if np.any(block[:, cols]):
-            return True
-        start += size
-        size *= 2
-    return False

@@ -50,7 +50,7 @@ def solve_nonnegative(p: MTeqProblem, y0, cfg: SolverConfig | None = None) -> So
     assumption = p.assumption
     refusal = "" if assumption.ok else (
         "zero-indexed rows without coupling entries: "
-        + ", ".join(str(i + 1) for i in assumption.missing))
+        + assumption.missing_text)
     mode = "plain" if cfg.plain_steps else "residual_scaled"
     return _damped_newton(p, y0, cfg, line_search_extended, start_is_y=True,
                           mode=mode, refusal=refusal)

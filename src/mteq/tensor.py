@@ -1,9 +1,12 @@
 """Order-m tensor storage and the contraction kernels used by the solvers.
 
 A tensor here is a real array ``a[i1, ..., im]`` with all indices ranging
-over ``0 .. n-1``.  Two storage layouts are supported: dense (a numpy array
-of shape ``(n,)*m``) and sparse COO (sorted unique index tuples with their
-values).  Indices are 0-based in memory and 1-based in the ``.mt`` text
+over ``0 .. n-1``.  Two storage layouts are supported, each by its own
+class: dense (a numpy array of shape ``(n,)*m``) and sparse COO (sorted
+unique index tuples with their values).  :meth:`Tensor.from_dense` and
+:meth:`Tensor.from_coo` pick the class once, and every method that depends
+on the layout lives on it; no method of :class:`Tensor` asks which one it
+has.  Indices are 0-based in memory and 1-based in the ``.mt`` text
 format; the conversion happens exactly once, at the file boundary.
 
 The central operation is ``apply``, the multilinear map
@@ -11,11 +14,7 @@ The central operation is ``apply``, the multilinear map
     (A x^{m-1})_i = sum over i2..im of a[i, i2, .., im] * x[i2] * ... * x[im],
 
 together with its derivative matrix, computed position by position so that
-it is exact for tensors with no symmetry at all.  On dense storage every
-contraction is one pass of :func:`_slot_terms` over the slabs ``a[i]`` of
-the leading index.  It gives ``M = A x^{m-2}``, with ``A x^{m-1} = M x``,
-and, when asked, the derivative matrix: the sum of ``M`` and the other
-one-slot contractions.
+it is exact for tensors with no symmetry at all.
 
 Facts read from the entries (the largest magnitude, the Z sign, the
 dominance test with its image ``A e^{m-1}``, and the diagonal) are
@@ -193,25 +192,20 @@ class Tensor:
     plain numpy array, and the stored entries are read-only.
     :meth:`from_dense` marks the array it stores as read-only; when no copy
     is needed, that is the caller's own array.  Use :meth:`from_dense`,
-    :meth:`from_coo` or :meth:`identity` to construct one.
-
-    :meth:`max_abs`, :meth:`is_z_tensor`, :meth:`is_diag_dominant` (with
-    the image ``A e^{m-1}`` it tests) and :meth:`diagonal` read the
-    entries on the first call only; the results are kept in one private
-    per-instance store, and :meth:`diagonal` still returns a copy.
-    :meth:`is_semi_symmetric` reads the entries on every call, one slab at
-    a time.
+    :meth:`from_coo` or :meth:`identity` to construct one; each returns a
+    dense or a COO storage class, with ``is_dense`` and ``storage`` as
+    class attributes.  Only dense storage has ``dense_values``,
+    ``partial_contraction`` and ``partial_and_jacobian``, and only COO
+    storage ``coo_indices`` and ``coo_values``.
     """
 
-    def __init__(self, order, dim, dense=None, indices=None, values=None):
+    def __init__(self, order, dim, values):
         self.order = int(order)
         self.dim = int(dim)
         if self.order < 2:
             raise ValueError("tensor order must be at least 2")
         if self.dim < 1:
             raise ValueError("tensor dimension must be at least 1")
-        self._dense = dense
-        self._idx = indices
         self._vals = values
         self._facts = {}
 
@@ -232,7 +226,7 @@ class Tensor:
         if any(s != n for s in a.shape):
             raise ValueError(f"all axes must have equal length, got {a.shape}")
         a.flags.writeable = False
-        return cls(a.ndim, n, dense=a)
+        return _DenseTensor(a.ndim, n, a)
 
     @classmethod
     def _from_scaled_buffer(cls, array, factor, facts) -> "Tensor":
@@ -249,100 +243,37 @@ class Tensor:
 
     @classmethod
     def from_coo(cls, order, dim, indices, values) -> "Tensor":
+        """COO tensor over 0-based index tuples, one row each, and values."""
         order = int(order)
-        dim = int(dim)
-        idx = np.asarray(indices, dtype=np.int64)
-        idx = idx.reshape(-1, order) if idx.size else np.zeros((0, order), dtype=np.int64)
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1, order)
         vals = np.asarray(values, dtype=float).ravel()
         if idx.shape[0] != vals.shape[0]:
             raise ValueError("index and value counts differ")
         if idx.size and (idx.min() < 0 or idx.max() >= dim):
             raise ValueError("tensor index out of range")
-        if idx.shape[0] > 1:
-            key = np.lexsort(idx.T[::-1])
-            idx = idx[key]
-            vals = vals[key]
-            dup = np.all(idx[1:] == idx[:-1], axis=1)
-            if dup.any():
-                where = idx[1:][dup][0]
-                raise ValueError(f"duplicate index tuple {tuple(int(i) for i in where)}")
+        key = np.lexsort(idx.T[::-1])
+        idx = idx[key]
+        vals = vals[key]
+        dup = np.all(idx[1:] == idx[:-1], axis=1)
+        if dup.any():
+            raise _RepeatedIndex(tuple(int(i) for i in idx[1:][dup][0]))
         idx.setflags(write=False)
         vals.setflags(write=False)
-        return cls(order, dim, indices=idx, values=vals)
+        return _CooTensor(order, dim, vals, idx)
 
     @classmethod
     def identity(cls, order, dim, storage="coo") -> "Tensor":
         """Diagonal tensor with ones at every ``(i, i, .., i)``."""
-        if storage == "coo":
-            idx = np.tile(np.arange(dim, dtype=np.int64)[:, None], (1, order))
-            return cls.from_coo(order, dim, idx, np.ones(dim))
-        a = np.zeros((dim,) * order)
-        a[_diag_index(order, dim)] = 1.0
-        return cls.from_dense(a)
-
-    # ------------------------------------------------------------------
-    # basic queries
-
-    @property
-    def is_dense(self) -> bool:
-        return self._dense is not None
-
-    @property
-    def storage(self) -> str:
-        return "dense" if self.is_dense else "coo"
-
-    @property
-    def nnz(self) -> int:
-        if self.is_dense:
-            return int(np.count_nonzero(self._dense))
-        return self._vals.shape[0]
-
-    @property
-    def coo_indices(self) -> np.ndarray:
-        if self.is_dense:
-            raise ValueError("dense tensor has no COO index array")
-        return self._idx
-
-    @property
-    def coo_values(self) -> np.ndarray:
-        if self.is_dense:
-            raise ValueError("dense tensor has no COO value array")
-        return self._vals
-
-    @property
-    def dense_values(self) -> np.ndarray:
-        """Read-only view of the stored dense entries (no copy)."""
-        if not self.is_dense:
-            raise ValueError("COO tensor has no dense value array")
-        view = self._dense.view()
-        view.flags.writeable = False
-        return view
+        idx = np.tile(np.arange(dim, dtype=np.int64)[:, None], (1, order))
+        t = cls.from_coo(order, dim, idx, np.ones(dim))
+        return t if storage == "coo" else t.to_dense()
 
     def __repr__(self):
         return (f"Tensor(order={self.order}, dim={self.dim}, "
                 f"storage={self.storage!r}, nnz={self.nnz})")
 
-    def to_dense_array(self) -> np.ndarray:
-        """Entries as a numpy array of shape ``(n,)*m`` (always a copy)."""
-        if self.is_dense:
-            return self._dense.copy()
-        check_dense_size(self.order, self.dim)
-        a = np.zeros((self.dim,) * self.order)
-        if self._vals.size:
-            a[tuple(self._idx.T)] = self._vals
-        return a
-
     def to_dense(self) -> "Tensor":
         return Tensor.from_dense(self.to_dense_array())
-
-    def to_coo(self) -> "Tensor":
-        if not self.is_dense:
-            return self
-        # argwhere walks the array in C order, which is already the sorted
-        # lexicographic order from_coo expects
-        idx = np.argwhere(self._dense != 0.0).astype(np.int64)
-        vals = self._dense[tuple(idx.T)] if idx.size else np.zeros(0)
-        return Tensor.from_coo(self.order, self.dim, idx, vals)
 
     @_fact
     def max_abs(self) -> float:
@@ -351,16 +282,7 @@ class Tensor:
         Reads the largest and the smallest entry instead of building an
         ``np.abs`` copy of the stored values.
         """
-        return _max_abs(self._dense if self.is_dense else self._vals)
-
-    def min_entry(self) -> float:
-        """Smallest entry, counting implicit zeros of COO storage."""
-        if self.is_dense:
-            return float(self._dense.min())
-        stored = float(self._vals.min()) if self._vals.size else 0.0
-        if self._vals.shape[0] < self.dim ** self.order:
-            return min(stored, 0.0)
-        return stored
+        return _max_abs(self._vals)
 
     def scaled(self, factor) -> "Tensor":
         """The tensor with every entry multiplied by ``factor``.
@@ -370,156 +292,32 @@ class Tensor:
         :func:`_scaled_facts`).
         """
         f = float(factor)
-        if self.is_dense:
-            out = Tensor.from_dense(self._dense * f)
-        else:
-            out = Tensor.from_coo(self.order, self.dim, self._idx, self._vals * f)
+        out = self._times(f)
         out._facts.update(_scaled_facts(self._facts, f))
         return out
+
+    # diagonal, apply and jacobian_matrix each call a hook of the storage
+    # class, so that a wrapper set on Tensor sees every call
 
     def diagonal(self) -> np.ndarray:
         """Vector of the entries ``a[i, i, .., i]`` (a copy)."""
         return self._diagonal().copy()
 
-    @_fact
-    def _diagonal(self) -> np.ndarray:
-        if self.is_dense:
-            d = self._dense[_diag_index(self.order, self.dim)]
-        else:
-            d = np.zeros(self.dim)
-            if self._vals.size:
-                mask = np.all(self._idx == self._idx[:, :1], axis=1)
-                d[self._idx[mask, 0]] = self._vals[mask]
-        d.flags.writeable = False
-        return d
-
-    # ------------------------------------------------------------------
-    # contraction kernels
-
     def apply(self, x) -> np.ndarray:
-        """Evaluate ``A x^{m-1}`` for a vector ``x`` of length ``n``.
-
-        Dense storage computes ``partial_contraction(x) @ x``.
-        """
-        x = _check_vector(x, self.dim)
-        if self.is_dense:
-            return self.partial_contraction(x) @ x
-        if not self._vals.size:
-            return np.zeros(self.dim)
-        terms = self._vals * np.prod(x[self._idx[:, 1:]], axis=1)
-        return np.bincount(self._idx[:, 0], weights=terms, minlength=self.dim)
-
-    def partial_contraction(self, x) -> np.ndarray:
-        """The ``n x n`` matrix ``M = A x^{m-2}`` of a dense tensor.
-
-        The trailing ``m-2`` slots are contracted with ``x``, last slot
-        first, by :func:`_slot_terms`.  ``M @ x`` is ``apply(x)``, and ``M``
-        is the first-slot term of ``jacobian_matrix(x)``.  Read-only when
-        ``m = 2``, where ``M`` is the stored matrix itself.
-        """
-        if not self.is_dense:
-            raise ValueError("COO tensor has no partial contraction kernel")
-        return _slot_terms(self._dense, _check_vector(x, self.dim), False)[0]
+        """Evaluate ``A x^{m-1}`` for a vector ``x`` of length ``n``."""
+        return self._apply(_check_vector(x, self.dim))
 
     def jacobian_matrix(self, x) -> np.ndarray:
         """Derivative matrix of ``x -> A x^{m-1}``.
 
         Differentiates position by position, so the result is exact for
-        tensors with no index symmetry: on dense storage it is the sum,
-        from zeros, of the ``m-1`` one-slot contractions, slot by slot,
-        from one pass of :func:`_slot_terms`.  Tensors carry no symmetry
-        flag, and the sum is formed for every tensor: for a
+        tensors with no index symmetry: it is the sum, from zeros, of the
+        ``m-1`` one-slot contractions, slot by slot.  Tensors carry no
+        symmetry flag, and the sum is formed for every tensor: for a
         semi-symmetric one it equals ``(m-1)`` times the first term in
         exact arithmetic, but not always in floating point.
         """
-        x = _check_vector(x, self.dim)
-        if self.is_dense:
-            return _slot_terms(self._dense, x, True)[1]
-        n, m = self.dim, self.order
-        jac = np.zeros((n, n))
-        if not self._vals.size:
-            return jac
-        cols = self._idx[:, 1:]
-        xs = x[cols]
-        for p in range(m - 1):
-            others = self._vals * np.prod(np.delete(xs, p, axis=1), axis=1)
-            np.add.at(jac, (self._idx[:, 0], cols[:, p]), others)
-        return jac
-
-    def partial_and_jacobian(self, x):
-        """``(partial_contraction(x), jacobian_matrix(x))`` of a dense
-        tensor from one pass of :func:`_slot_terms`."""
-        if not self.is_dense:
-            raise ValueError("COO tensor has no fused contraction kernel")
-        return _slot_terms(self._dense, _check_vector(x, self.dim), True)
-
-    def semi_symmetrize(self) -> "Tensor":
-        """Average over all permutations of the trailing ``m-1`` indices.
-
-        Leaves ``apply`` unchanged while making the trailing block of the
-        tensor fully symmetric.  Always a new tensor, even when the
-        entries are already symmetric.  Dense storage averages one slab
-        ``a[i]`` at a time (:func:`_semi_symmetrize_slab`).
-        """
-        m = self.order
-        if self.is_dense:
-            acc = np.empty_like(self._dense)
-            for slab, out in zip(self._dense, acc):
-                _semi_symmetrize_slab(slab, out)
-            return Tensor.from_dense(acc)
-        perms = list(itertools.permutations(range(1, m)))
-        if not self._vals.size:
-            return Tensor.from_coo(m, self.dim, self._idx, self._vals)
-        stacked = np.vstack([self._idx[:, (0,) + p] for p in perms])
-        weights = np.tile(self._vals / len(perms), len(perms))
-        uniq, inv = np.unique(stacked, axis=0, return_inverse=True)
-        vals = np.bincount(inv.ravel(), weights=weights)
-        keep = vals != 0.0
-        return Tensor.from_coo(m, self.dim, uniq[keep], vals[keep])
-
-    def is_semi_symmetric(self) -> bool:
-        """Whether the trailing indices can be permuted freely.
-
-        Compares the entries with those of :meth:`semi_symmetrize` on every
-        call, up to ``SEMI_SYMMETRY_TOL`` times ``max(1, max|a|)``.  Dense
-        storage compares one slab at a time in one slab-sized buffer and
-        stops at the first slab that differs.
-        """
-        tol = SEMI_SYMMETRY_TOL * max(1.0, self.max_abs())
-        if self.is_dense:
-            sym = np.empty_like(self._dense[0])
-            for slab in self._dense:
-                _semi_symmetrize_slab(slab, sym)
-                np.subtract(slab, sym, out=sym)
-                np.abs(sym, out=sym)
-                # written so that a NaN difference fails the test
-                if not sym.max() <= tol:
-                    return False
-            return True
-        sym = self.semi_symmetrize()
-        merged_idx = np.vstack([self._idx, sym.coo_indices])
-        merged_val = np.concatenate([self._vals, -sym.coo_values])
-        uniq, inv = np.unique(merged_idx, axis=0, return_inverse=True)
-        diff = np.bincount(inv.ravel(), weights=merged_val,
-                           minlength=uniq.shape[0])
-        return bool(np.max(np.abs(diff), initial=0.0) <= tol)
-
-    # ------------------------------------------------------------------
-    # structural predicates
-
-    @_fact
-    def is_z_tensor(self) -> bool:
-        """True when every off-diagonal entry is <= 0."""
-        if self.is_dense:
-            # entries that are not <= 0 (positive or NaN) must all sit on
-            # the diagonal; counting them needs no copy of the tensor
-            diag = self._dense[_diag_index(self.order, self.dim)]
-            loose = self._dense.size - np.count_nonzero(self._dense <= 0.0)
-            return bool(loose == diag.size - np.count_nonzero(diag <= 0.0))
-        if not self._vals.size:
-            return True
-        diag = np.all(self._idx == self._idx[:, :1], axis=1)
-        return bool(np.all(self._vals[~diag] <= 0.0))
+        return self._jacobian(_check_vector(x, self.dim))
 
     @_fact
     def is_diag_dominant(self) -> bool:
@@ -542,6 +340,257 @@ class Tensor:
         ax = self.apply(np.ones(self.dim))
         ax.flags.writeable = False
         return ax
+
+
+class _DenseTensor(Tensor):
+    """Dense storage: one read-only C-contiguous array of shape ``(n,)*m``.
+    Every contraction is one pass of :func:`_slot_terms` over the slabs
+    ``a[i]``, which gives ``M = A x^{m-2}``, with ``A x^{m-1} = M x``, and,
+    when asked, the derivative matrix."""
+
+    is_dense = True
+    storage = "dense"
+
+    @property
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self._vals))
+
+    @property
+    def dense_values(self) -> np.ndarray:
+        """Read-only view of the stored dense entries (no copy)."""
+        view = self._vals.view()
+        view.flags.writeable = False
+        return view
+
+    def to_dense_array(self) -> np.ndarray:
+        """Entries as a numpy array of shape ``(n,)*m`` (always a copy)."""
+        return self._vals.copy()
+
+    def to_coo(self) -> Tensor:
+        # argwhere walks the array in C order, which is already the sorted
+        # lexicographic order from_coo expects
+        idx = np.argwhere(self._vals != 0.0).astype(np.int64)
+        return Tensor.from_coo(self.order, self.dim, idx, self._vals[tuple(idx.T)])
+
+    def min_entry(self) -> float:
+        return float(self._vals.min())
+
+    def _times(self, f) -> Tensor:
+        return Tensor.from_dense(self._vals * f)
+
+    def _negated_shift(self, s) -> Tensor:
+        """``s*I - A``."""
+        b = np.negative(self._vals)
+        b[_diag_index(self.order, self.dim)] += s
+        return Tensor.from_dense(b)
+
+    @_fact
+    def _diagonal(self) -> np.ndarray:
+        d = self._vals[_diag_index(self.order, self.dim)]
+        d.flags.writeable = False
+        return d
+
+    @_fact
+    def is_z_tensor(self) -> bool:
+        """True when every off-diagonal entry is <= 0."""
+        # entries that are not <= 0 (positive or NaN) must all sit on the
+        # diagonal; counting them needs no copy of the tensor
+        diag = self._vals[_diag_index(self.order, self.dim)]
+        loose = self._vals.size - np.count_nonzero(self._vals <= 0.0)
+        return bool(loose == diag.size - np.count_nonzero(diag <= 0.0))
+
+    def _apply(self, x) -> np.ndarray:
+        return _slot_terms(self._vals, x, False)[0] @ x
+
+    def _jacobian(self, x) -> np.ndarray:
+        return _slot_terms(self._vals, x, True)[1]
+
+    def partial_contraction(self, x) -> np.ndarray:
+        """The ``n x n`` matrix ``M = A x^{m-2}``, whose ``M @ x`` is
+        ``apply(x)``; read-only when ``m = 2``, where ``M`` is the stored
+        matrix itself."""
+        return _slot_terms(self._vals, _check_vector(x, self.dim), False)[0]
+
+    def partial_and_jacobian(self, x):
+        """``(partial_contraction(x), jacobian_matrix(x))`` from one pass."""
+        return _slot_terms(self._vals, _check_vector(x, self.dim), True)
+
+    def image_and_jacobian(self, x):
+        """``(apply(x), jacobian_matrix(x))`` from one pass."""
+        partial, jac = self.partial_and_jacobian(x)
+        return partial @ x, jac
+
+    def semi_symmetrize(self) -> Tensor:
+        """Average over all permutations of the trailing ``m-1`` indices.
+
+        Leaves ``apply`` unchanged while making the trailing block of the
+        tensor fully symmetric.  Always a new tensor, even when the
+        entries are already symmetric.  Averages one slab at a time.
+        """
+        acc = np.empty_like(self._vals)
+        for slab, out in zip(self._vals, acc):
+            _semi_symmetrize_slab(slab, out)
+        return Tensor.from_dense(acc)
+
+    def is_semi_symmetric(self) -> bool:
+        """Whether the trailing indices can be permuted freely.
+
+        Compares the entries with those of :meth:`semi_symmetrize` on every
+        call, up to ``SEMI_SYMMETRY_TOL`` times ``max(1, max|a|)``, one
+        slab at a time, and stops at the first slab that differs.
+        """
+        tol = SEMI_SYMMETRY_TOL * max(1.0, self.max_abs())
+        sym = np.empty_like(self._vals[0])
+        for slab in self._vals:
+            _semi_symmetrize_slab(slab, sym)
+            np.subtract(slab, sym, out=sym)
+            np.abs(sym, out=sym)
+            # written so that a NaN difference fails the test
+            if not sym.max() <= tol:
+                return False
+        return True
+
+    def uncoupled_rows(self, rows, cols) -> list:
+        """The rows ``i`` in ``rows`` with no nonzero ``a[i, i2, .., im]``
+        whose trailing indices all lie in ``cols``.
+
+        Reads the rows of slab ``a[i]`` along its last index whose other
+        indices lie in ``cols``, in blocks that double in size, until one
+        has a nonzero entry in the ``cols`` columns.
+        """
+        n = self.dim
+        # flat row numbers of the index tuples in cols^{m-2}, in C order
+        flat = np.zeros(1, dtype=np.int64)
+        for _ in range(self.order - 2):
+            flat = (flat[:, None] * n + cols).ravel()
+        return [int(i) for i in rows
+                if not _couples(self._vals[int(i)].reshape(-1, n), flat, cols)]
+
+
+class _CooTensor(Tensor):
+    """COO storage: sorted unique 0-based index tuples, one row each, and
+    their values, both read-only.  Which entries lie on the diagonal is
+    computed once and kept with the facts."""
+
+    is_dense = False
+    storage = "coo"
+
+    def __init__(self, order, dim, values, indices):
+        super().__init__(order, dim, values)
+        self._idx = indices
+
+    @property
+    def nnz(self) -> int:
+        return self._vals.shape[0]
+
+    @property
+    def coo_indices(self) -> np.ndarray:
+        return self._idx
+
+    @property
+    def coo_values(self) -> np.ndarray:
+        return self._vals
+
+    def to_dense_array(self) -> np.ndarray:
+        check_dense_size(self.order, self.dim)
+        a = np.zeros((self.dim,) * self.order)
+        a[tuple(self._idx.T)] = self._vals
+        return a
+
+    def to_coo(self) -> Tensor:
+        return self
+
+    def min_entry(self) -> float:
+        """Smallest entry, counting the implicit zeros."""
+        stored = float(self._vals.min(initial=math.inf))
+        return min(stored, 0.0) if self.nnz < self.dim ** self.order else stored
+
+    def _times(self, f) -> Tensor:
+        return Tensor.from_coo(self.order, self.dim, self._idx, self._vals * f)
+
+    def _negated_shift(self, s) -> Tensor:
+        """``s*I - A``, without the diagonal entries that are zero."""
+        off = ~self._on_diagonal()
+        diag = s - self._diagonal()
+        keep = diag != 0.0
+        di = np.tile(np.flatnonzero(keep)[:, None], (1, self.order))
+        return Tensor.from_coo(self.order, self.dim, np.vstack([self._idx[off], di]),
+                               np.concatenate([-self._vals[off], diag[keep]]))
+
+    @_fact
+    def _on_diagonal(self) -> np.ndarray:
+        mask = np.all(self._idx == self._idx[:, :1], axis=1)
+        mask.flags.writeable = False
+        return mask
+
+    @_fact
+    def _diagonal(self) -> np.ndarray:
+        on = self._on_diagonal()
+        d = np.zeros(self.dim)
+        d[self._idx[on, 0]] = self._vals[on]
+        d.flags.writeable = False
+        return d
+
+    @_fact
+    def is_z_tensor(self) -> bool:
+        """True when every off-diagonal entry is <= 0."""
+        return bool(np.all(self._vals[~self._on_diagonal()] <= 0.0))
+
+    def _apply(self, x) -> np.ndarray:
+        if not self._vals.size:
+            # np.bincount over no entries returns integer zeros
+            return np.zeros(self.dim)
+        terms = self._vals * np.prod(x[self._idx[:, 1:]], axis=1)
+        return np.bincount(self._idx[:, 0], weights=terms, minlength=self.dim)
+
+    def _jacobian(self, x) -> np.ndarray:
+        jac = np.zeros((self.dim, self.dim))
+        cols = self._idx[:, 1:]
+        xs = x[cols]
+        for p in range(self.order - 1):
+            others = self._vals * np.prod(np.delete(xs, p, axis=1), axis=1)
+            np.add.at(jac, (self._idx[:, 0], cols[:, p]), others)
+        return jac
+
+    def image_and_jacobian(self, x):
+        """``(apply(x), None)``: the Jacobian is built when asked for."""
+        return self.apply(x), None
+
+    def semi_symmetrize(self) -> Tensor:
+        """As on dense storage; entries that average to zero are dropped."""
+        m = self.order
+        perms = list(itertools.permutations(range(1, m)))
+        stacked = np.vstack([self._idx[:, (0,) + p] for p in perms])
+        weights = np.tile(self._vals / len(perms), len(perms))
+        uniq, inv = np.unique(stacked, axis=0, return_inverse=True)
+        vals = np.bincount(inv.ravel(), weights=weights)
+        keep = vals != 0.0
+        return Tensor.from_coo(m, self.dim, uniq[keep], vals[keep])
+
+    def is_semi_symmetric(self) -> bool:
+        """As on dense storage, comparing all entries at once."""
+        tol = SEMI_SYMMETRY_TOL * max(1.0, self.max_abs())
+        sym = self.semi_symmetrize()
+        merged_idx = np.vstack([self._idx, sym._idx])
+        merged_val = np.concatenate([self._vals, -sym._vals])
+        uniq, inv = np.unique(merged_idx, axis=0, return_inverse=True)
+        diff = np.bincount(inv.ravel(), weights=merged_val,
+                           minlength=uniq.shape[0])
+        return bool(np.max(np.abs(diff), initial=0.0) <= tol)
+
+    def uncoupled_rows(self, rows, cols) -> list:
+        """As on dense storage, from the stored entries."""
+        usable = (np.all(np.isin(self._idx[:, 1:], cols), axis=1)
+                  & (self._vals != 0.0))
+        return rows[~np.isin(rows, self._idx[usable, 0])].tolist()
+
+
+class _RepeatedIndex(ValueError):
+    """A repeated index tuple, kept 0-based in ``index``."""
+
+    def __init__(self, index):
+        super().__init__(f"duplicate index tuple {index}")
+        self.index = index
 
 
 def _diag_index(order, dim):
@@ -603,12 +652,25 @@ def _slot_terms(a, x, jacobian):
 def _semi_symmetrize_slab(slab, out) -> None:
     """Write into ``out`` the average of ``slab`` over all permutations of
     its axes, summed from zero in ``itertools.permutations`` order: slab
-    ``i`` of :meth:`Tensor.semi_symmetrize`, to the bit."""
+    ``i`` of a dense tensor's ``semi_symmetrize``, to the bit."""
     perms = list(itertools.permutations(range(slab.ndim)))
     out.fill(0.0)
     for p in perms:
         out += slab.transpose(p)
     out /= len(perms)
+
+
+def _couples(slab, rows, cols) -> bool:
+    """Whether some row ``slab[r]``, ``r`` in ``rows``, has a nonzero entry
+    in ``cols``; rows are read in blocks of 1, 2, 4, ... until one does."""
+    start, size = 0, 1
+    while start < rows.size:
+        block = slab[rows[start:start + size]]
+        if np.any(block[:, cols]):
+            return True
+        start += size
+        size *= 2
+    return False
 
 
 def _scaled_facts(facts, f) -> dict:
@@ -663,32 +725,8 @@ def m_splitting(t: Tensor, s=None):
     diagonal of ``B`` nonnegative; for a Z-tensor the whole of ``B`` is
     then nonnegative.
     """
-    d = t.diagonal()
-    if s is None:
-        s = float(d.max()) if d.size else 0.0
-    s = float(s)
-    if t.is_dense:
-        b = np.negative(t.dense_values)
-        b[_diag_index(t.order, t.dim)] += s
-        return s, Tensor.from_dense(b)
-    idx = t.coo_indices
-    vals = t.coo_values
-    if vals.size:
-        diag_mask = np.all(idx == idx[:, :1], axis=1)
-        off_idx = idx[~diag_mask]
-        off_vals = -vals[~diag_mask]
-        diag_vals = np.zeros(t.dim)
-        diag_vals[idx[diag_mask, 0]] = vals[diag_mask]
-    else:
-        off_idx = np.zeros((0, t.order), dtype=np.int64)
-        off_vals = np.zeros(0)
-        diag_vals = np.zeros(t.dim)
-    new_diag = s - diag_vals
-    keep = new_diag != 0.0
-    di = np.tile(np.flatnonzero(keep)[:, None], (1, t.order))
-    all_idx = np.vstack([off_idx, di])
-    all_vals = np.concatenate([off_vals, new_diag[keep]])
-    return s, Tensor.from_coo(t.order, t.dim, all_idx, all_vals)
+    s = float(t.diagonal().max() if s is None else s)
+    return s, t._negated_shift(s)
 
 
 def nqz_spectral_radius(t: Tensor, tol=1e-10, max_iter=5000):
@@ -871,8 +909,9 @@ def _read_coo_body(fh, path, m, n, count) -> Tensor:
     idx -= 1
     try:
         return Tensor.from_coo(m, n, idx, vals)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    except _RepeatedIndex as exc:
+        where = tuple(i + 1 for i in exc.index)
+        raise FormatError(f"{path}: duplicate index tuple {where}") from None
 
 
 def _check_dense_cap(path, m, n) -> None:

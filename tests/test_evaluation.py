@@ -36,7 +36,7 @@ class CountingTensor:
     def __getattr__(self, name):
         attr = getattr(self._tensor, name)
         if name not in KERNELS:
-            method = vars(Tensor).get(name)
+            method = getattr(type(self._tensor), name, None)
             if isinstance(method, types.FunctionType):
                 return types.MethodType(method, self)
             return attr

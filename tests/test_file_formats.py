@@ -260,7 +260,7 @@ MALFORMED_COO = {
                   r"index out of range 1..4: \(2, 5, 2\)"),
     "nan": ("1 1 1 1.0\n2 3 4 nan\n",
             r"non-finite entry nan at index \(2, 3, 4\)"),
-    "repeated": ("2 3 4 1.0\n2 3 4 2.0\n", r"duplicate index tuple"),
+    "repeated": ("2 3 4 1.0\n2 3 4 2.0\n", r"duplicate index tuple \(2, 3, 4\)"),
     "fewer": ("1 1 1 1.0\n", "header promised 2 entries, found 1"),
     "more": ("1 1 1 1.0\n2 2 2 2.0\n3 3 3 3.0\n",
              "header promised 2 entries, found 3"),

@@ -21,7 +21,7 @@ def test_problem1_structure():
     assert p.A.is_z_tensor()
     assert p.A.is_semi_symmetric()
     assert p.A.is_diag_dominant()
-    assert p.certified_strong_m
+    assert p.certificate is not None
     assert p.omega > 0.0
     assert p.b.min() > 0.0
 
@@ -266,10 +266,16 @@ def test_second_problem2_makes_no_tensor_pass(monkeypatch):
 
     def no_pass(*args, **kwargs):
         raise AssertionError("a pass over the tensor")
+    # each name on every class that defines it, so no storage's own
+    # method escapes the guard
     for name in ("apply", "partial_contraction", "partial_and_jacobian",
                  "jacobian_matrix", "scaled", "to_dense_array",
                  "semi_symmetrize", "min_entry"):
-        monkeypatch.setattr(Tensor, name, no_pass)
+        owners = [cls for cls in (Tensor, *Tensor.__subclasses__())
+                  if name in vars(cls)]
+        assert owners, name
+        for cls in owners:
+            monkeypatch.setattr(cls, name, no_pass)
     monkeypatch.setattr(Tensor, "from_dense", no_pass)
     # every fact the problem checks is already on the cached tensor
     assert {"max_abs", "is_z_tensor", "is_diag_dominant"} <= set(first.A._facts)

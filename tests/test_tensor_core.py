@@ -49,7 +49,7 @@ def test_dense_values_is_a_read_only_view():
     assert np.array_equal(view, arr)
     with pytest.raises(ValueError):
         view[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(AttributeError):
         t.to_coo().dense_values
 
 
@@ -140,7 +140,7 @@ def test_partial_and_jacobian_matches_stand_alone_kernels_bitwise(
     assert M.tobytes() == t.partial_contraction(x).tobytes()
     assert jac.tobytes() == t.jacobian_matrix(x).tobytes()
     assert (M @ x).tobytes() == t.apply(x).tobytes()
-    with pytest.raises(ValueError):
+    with pytest.raises(AttributeError):
         t.to_coo().partial_and_jacobian(x)
 
 
@@ -246,9 +246,16 @@ def test_max_abs_and_z_sign_match_copying_definitions():
     cases += list(_nonfinite_tensors())
     for label, a in cases:
         dense = Tensor.from_dense(a)
-        for t in (dense, dense.to_coo()):
+        coo = dense.to_coo()
+        for t in (dense, coo):
             assert _same_float(t.max_abs(), _old_max_abs(a)), (label, t.storage)
             assert t.is_z_tensor() == _old_is_z_tensor(a), (label, t.storage)
+        # equal values: the implicit zeros of COO storage are +0.0
+        assert np.array_equal(coo.diagonal(), dense.diagonal(),
+                              equal_nan=True), label
+        lows = (coo.min_entry(), dense.min_entry())
+        assert lows[0] == lows[1] or np.isnan(lows).all(), label
+        assert coo.nnz == dense.nnz, label
     # the generated tensors are Z-tensors; the NaN and inf off the
     # diagonal and the positive entry break the sign pattern
     signs = {label: Tensor.from_dense(a).is_z_tensor() for label, a in cases}
@@ -369,14 +376,21 @@ def test_hadamard_power():
 def test_m_splitting_reconstructs():
     arr = random_dense(3, 3, seed=9)
     arr = -np.abs(arr)
-    for i in range(3):
-        arr[i, i, i] = 5.0
-    t = Tensor.from_dense(arr)
-    s, B = m_splitting(t)
-    assert s == 5.0
-    assert B.min_entry() >= 0.0
-    x = np.array([1.0, 0.5, 2.0])
-    assert np.allclose(s * x ** 2 - B.apply(x), t.apply(x), rtol=1e-13, atol=1e-15)
+    for i, d in enumerate((5.0, 3.0, 5.0)):
+        arr[i, i, i] = d
+    parts = []
+    for t in (Tensor.from_dense(arr), Tensor.from_dense(arr).to_coo()):
+        s, B = m_splitting(t)
+        assert s == 5.0
+        assert B.min_entry() >= 0.0
+        x = np.array([1.0, 0.5, 2.0])
+        assert np.allclose(s * x ** 2 - B.apply(x), t.apply(x), rtol=1e-13, atol=1e-15)
+        parts.append(B)
+    # the diagonal entries equal to s split to zeros, which COO storage
+    # does not store
+    assert parts[0].nnz == parts[1].nnz == 25
+    assert parts[1].storage == "coo"
+    assert parts[0].to_dense_array().tobytes() == parts[1].to_dense_array().tobytes()
 
 
 def test_nqz_known_values():

@@ -5,9 +5,9 @@ text or dense ``.npy``) and a ``.vec`` file, ``gen`` materializes benchmark
 instances, ``verify`` reports the structural certificates of a tensor, and
 ``bench`` aggregates seeded trials into the iteration/time tables.
 
-Exit codes of ``solve``: 0 converged, 2 iteration cap, 3 infeasibility or a
-structural refusal, 1 file errors.  ``verify`` exits 0 only when a strong
-M-tensor certificate was found.
+Exit codes of ``solve``: 0 converged, 2 iteration cap or a usage error, 3
+infeasibility or a structural refusal, 1 file errors.  ``verify`` exits 0
+only when a strong M-tensor certificate was found.
 """
 
 from __future__ import annotations
@@ -151,12 +151,16 @@ _STATUS_EXIT = {
 
 def cmd_solve(args) -> int:
     try:
+        cfg = _config_from(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP  # usage-level error
+    try:
         A = read_tensor(args.tensor)
         b = read_vector(args.rhs)
     except (OSError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    cfg = _config_from(args)
     try:
         p = scale_problem(A, b)
     except ValueError as exc:
@@ -334,16 +338,18 @@ class CellResult:
 def bench_cell(factory, trials, cfg: SolverConfig) -> CellResult:
     """Run ``factory(t) -> MTeqProblem`` for ``t in range(trials)``.
 
-    Failures of any kind (initialization, non-convergence) are counted
-    rather than raised, so one broken cell cannot take down a table.
+    Failures of initialization and solving are counted rather than
+    raised, so one broken cell cannot take down a table.  An error of
+    ``factory`` itself, such as a ``ValueError`` for a size the generator
+    refuses, is raised.
     """
     iters, times, init_times, init_iters = [], [], [], []
     converged = 0
     m = n = 0
     for t in range(trials):
+        p = factory(t)
+        m, n = p.m, p.n
         try:
-            p = factory(t)
-            m, n = p.m, p.n
             tic = time.perf_counter()
             init = initial_point(p, cfg)
             mid = time.perf_counter()
@@ -395,23 +401,25 @@ def cmd_bench(args) -> int:
             if len(parts) != 2:
                 raise ValueError(f"cannot parse size {item!r}; expected M,N")
             sizes.append((int(parts[0]), int(parts[1])))
+        if args.trials < 1:
+            raise ValueError("trials must be at least 1")
+        cfg = _config_from(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    cfg = _config_from(args)
     cells = []
     for m, n in sizes:
         try:
             keep = _parse_keep(args.keep, n, args.problem)
+
+            def factory(t, m=m, n=n, keep=keep):
+                p = _generate(args.problem, m, n, args.seed + t, args.c0, args.c1)
+                return _apply_zeroing(p, args.zero_frac, keep, args.seed + t)
+
+            cells.append(bench_cell(factory, args.trials, cfg))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CAP
-
-        def factory(t, m=m, n=n, keep=keep):
-            p = _generate(args.problem, m, n, args.seed + t, args.c0, args.c1)
-            return _apply_zeroing(p, args.zero_frac, keep, args.seed + t)
-
-        cells.append(bench_cell(factory, args.trials, cfg))
     table = markdown_table(cells)
     print(table, end="")
     if args.out:

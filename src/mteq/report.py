@@ -101,17 +101,15 @@ def estimate_order(trace) -> float | None:
     """Convergence-order estimate from the last three residuals.
 
     Accepts a :class:`SolveReport` (whose residual path includes the
-    initial point), a sequence of :class:`IterationRecord`, or a plain
-    sequence of residual norms.  Returns ``log(r_K/r_{K-1}) /
-    log(r_{K-1}/r_{K-2})`` or ``None`` when fewer than three values are
-    available, any of the last three is nonpositive or nonfinite, or the
-    residuals are not strictly decreasing there.
+    initial point) or a plain sequence of residual norms.  Returns
+    ``log(r_K/r_{K-1}) / log(r_{K-1}/r_{K-2})`` or ``None`` when fewer
+    than three values are available, any of the last three is nonpositive
+    or nonfinite, or the residuals are not strictly decreasing there.
     """
     if isinstance(trace, SolveReport):
         values = trace.residual_path()
     else:
-        values = [t.residual_norm if isinstance(t, IterationRecord) else float(t)
-                  for t in trace]
+        values = [float(t) for t in trace]
     if len(values) < 3:
         return None
     r0, r1, r2 = values[-3:]

@@ -48,11 +48,10 @@ __all__ = [
 
 
 class LineSearchResult(NamedTuple):
-    """An accepted trial; ``y_next`` and ``f_next`` are read-only."""
+    """An accepted trial; ``y_next`` is read-only."""
 
     alpha: float
     y_next: np.ndarray
-    f_next: np.ndarray
     residual_norm: float
     backtracks: int
 
@@ -121,7 +120,7 @@ def _backtrack(p: MTeqProblem, y, d, cfg: SolverConfig, current_norm,
             if in_feasible_split(p, trial.y, cfg.eps, cfg.eps2):
                 rt = float(np.linalg.norm(trial.f))
                 if _descends(rt, current_norm, alpha, cfg.sigma):
-                    return LineSearchResult(alpha, trial.y, trial.f, rt, i)
+                    return LineSearchResult(alpha, trial.y, rt, i)
     return None
 
 

@@ -90,7 +90,11 @@ def dense_cap() -> int:
 
 
 def check_dense_size(order, dim) -> None:
-    """Raise ``ValueError`` when ``dim**order`` entries exceed :func:`dense_cap`."""
+    """Raise ``ValueError`` unless ``order >= 2`` and ``dim >= 1``, or when
+    ``dim**order`` entries exceed :func:`dense_cap`."""
+    if order < 2 or dim < 1:
+        raise ValueError(f"a tensor needs order >= 2 and dimension >= 1, "
+                         f"got order {order}, dimension {dim}")
     cap = dense_cap()
     if dim ** order > cap:
         raise ValueError(
@@ -194,9 +198,8 @@ class Tensor:
     is needed, that is the caller's own array.  Use :meth:`from_dense`,
     :meth:`from_coo` or :meth:`identity` to construct one; each returns a
     dense or a COO storage class, with ``is_dense`` and ``storage`` as
-    class attributes.  Only dense storage has ``dense_values``,
-    ``partial_contraction`` and ``partial_and_jacobian``, and only COO
-    storage ``coo_indices`` and ``coo_values``.
+    class attributes.  Only dense storage has ``dense_values``, and only
+    COO storage ``coo_indices`` and ``coo_values``.
     """
 
     def __init__(self, order, dim, values):
@@ -262,11 +265,10 @@ class Tensor:
         return _CooTensor(order, dim, vals, idx)
 
     @classmethod
-    def identity(cls, order, dim, storage="coo") -> "Tensor":
-        """Diagonal tensor with ones at every ``(i, i, .., i)``."""
+    def identity(cls, order, dim) -> "Tensor":
+        """COO tensor with ones at every ``(i, i, .., i)``."""
         idx = np.tile(np.arange(dim, dtype=np.int64)[:, None], (1, order))
-        t = cls.from_coo(order, dim, idx, np.ones(dim))
-        return t if storage == "coo" else t.to_dense()
+        return cls.from_coo(order, dim, idx, np.ones(dim))
 
     def __repr__(self):
         return (f"Tensor(order={self.order}, dim={self.dim}, "
@@ -296,8 +298,8 @@ class Tensor:
         out._facts.update(_scaled_facts(self._facts, f))
         return out
 
-    # diagonal, apply and jacobian_matrix each call a hook of the storage
-    # class, so that a wrapper set on Tensor sees every call
+    # the kernels below each call a hook of the storage class, so that a
+    # wrapper set on Tensor sees every call
 
     def diagonal(self) -> np.ndarray:
         """Vector of the entries ``a[i, i, .., i]`` (a copy)."""
@@ -318,6 +320,12 @@ class Tensor:
         exact arithmetic, but not always in floating point.
         """
         return self._jacobian(_check_vector(x, self.dim))
+
+    def image_and_jacobian(self, x):
+        """``(apply(x), J)``, with ``J`` the :meth:`jacobian_matrix` when
+        the storage gets it from the same pass over the entries, or
+        ``None`` when it is built only on request."""
+        return self._image_and_jacobian(_check_vector(x, self.dim))
 
     @_fact
     def is_diag_dominant(self) -> bool:
@@ -405,19 +413,9 @@ class _DenseTensor(Tensor):
     def _jacobian(self, x) -> np.ndarray:
         return _slot_terms(self._vals, x, True)[1]
 
-    def partial_contraction(self, x) -> np.ndarray:
-        """The ``n x n`` matrix ``M = A x^{m-2}``, whose ``M @ x`` is
-        ``apply(x)``; read-only when ``m = 2``, where ``M`` is the stored
-        matrix itself."""
-        return _slot_terms(self._vals, _check_vector(x, self.dim), False)[0]
-
-    def partial_and_jacobian(self, x):
-        """``(partial_contraction(x), jacobian_matrix(x))`` from one pass."""
-        return _slot_terms(self._vals, _check_vector(x, self.dim), True)
-
-    def image_and_jacobian(self, x):
-        """``(apply(x), jacobian_matrix(x))`` from one pass."""
-        partial, jac = self.partial_and_jacobian(x)
+    def _image_and_jacobian(self, x):
+        # one pass gives both; M @ x has the bits of _apply's
+        partial, jac = _slot_terms(self._vals, x, True)
         return partial @ x, jac
 
     def semi_symmetrize(self) -> Tensor:
@@ -552,8 +550,9 @@ class _CooTensor(Tensor):
             np.add.at(jac, (self._idx[:, 0], cols[:, p]), others)
         return jac
 
-    def image_and_jacobian(self, x):
-        """``(apply(x), None)``: the Jacobian is built when asked for."""
+    def _image_and_jacobian(self, x):
+        # through apply, so that a wrapper on it counts the record; the
+        # Jacobian is built when asked for
         return self.apply(x), None
 
     def semi_symmetrize(self) -> Tensor:

@@ -28,7 +28,7 @@ def test_gen_writes_problem_files(tmp_path):
     assert (out / "tensor.mt").exists() and (out / "rhs.vec").exists()
 
 
-def test_gen_usage_errors(tmp_path, monkeypatch):
+def test_gen_usage_errors(tmp_path, monkeypatch, capsys):
     # unknown family: argparse choices reject it with the usual usage exit
     with pytest.raises(SystemExit) as ex:
         run_cli("gen", "--problem", "7", "--out", str(tmp_path))
@@ -41,6 +41,14 @@ def test_gen_usage_errors(tmp_path, monkeypatch):
     assert run_cli("gen", "--problem", "1", "--m", "3", "--n", "3",
                    "--out", str(tmp_path / "p1")) == 2
     assert not (tmp_path / "p1").exists()
+    # a dimension that makes no tensor
+    capsys.readouterr()
+    assert run_cli("gen", "--problem", "1", "--n", "0",
+                   "--out", str(tmp_path / "p0")) == 2
+    assert capsys.readouterr().err == (
+        "error: a tensor needs order >= 2 and dimension >= 1, "
+        "got order 3, dimension 0\n")
+    assert not (tmp_path / "p0").exists()
 
 
 def test_solve_round_trip_matches_in_process(tmp_path):
@@ -128,7 +136,7 @@ def test_solve_checks_the_assumption_once(tmp_path, monkeypatch, capsys,
     else:
         # row 2 of the identity has no entry a[2, 1, 1] to couple it to b_1
         tensor, rhs = tmp_path / "eye.mt", tmp_path / "b.vec"
-        write_tensor(tensor, Tensor.identity(3, 2, storage="dense"))
+        write_tensor(tensor, Tensor.identity(3, 2).to_dense())
         write_vector(rhs, [1.0, 0.0])
     calls = []
     check = model.check_assumption
@@ -251,3 +259,33 @@ def test_bench_cell_records_failures():
 
     cell = bench_cell(broken, trials=3, cfg=SolverConfig())
     assert cell.trials == 3 and cell.converged == 0
+
+
+def test_solver_flag_out_of_range_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "p1"
+    run_cli("gen", "--problem", "1", "--m", "3", "--n", "6", "--out", str(out))
+    capsys.readouterr()
+    assert run_cli("solve", str(out / "tensor.mt"), str(out / "rhs.vec"),
+                   "--solution", str(tmp_path / "s.vec"),
+                   "--eps", "2") == EXIT_CAP
+    assert capsys.readouterr().err == "error: eps must lie in (0, 1)\n"
+    assert not (tmp_path / "s.vec").exists()
+    assert run_cli("bench", "--problem", "1", "--sizes", "3,8",
+                   "--max-iter", "0") == EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.err == "error: iteration limits must be at least 1\n"
+    assert not captured.out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--problem", "3", "--sizes", "3,10"), "problem 3 is an order-4 stencil"),
+    (("--problem", "5", "--sizes", "3,1"), "the triangular generator needs n >= 2"),
+    (("--problem", "1", "--sizes", "3,1", "--trials", "0"),
+     "trials must be at least 1"),
+], ids=["order", "dimension", "trials"])
+def test_bench_refuses_arguments_that_gen_refuses(capsys, argv, message):
+    assert run_cli("bench", *argv) == EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    # no table row labelled from a problem that was never built
+    assert not captured.out

@@ -17,10 +17,9 @@ from mteq.model import _evaluate
 from mteq.problems import (gen_problem1, gen_problem4, gen_problem5,
                            write_problem, zero_out_rhs)
 
-KERNELS = ("apply", "partial_contraction", "jacobian_matrix",
-           "partial_and_jacobian")
+KERNELS = ("apply", "jacobian_matrix", "image_and_jacobian")
 # kernels that contract the tensor with their vector
-CONTRACTIONS = ("apply", "partial_contraction", "partial_and_jacobian")
+CONTRACTIONS = ("apply", "image_and_jacobian")
 
 
 class CountingTensor:
@@ -54,6 +53,11 @@ class CountingTensor:
         """Number of contractions of the tensor with ``x``."""
         return sum(np.array_equal(v, x) for k in CONTRACTIONS
                    for v in self.calls[k])
+
+    def applied_at_records(self):
+        """Number of ``apply`` calls at a point that a record contracted."""
+        return sum(np.array_equal(v, x) for v in self.calls["apply"]
+                   for x in self.calls["image_and_jacobian"])
 
 
 def counted_problem(p, zero=False, seed=0):
@@ -113,8 +117,7 @@ def test_start_is_contracted_once(zero):
     # dominance test cached, then one record per point, each a single
     # fused pass
     assert not counted.calls["apply"]
-    assert len(counted.calls["partial_and_jacobian"]) == 1 + trials(rep)
-    assert not counted.calls["partial_contraction"]
+    assert len(counted.calls["image_and_jacobian"]) == 1 + trials(rep)
     assert not counted.calls["jacobian_matrix"]
 
 
@@ -125,11 +128,11 @@ def test_half_zeroed_jacobians_within_one_plus_trials(gen):
         rep = solve_nonnegative(p, initial_point(p).y0)
         assert rep.converged
         jacobians = (counted.calls["jacobian_matrix"]
-                     + counted.calls["partial_and_jacobian"])
+                     + counted.calls["image_and_jacobian"])
         assert 1 <= len(jacobians) <= 1 + trials(rep)
         # every Jacobian comes from its record's one pass over the tensor
         assert not counted.calls["jacobian_matrix"]
-        assert not counted.calls["partial_contraction"]
+        assert not counted.applied_at_records()
 
 
 def test_dense_record_costs_one_pass_before_its_jacobian():
@@ -137,14 +140,14 @@ def test_dense_record_costs_one_pass_before_its_jacobian():
     y = initial_point(p).y0 * 1.5
     counted.reset()
     point = _evaluate(p, y)
-    assert len(counted.calls["partial_and_jacobian"]) == 1
+    assert len(counted.calls["image_and_jacobian"]) == 1
     assert not counted.calls["apply"] and not counted.calls["jacobian_matrix"]
     first = point.jacobian()
     assert point.jacobian() is first
     # the Jacobian came with the record's pass: no second one
-    assert len(counted.calls["partial_and_jacobian"]) == 1
+    assert len(counted.calls["image_and_jacobian"]) == 1
     assert not counted.calls["jacobian_matrix"]
-    assert not counted.calls["partial_contraction"]
+    assert not counted.applied_at_records()
 
 
 def test_initial_point_contracts_with_all_ones_once():
@@ -165,8 +168,8 @@ def test_initial_point_contracts_with_all_ones_once():
     assert counted.at(init.u) == 1
     # the feasibility check of the start is its record's one pass
     x0 = hadamard_power(init.y0, 1.0 / (p.m - 1))
-    assert len(counted.calls["partial_and_jacobian"]) == counted.at(x0) == 1
-    assert not counted.calls["partial_contraction"]
+    assert len(counted.calls["image_and_jacobian"]) == counted.at(x0) == 1
+    assert not counted.applied_at_records()
     assert not counted.calls["jacobian_matrix"]
 
 
@@ -214,13 +217,12 @@ def test_fused_kernel_matches_stand_alone_kernels_bitwise(m, n):
     a = gen_problem4(m, n, 3).A.to_dense_array()
     t = Tensor.from_dense(a)
     x = np.random.default_rng(m).uniform(0.5, 2.0, size=n)
-    M = t.partial_contraction(x)
-    assert M.tobytes() == reference_partial(a, x).tobytes()
-    assert (M @ x).tobytes() == t.apply(x).tobytes() == reference_apply(a, x).tobytes()
+    image = reference_apply(a, x)
+    assert t.apply(x).tobytes() == image.tobytes()
     jac = reference_jacobian(a, x)
     assert t.jacobian_matrix(x).tobytes() == jac.tobytes()
-    fused_M, fused_jac = t.partial_and_jacobian(x)
-    assert fused_M.tobytes() == M.tobytes()
+    fused_image, fused_jac = t.image_and_jacobian(x)
+    assert fused_image.tobytes() == image.tobytes()
     assert fused_jac.tobytes() == jac.tobytes()
     # the record's Jacobian is the stand-alone one, column-scaled
     p = make_problem(t, np.ones(n))
@@ -239,11 +241,11 @@ def test_memo_hits_only_on_equal_points():
     point = _evaluate(p, y)
     counted.reset()
     assert _evaluate(p, y.copy()) is point
-    assert not counted.calls["partial_and_jacobian"]
+    assert not counted.calls["image_and_jacobian"]
     nudged = y.copy()
     nudged[3] = np.nextafter(nudged[3], np.inf)
     assert _evaluate(p, nudged) is not point
-    assert len(counted.calls["partial_and_jacobian"]) == 1
+    assert len(counted.calls["image_and_jacobian"]) == 1
     # the record keeps its own copy of y: changing the caller's array
     # afterwards cannot make a stale hit
     mine = y.copy()

@@ -24,6 +24,13 @@ def test_problem1_structure():
     assert p.certificate is not None
     assert p.omega > 0.0
     assert p.b.min() > 0.0
+    # sizes that make no tensor: one message, naming both values
+    for gen, args in ((gen_problem1, (3, 0, 0)), (gen_problem2, (3, 0)),
+                      (gen_problem4, (1, 3, 0))):
+        order, dim = args[:2]
+        with pytest.raises(ValueError, match=f"got order {order}, "
+                                             f"dimension {dim}$"):
+            gen(*args)
 
 
 def test_problem1_determinism():
@@ -268,9 +275,8 @@ def test_second_problem2_makes_no_tensor_pass(monkeypatch):
         raise AssertionError("a pass over the tensor")
     # each name on every class that defines it, so no storage's own
     # method escapes the guard
-    for name in ("apply", "partial_contraction", "partial_and_jacobian",
-                 "jacobian_matrix", "scaled", "to_dense_array",
-                 "semi_symmetrize", "min_entry"):
+    for name in ("apply", "image_and_jacobian", "jacobian_matrix", "scaled",
+                 "to_dense_array", "semi_symmetrize", "min_entry"):
         owners = [cls for cls in (Tensor, *Tensor.__subclasses__())
                   if name in vars(cls)]
         assert owners, name

@@ -46,11 +46,9 @@ def test_estimate_order_undefined_cases():
     assert estimate_order([1e-2, 1e-4, np.nan]) is None
 
 
-def test_estimate_order_accepts_reports_and_records():
+def test_estimate_order_accepts_reports():
     rep = make_report([1e-2, 1e-4, 1e-8])
     assert estimate_order(rep) == pytest.approx(2.0, abs=1e-12)
-    recs = [record(1, 1e-2), record(2, 1e-4), record(3, 1e-8)]
-    assert estimate_order(recs) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_trace_csv_round_trip(tmp_path):

@@ -13,7 +13,7 @@ from mteq.problems import gen_problem1, gen_problem4
 from mteq.tensor import SEMI_SYMMETRY_TOL
 
 from oracles import apply_loops, jacobian_loops
-from test_evaluation import reference_jacobian, reference_partial
+from test_evaluation import reference_apply, reference_jacobian
 
 
 def random_dense(m, n, seed):
@@ -61,7 +61,7 @@ def test_identity_apply_and_diagonal():
     assert t.is_z_tensor()
     assert t.is_diag_dominant()
     # dense storage of the same tensor behaves identically
-    td = Tensor.identity(4, 3, storage="dense")
+    td = Tensor.identity(4, 3).to_dense()
     assert np.array_equal(td.apply(x), x ** 3)
 
 
@@ -134,14 +134,15 @@ def test_partial_and_jacobian_matches_stand_alone_kernels_bitwise(
         monkeypatch.setattr(tensor, "_FUSED_BLOCK_BYTES", slabs * arr[0].nbytes)
     t = Tensor.from_dense(arr)
     x = np.random.default_rng(n).uniform(0.5, 2.0, size=n)
-    M, jac = t.partial_and_jacobian(x)
-    assert M.tobytes() == reference_partial(arr, x).tobytes()
+    image, jac = t.image_and_jacobian(x)
+    assert image.tobytes() == reference_apply(arr, x).tobytes()
     assert jac.tobytes() == reference_jacobian(arr, x).tobytes()
-    assert M.tobytes() == t.partial_contraction(x).tobytes()
+    assert image.tobytes() == t.apply(x).tobytes()
     assert jac.tobytes() == t.jacobian_matrix(x).tobytes()
-    assert (M @ x).tobytes() == t.apply(x).tobytes()
-    with pytest.raises(AttributeError):
-        t.to_coo().partial_and_jacobian(x)
+    coo = t.to_coo()
+    image, jac = coo.image_and_jacobian(x)
+    assert jac is None
+    assert image.tobytes() == coo.apply(x).tobytes()
 
 
 @pytest.mark.parametrize("m,n", SHAPES)

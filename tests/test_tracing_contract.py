@@ -6,6 +6,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from mteq import Tensor
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -29,3 +31,14 @@ def test_traced_functions_resolve_to_distinct_functions():
             seen[id(fn)] = target
     for span in tracing.SOLVERS:
         assert span in tracing.FUNCTIONS
+
+
+def test_traced_kernels_are_defined_on_the_base_class_only():
+    # a wrapper set on Tensor sees a kernel only when no storage class
+    # defines its own
+    tracing = load_tracing()
+    names = {*tracing.METHODS, *tracing.PLAIN_METHODS, "image_and_jacobian"}
+    for name in names:
+        assert name in vars(Tensor), name
+        for cls in Tensor.__subclasses__():
+            assert name not in vars(cls), (cls.__name__, name)

@@ -46,10 +46,15 @@ The hash depends on the BLAS build, so compare runs on one machine only.
 Run from the repository root:
 
     PYTHONPATH=src python scripts/report_hash.py
+
+With ``--items`` it prints instead one line per item, its own SHA-256 and
+its label, such as ``P1(3,30) seed 0 zeroed, default: solve_nonnegative``.
+Diffing the output of two runs lists the items that changed.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -62,8 +67,9 @@ import numpy as np
 import mteq
 from mteq.cli import main as cli_main
 
-CONFIGS = (mteq.SolverConfig(), mteq.SolverConfig(plain_steps=True),
-           mteq.SolverConfig(max_iter=2))
+CONFIGS = {"default": mteq.SolverConfig(),
+           "plain_steps": mteq.SolverConfig(plain_steps=True),
+           "max_iter=2": mteq.SolverConfig(max_iter=2)}
 STENCIL_CONFIG = mteq.SolverConfig(relative_stop=True)
 STENCIL_BOUNDARIES = ((1e7, 1e7), (2e7, 1e7), (1e7, 5e7))
 
@@ -94,31 +100,36 @@ def init_bytes(init: mteq.InitialPoint) -> bytes:
                       str(init.iterations).encode()])
 
 
-def solves(p, cfg):
-    """Initialize and solve ``p`` with each applicable solver."""
+def solves(label, p, cfg):
+    """Initialize and solve ``p`` with each applicable solver; each item
+    is labelled ``label`` and the step."""
     try:
         init = mteq.initial_point(p, cfg)
     except mteq.InitializationError as exc:
-        yield f"init: {exc}".encode()
+        yield f"{label}: init", f"init: {exc}".encode()
         return
-    yield init_bytes(init)
+    yield f"{label}: init", init_bytes(init)
     if not p.partition.i_zero.size:
-        yield report_bytes(mteq.solve_positive(p, init.x0, cfg))
-    yield report_bytes(mteq.solve_nonnegative(p, init.y0, cfg))
+        yield (f"{label}: solve_positive",
+               report_bytes(mteq.solve_positive(p, init.x0, cfg)))
+    yield (f"{label}: solve_nonnegative",
+           report_bytes(mteq.solve_nonnegative(p, init.y0, cfg)))
 
 
 def dense_problems(sizes=((3, 30), (4, 8)), seeds=range(8),
                    problems=(1, 2, 4, 5)):
-    """Each problem at each size and seed, plain and half-zeroed."""
+    """``(label, p)`` for each problem at each size and seed, plain and
+    half-zeroed."""
     for problem in problems:
         gen = getattr(mteq, f"gen_problem{problem}")
         keep = (0,) if problem == 5 else ()
         for m, n in sizes:
             for seed in seeds:
+                label = f"P{problem}({m},{n}) seed {seed}"
                 p = gen(m, n, seed)
-                yield p
+                yield label, p
                 b = mteq.zero_out_rhs(p.b, seed, keep=keep)
-                yield mteq.make_problem(p.A, b, omega=p.omega)
+                yield f"{label} zeroed", mteq.make_problem(p.A, b, omega=p.omega)
 
 
 def instance_bytes(p: mteq.MTeqProblem) -> bytes:
@@ -129,43 +140,49 @@ def instance_bytes(p: mteq.MTeqProblem) -> bytes:
 def bad_starts():
     p = mteq.gen_problem1(3, 10, 0)
     n = p.n
-    for start in (-np.ones(n), np.zeros(n), np.full(n, 1e-8), np.ones(n + 1)):
-        yield report_bytes(mteq.solve_positive(p, start))
-        yield report_bytes(mteq.solve_nonnegative(p, start))
+    starts = {"negative": -np.ones(n), "zero": np.zeros(n),
+              "infeasible": np.full(n, 1e-8), "wrong shape": np.ones(n + 1)}
+    for name, start in starts.items():
+        yield (f"{name} start: solve_positive",
+               report_bytes(mteq.solve_positive(p, start)))
+        yield (f"{name} start: solve_nonnegative",
+               report_bytes(mteq.solve_nonnegative(p, start)))
     # a diagonal tensor with a zeroed row: row 2 couples to nothing in I+
     q = mteq.make_problem(mteq.Tensor.identity(3, 2), np.array([1.0, 0.0]))
-    yield report_bytes(mteq.solve_nonnegative(q, np.ones(2)))
+    yield ("uncoupled zero row: solve_nonnegative",
+           report_bytes(mteq.solve_nonnegative(q, np.ones(2))))
 
 
 def verify_outputs():
     """Exit code and standard output of ``mteq verify --rhs`` per file."""
-    problems = [mteq.gen_problem3(24)]
-    problems += [getattr(mteq, f"gen_problem{k}")(3, 8, 0) for k in (1, 2, 4, 5)]
+    problems = {"P3(24)": mteq.gen_problem3(24)}
+    problems.update({f"P{k}(3,8)": getattr(mteq, f"gen_problem{k}")(3, 8, 0)
+                     for k in (1, 2, 4, 5)})
     with tempfile.TemporaryDirectory() as tmp:
-        for k, p in enumerate(problems):
+        for k, (label, p) in enumerate(problems.items()):
             out = os.path.join(tmp, str(k))
             mteq.write_problem(out, p, {})
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = cli_main(["verify", os.path.join(out, "tensor.mt"),
                                  "--rhs", os.path.join(out, "rhs.vec")])
-            yield f"{code}|{buf.getvalue()}".encode()
+            yield f"verify {label}", f"{code}|{buf.getvalue()}".encode()
 
 
 def written_files():
     """Bytes of the tensor and right-hand side files of ``write_problem``."""
-    problems = [getattr(mteq, f"gen_problem{k}")(m, n, 0)
-                for m, n in ((3, 8), (4, 20)) for k in (1, 2, 4, 5)]
-    problems.append(mteq.gen_problem3(24))
+    problems = {f"P{k}({m},{n})": getattr(mteq, f"gen_problem{k}")(m, n, 0)
+                for m, n in ((3, 8), (4, 20)) for k in (1, 2, 4, 5)}
+    problems["P3(24)"] = mteq.gen_problem3(24)
     with tempfile.TemporaryDirectory() as tmp:
-        for p in problems:
+        for label, p in problems.items():
             other = p.A.to_coo() if p.A.is_dense else p.A.to_dense()
             for A in (p.A, other):
                 q = mteq.make_problem(A, p.b, omega=p.omega)
                 mteq.write_problem(tmp, q, {})
                 for name in ("tensor.mt", "rhs.vec"):
                     with open(os.path.join(tmp, name), "rb") as fh:
-                        yield fh.read()
+                        yield f"files {label} {A.storage}: {name}", fh.read()
 
 
 def npy_solves():
@@ -176,7 +193,7 @@ def npy_solves():
     p5 = mteq.make_problem(p5.A, mteq.zero_out_rhs(p5.b, 0, keep=(0,)),
                            omega=p5.omega)
     with tempfile.TemporaryDirectory() as tmp:
-        for p in (p1, p5):
+        for label, p in (("P1(3,30)", p1), ("P5(3,30) zeroed", p5)):
             mteq.write_problem(tmp, p, {})
             tensor = os.path.join(tmp, "tensor.npy")
             mteq.write_tensor(tensor, p.A)
@@ -191,36 +208,46 @@ def npy_solves():
             with open(trace, newline="") as fh:
                 rows = [[v for k, v in row.items() if k != "elapsed_ms"]
                         for row in csv.DictReader(fh)]
-            yield f"{code}|{buf.getvalue()}|{rows}".encode() + x
+            yield (f"npy solve {label}",
+                   f"{code}|{buf.getvalue()}|{rows}".encode() + x)
 
 
 def ensemble():
-    for p in dense_problems():
-        for cfg in CONFIGS:
-            yield from solves(p, cfg)
-    for p in dense_problems(sizes=((5, 6),), problems=(1, 4)):
-        for cfg in CONFIGS:
-            yield from solves(p, cfg)
+    """``(label, bytes)`` for every item, in hash order."""
+    for label, p in dense_problems():
+        for name, cfg in CONFIGS.items():
+            yield from solves(f"{label}, {name}", p, cfg)
+    for label, p in dense_problems(sizes=((5, 6),), problems=(1, 4)):
+        for name, cfg in CONFIGS.items():
+            yield from solves(f"{label}, {name}", p, cfg)
     for n in (24, 40):
         for c0, c1 in STENCIL_BOUNDARIES:
-            yield from solves(mteq.gen_problem3(n, c0, c1), STENCIL_CONFIG)
+            yield from solves(f"P3({n}) c0 {c0:g} c1 {c1:g}, relative_stop",
+                              mteq.gen_problem3(n, c0, c1), STENCIL_CONFIG)
     yield from bad_starts()
     yield from verify_outputs()
     yield from written_files()
     yield from npy_solves()
-    for p in dense_problems(sizes=((3, 200),), seeds=range(3)):
-        yield instance_bytes(p)
-        yield from solves(p, CONFIGS[0])
+    for label, p in dense_problems(sizes=((3, 200),), seeds=range(3)):
+        yield f"instance {label}", instance_bytes(p)
+        yield from solves(f"{label}, default", p, CONFIGS["default"])
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--items", action="store_true",
+                        help="print one digest per labelled item")
+    args = parser.parse_args(argv)
     digest = hashlib.sha256()
     count = 0
-    for item in ensemble():
+    for label, item in ensemble():
+        if args.items:
+            print(f"{hashlib.sha256(item).hexdigest()}  {label}")
         digest.update(len(item).to_bytes(8, "little"))
         digest.update(item)
         count += 1
-    print(f"{digest.hexdigest()}  ({count} items)")
+    if not args.items:
+        print(f"{digest.hexdigest()}  ({count} items)")
 
 
 if __name__ == "__main__":

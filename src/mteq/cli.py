@@ -22,8 +22,9 @@ import numpy as np
 
 from .initializer import InitializationError, find_certificate, initial_point
 from .model import MTeqProblem, SolverConfig, make_problem, scale_problem
-from .problems import (TENSOR_FILES, gen_problem1, gen_problem2, gen_problem3,
-                       gen_problem4, gen_problem5, write_problem, zero_out_rhs)
+from .problems import (TENSOR_FILES, _check_fraction, _seed_key, gen_problem1,
+                       gen_problem2, gen_problem3, gen_problem4, gen_problem5,
+                       write_problem, zero_out_rhs)
 from .report import SolveReport, SolveStatus, estimate_order, write_trace_csv
 from .solver_basic import solve_positive
 from .solver_extended import solve_nonnegative
@@ -227,6 +228,14 @@ def _generate(problem, m, n, seed, c0, c1):
     return gen_problem5(m, n, seed)
 
 
+def _check_draw_args(args) -> None:
+    """Refuse the seed or the zero fraction of ``gen`` or ``bench`` that
+    the generators would refuse, before any instance is built."""
+    _seed_key(args.seed)
+    if args.zero_frac is not None:
+        _check_fraction(args.zero_frac)
+
+
 def _apply_zeroing(p: MTeqProblem, zero_frac, keep, seed) -> MTeqProblem:
     if zero_frac is None:
         return p
@@ -236,6 +245,7 @@ def _apply_zeroing(p: MTeqProblem, zero_frac, keep, seed) -> MTeqProblem:
 
 def cmd_gen(args) -> int:
     try:
+        _check_draw_args(args)
         keep = _parse_keep(args.keep, args.n, args.problem)
         p = _generate(args.problem, args.m, args.n, args.seed, args.c0, args.c1)
         p = _apply_zeroing(p, args.zero_frac, keep, args.seed)
@@ -281,7 +291,9 @@ def cmd_verify(args) -> int:
     print(f"z sign pattern (off-diagonal <= 0): {'yes' if z else 'no'}")
     print(f"diagonally dominant (A e^{{m-1}} > 0): "
           f"{'yes' if A.is_diag_dominant() else 'no'}")
-    print(f"semi-symmetric: {'yes' if A.is_semi_symmetric() else 'no'}")
+    symmetry = ("exact" if A.is_exactly_semi_symmetric()
+                else "to rounding" if A.is_semi_symmetric() else "no")
+    print(f"semi-symmetric: {symmetry}")
     s, B = m_splitting(A)
     print(f"splitting shift s (max diagonal): {s:.6g}")
     if B.min_entry() >= 0.0:
@@ -403,6 +415,7 @@ def cmd_bench(args) -> int:
             sizes.append((int(parts[0]), int(parts[1])))
         if args.trials < 1:
             raise ValueError("trials must be at least 1")
+        _check_draw_args(args)
         cfg = _config_from(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

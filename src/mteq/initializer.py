@@ -161,7 +161,7 @@ def _sweep(A: Tensor, rhs=None, max_sweeps=MAX_SWEEPS):
     """:func:`find_certificate`'s ``(u, sweeps)`` with the image
     ``A u^{m-1}`` of its last sweep, so that :func:`initial_point` does not
     contract the tensor at ``u`` again.  Sweep 0 reads the all-ones image
-    that the tensor caches (:meth:`~mteq.tensor.Tensor._ones_image`).
+    that the tensor caches (:meth:`~mteq.tensor.Tensor._ones_record`).
     """
     e = np.ones(A.dim)
     if rhs is None:
@@ -189,7 +189,7 @@ def _sweep(A: Tensor, rhs=None, max_sweeps=MAX_SWEEPS):
     # Overflow is caught below by the finiteness tests.
     with np.errstate(over="ignore", invalid="ignore"):
         for sweep in range(cap + 1):
-            ax = A.apply(x) if sweep else A._ones_image()
+            ax = A.apply(x) if sweep else A._ones_record()[0]
             if not np.all(np.isfinite(ax)):
                 raise _diverged(sweep)
             if np.all(ax > floor):
@@ -236,7 +236,9 @@ def initial_point(p: MTeqProblem, cfg: SolverConfig | None = None) -> InitialPoi
     the all-ones certificate the one the tensor's dominance test cached.
     The feasibility check evaluates ``y0`` and leaves its record in the
     problem's memo, so a solver started from ``x0`` or ``y0`` does not
-    contract the tensor at the start again.
+    contract the tensor at the start again.  For the all-ones certificate
+    ``x0`` is constant, and its record scales the tensor's record of the
+    all-ones vector without a pass (see :mod:`mteq.model`).
     """
     cfg = cfg or SolverConfig()
     part = p.partition
@@ -245,7 +247,7 @@ def initial_point(p: MTeqProblem, cfg: SolverConfig | None = None) -> InitialPoi
             "right-hand side has no positive components; only x = 0 could solve this")
     if p.certificate is not None:
         u, sweeps = p.certificate, 0
-        au = p.A._ones_image() if np.all(u == 1.0) else p.A.apply(u)
+        au = p.A._ones_record()[0] if np.all(u == 1.0) else p.A.apply(u)
     else:
         target = p.b if part.i_zero.size == 0 else None
         u, sweeps, au = _sweep(p.A, rhs=target)

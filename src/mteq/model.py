@@ -22,7 +22,13 @@ on first use, the residual Jacobian.  The record takes ``g`` and the raw
 Jacobian sum from the tensor's ``image_and_jacobian``: dense storage
 gives both from one pass over its slabs, COO storage gives ``g`` alone and
 the record asks ``jacobian_matrix`` on first use, so no code here asks
-which storage a tensor has.  The problem keeps the last record in a
+which storage a tensor has.  A record asked for without its Jacobian
+takes ``g`` from ``apply`` and leaves the Jacobian to ``jacobian_matrix``,
+which gives the same bits.  A record at a constant vector ``x = s e``
+makes no pass: by homogeneity it takes ``g = s^{m-1} A e^{m-1}`` and the
+raw Jacobian ``s^{m-2} J(e)`` from the tensor's record of ``e``, which
+the dominance test of :func:`make_problem` has already built.  The
+problem keeps the last record in a
 one-slot memo that is hit only by a ``y`` exactly equal to the record's,
 which hands the point evaluated by
 :func:`~mteq.initializer.initial_point` or accepted by a line search on
@@ -242,18 +248,28 @@ class _Point:
     Holds ``y``, ``x = y^{1/(m-1)}``, ``g = A x^{m-1}`` and ``f = g - b``
     as read-only arrays, and the residual Jacobian, column-scaled on first
     use, from the raw sum that the tensor's ``image_and_jacobian`` gives
-    with ``g`` or, when it gives none, from ``jacobian_matrix``.  The
-    record keeps the tensor but never the problem, so a problem's memo
-    makes no reference cycle.
+    with ``g`` or, when it gives none or ``jacobian`` is unset, from
+    ``jacobian_matrix``.  At a constant ``x`` both come from the tensor's
+    record of the all-ones vector instead.  The record keeps the tensor
+    but never the problem, so a problem's memo makes no reference cycle.
     """
 
     __slots__ = ("y", "x", "g", "f", "_A", "_raw_jac", "_jac")
 
-    def __init__(self, A: Tensor, b: np.ndarray, y: np.ndarray):
+    def __init__(self, A: Tensor, b: np.ndarray, y: np.ndarray, jacobian=True):
+        m = A.order
         self.y = y
-        self.x = hadamard_power(y, 1.0 / (A.order - 1))
+        self.x = hadamard_power(y, 1.0 / (m - 1))
         self._A = A
-        self.g, self._raw_jac = A.image_and_jacobian(self.x)
+        s = self.x[0]
+        if np.all(self.x == s):
+            image, jac = A._ones_record()
+            self.g = s ** (m - 1) * image
+            self._raw_jac = None if jac is None else s ** (m - 2) * jac
+        elif jacobian:
+            self.g, self._raw_jac = A.image_and_jacobian(self.x)
+        else:
+            self.g, self._raw_jac = A.apply(self.x), None
         self.f = self.g - b
         self._jac = None
         for a in (self.x, self.g, self.f):
@@ -277,16 +293,18 @@ class _Point:
         return self._jac
 
 
-def _evaluate(p: MTeqProblem, y) -> _Point:
+def _evaluate(p: MTeqProblem, y, jacobian=True) -> _Point:
     """The record of ``y``: ``p``'s memo when its ``y`` equals this one
-    exactly, else a new record, which then takes the memo's slot."""
+    exactly, else a new record, which then takes the memo's slot.  With
+    ``jacobian`` unset, a new record contracts the tensor without the
+    Jacobian, which it builds only if asked for."""
     y = _check_transformed(p, y)
     last = p._memo
     if last is not None and np.array_equal(last.y, y):
         return last
     y = y.copy()
     y.flags.writeable = False
-    p._memo = point = _Point(p.A, p.b, y)
+    p._memo = point = _Point(p.A, p.b, y, jacobian)
     return point
 
 

@@ -54,8 +54,18 @@ CENTRAL_MASS = 5.98e24
 _PHILOX_BLOCK = 4
 
 
+def _seed_key(seed) -> int:
+    """``seed`` as a Philox key; ``ValueError`` unless it is an integer
+    in ``[0, 2**128)``."""
+    key = int(seed)
+    if not 0 <= key < 1 << 128:
+        raise ValueError(f"seed must be an integer from 0 to 2**128 - 1, "
+                         f"got {seed}")
+    return key
+
+
 def _rng(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    return np.random.Generator(np.random.Philox(key=_seed_key(seed)))
 
 
 def _draw(seed, shape):
@@ -68,11 +78,12 @@ def _draw(seed, shape):
     generator of the last span is returned, so what it draws next has
     the bits it would have after one serial draw.
     """
+    key = _seed_key(seed)
     out = np.empty(shape)
     flat = out.reshape(-1)
 
     def span(start, stop):
-        bits = np.random.Philox(key=int(seed))
+        bits = np.random.Philox(key=key)
         bits.advance(start // _PHILOX_BLOCK)
         rng = np.random.Generator(bits)
         rng.random(out=flat[start:stop])
@@ -144,9 +155,11 @@ def symmetrize_full(array) -> np.ndarray:
     return acc
 
 
-def _shifted_scaled(s, buf, b):
+def _shifted_scaled(s, buf, b, symmetric=False):
     """The tensor and ``omega`` of ``scale_problem(m_splitting(B, s)[1],
     b)``, made in ``buf``, a writable buffer holding the entries of ``B``.
+    ``symmetric`` says that the trailing indices of ``B`` permute exactly,
+    which the shift and the scale keep.
 
     Sets the diagonal ``d`` aside and reads the smallest and the largest
     off-diagonal entry of ``B`` in one pass over blocks of ``buf``.  A
@@ -182,7 +195,8 @@ def _shifted_scaled(s, buf, b):
         buf[start:stop] *= -f
     _over_spans(scale, buf.shape[0], buf.nbytes)
     buf[diag] = shifted * f
-    facts = {"max_abs": max_abs, "is_z_tensor": bool(lo >= 0.0)}
+    facts = {"max_abs": max_abs, "is_z_tensor": bool(lo >= 0.0),
+             "is_exactly_semi_symmetric": symmetric}
     return Tensor._from_scaled_buffer(buf, f, facts), omega
 
 
@@ -202,9 +216,9 @@ def _extremes(buf):
     return float(found[:, 0].min()), float(found[:, 1].max())
 
 
-def _shifted_problem(s, buf, b) -> MTeqProblem:
+def _shifted_problem(s, buf, b, symmetric=False) -> MTeqProblem:
     """``scale_problem(m_splitting(B, s)[1], b)`` built in ``buf``."""
-    A, omega = _shifted_scaled(s, buf, b)
+    A, omega = _shifted_scaled(s, buf, b, symmetric)
     return make_problem(A, b / omega, omega=omega)
 
 
@@ -252,9 +266,10 @@ def _problem2_scaled(m, n):
     """``(A, omega)``: P2's tensor ``n^{m-1} I - B`` scaled by its own
     largest magnitude ``omega``, built in one buffer
     (:func:`_shifted_scaled`).  Cached, so there is one tensor per
-    ``(m, n)``, and its facts are computed once."""
+    ``(m, n)``, and its facts are computed once.  A sum of indices does
+    not depend on their order, so the trailing indices permute exactly."""
     return _shifted_scaled(float(n) ** (m - 1), _sine_entries(m, n),
-                           np.zeros(0))
+                           np.zeros(0), symmetric=True)
 
 
 def gen_problem2(m, n, seed=0) -> MTeqProblem:
@@ -271,7 +286,8 @@ def gen_problem2(m, n, seed=0) -> MTeqProblem:
     b = _uniform_open(_rng(seed), n)
     omega = _scale_factor(tensor_omega, b)
     if omega != tensor_omega:
-        return _shifted_problem(float(n) ** (m - 1), _sine_entries(m, n), b)
+        return _shifted_problem(float(n) ** (m - 1), _sine_entries(m, n), b,
+                                symmetric=True)
     return make_problem(A, b / omega, omega=omega)
 
 
@@ -282,6 +298,8 @@ def gen_problem3(n, c0=1e7, c1=1e7) -> MTeqProblem:
     boundary values ``c0`` and ``c1``: row 1 and row ``n`` pin the cubes of
     the boundary values, interior rows couple each point to its neighbours
     through six ``-1/3`` entries.  Deterministic; kept in natural units.
+    Each neighbour's three entries are the permutations of one trailing
+    index tuple, so the trailing indices permute exactly.
     """
     n = int(n)
     if n < 3:
@@ -295,6 +313,7 @@ def gen_problem3(n, c0=1e7, c1=1e7) -> MTeqProblem:
     idx = np.array([r[:4] for r in rows], dtype=np.int64)
     vals = np.array([r[4] for r in rows])
     A = Tensor.from_coo(4, n, idx, vals)
+    A._facts["is_exactly_semi_symmetric"] = True
     b = np.full(n, GRAVITATIONAL_CONSTANT * CENTRAL_MASS / (n - 1) ** 2)
     b[0] = float(c0) ** 3
     b[-1] = float(c1) ** 3
@@ -349,8 +368,10 @@ def zero_out_rhs(b, seed, keep=(), fraction=0.5) -> np.ndarray:
 
     Roughly ``fraction * n`` entries are zeroed, never touching the 0-based
     indices in ``keep`` and always leaving at least one zero and at least
-    one positive survivor.  Deterministic in the seed.
+    one positive survivor.  Deterministic in the seed.  Raises
+    ``ValueError`` unless ``fraction`` lies in ``(0, 1)``.
     """
+    _check_fraction(fraction)
     b = np.asarray(b, dtype=float).copy()
     n = b.size
     if np.any(b <= 0.0):
@@ -366,6 +387,14 @@ def zero_out_rhs(b, seed, keep=(), fraction=0.5) -> np.ndarray:
     chosen = _rng(seed).choice(candidates, size=count, replace=False)
     b[chosen] = 0.0
     return b
+
+
+def _check_fraction(fraction) -> None:
+    """``ValueError`` unless ``fraction`` is a number in ``(0, 1)``, which
+    NaN and the infinities are not."""
+    if not 0.0 < float(fraction) < 1.0:
+        raise ValueError(f"zero fraction must lie strictly between 0 and 1, "
+                         f"got {fraction}")
 
 
 # File name of the tensor that write_problem writes, per format.

@@ -25,6 +25,15 @@ gives the next Newton direction.  Every function here takes the point
 ``y`` and reads its record through the memo, never a caller's copy of
 ``f``, ``g`` or ``J``.  A trial that rounds back to the current point
 ends the search without a step, and the failed solve's message says so.
+
+The Jacobian at the point that ends a solve is never used.  When ``b > 0``
+no feasibility test needs it either, and the quadratic rate predicts
+that point: after a step from residual ``r_prev`` to ``r``, the next is
+about ``r^3 / r_prev^2``.  When that is at most the stop threshold, the
+loop evaluates the unit-step trial, the first of every search, without
+its Jacobian (:func:`_predicted_final`), and the search finds that record
+in the memo.  If the solve goes on after all, the record builds its
+Jacobian on first use, with the same bits.
 """
 
 from __future__ import annotations
@@ -148,6 +157,21 @@ def line_search_basic(p: MTeqProblem, y, d, cfg: SolverConfig,
     return _backtrack(p, y, d, cfg, current_norm, scaled=False)
 
 
+def _predicted_final(p: MTeqProblem, y, d, cfg: SolverConfig, r, r_prev,
+                     threshold) -> None:
+    """Evaluate the unit-step trial ``y + d`` without its Jacobian when
+    ``b > 0`` and the quadratic rate predicts that it ends the solve:
+    ``r^3 / r_prev^2 <= threshold`` (see the module docstring).  Does
+    nothing where the search would not evaluate that trial."""
+    if p.partition.i_zero.size or r_prev is None:
+        return
+    if r * (r / r_prev) ** 2 > threshold:
+        return
+    yt = y + d  # the first trial of _steps, y + 1.0 * d, to the bit
+    if np.all(yt > 0.0) and not _rounds_away(y, yt, 1.0, cfg):
+        _evaluate(p, yt, jacobian=False)
+
+
 def _stop_threshold(p: MTeqProblem, cfg: SolverConfig) -> float:
     if cfg.relative_stop:
         return cfg.eta * float(np.linalg.norm(p.b))
@@ -188,6 +212,7 @@ def _damped_newton(p: MTeqProblem, start, cfg: SolverConfig, line_search, *,
         return stopped(SolveStatus.BAD_INITIAL_POINT, x0, y, r,
                        "starting point outside the feasible region")
     r0 = r
+    r_prev = None
     trace: list[IterationRecord] = []
     iterates = [point.y.copy()]
     status = SolveStatus.ITERATION_CAP
@@ -203,6 +228,7 @@ def _damped_newton(p: MTeqProblem, start, cfg: SolverConfig, line_search, *,
             status = SolveStatus.LINE_SEARCH_FAILURE
             message = f"singular Jacobian at iteration {k}: {exc}"
             break
+        _predicted_final(p, point.y, d, cfg, r, r_prev, threshold)
         step = line_search(p, point.y, d, cfg, current_norm=r)
         if step is None:
             status = SolveStatus.LINE_SEARCH_FAILURE
@@ -216,7 +242,7 @@ def _damped_newton(p: MTeqProblem, start, cfg: SolverConfig, line_search, *,
                        f"||f|| {r!r} -> {step.residual_norm!r}")
             break
         # the accepted trial was the last point evaluated: a memo hit
-        point, r = _evaluate(p, step.y_next), step.residual_norm
+        point, r_prev, r = _evaluate(p, step.y_next), r, step.residual_norm
         trace.append(IterationRecord(k, step.alpha, r, step.backtracks, True,
                                      (time.perf_counter() - tic) * 1e3))
         iterates.append(point.y.copy())

@@ -14,15 +14,21 @@ The central operation is ``apply``, the multilinear map
     (A x^{m-1})_i = sum over i2..im of a[i, i2, .., im] * x[i2] * ... * x[im],
 
 together with its derivative matrix, computed position by position so that
-it is exact for tensors with no symmetry at all.
+it is exact for tensors with no symmetry at all.  Where every permutation
+of the trailing ``m-1`` indices leaves every entry equal, the derivative
+is ``(m-1) A x^{m-2}`` (Ding & Wei, J. Sci. Comput. 68:689, 2016), and the
+kernels take that form, which needs one slot term instead of ``m-1``.
 
-Facts read from the entries (the largest magnitude, the Z sign, the
-dominance test with its image ``A e^{m-1}``, and the diagonal) are
-computed on first use and kept on the tensor, which is immutable: dense
-storage is marked read-only, so the cached facts cannot go stale.  :meth:`Tensor.scaled` hands on the facts
-that scale exactly, so a scaled problem is not checked twice, and a
-generator that scales its own buffer in place hands on the same facts by
-the same rule.
+Facts read from the entries (the largest magnitude, the Z sign, that
+exact trailing symmetry, the dominance test with the record of the
+all-ones vector it reads, and the diagonal) are computed on first use and
+kept on the tensor, which is immutable: dense storage is marked
+read-only, so the cached facts cannot go stale.  A fact depends on the
+entries alone, so a tensor read from a file has the facts, and the
+kernels the bits, of the tensor that was written.  :meth:`Tensor.scaled`
+hands on the facts that scale exactly, so a scaled problem is not checked
+twice, and a generator that scales its own buffer in place, or knows a
+fact from its construction, hands it on by the same rule.
 
 Every full pass over a dense tensor of at least ``_PARALLEL_MIN_BYTES``
 (the contraction kernels here, and the generators' passes in
@@ -314,10 +320,9 @@ class Tensor:
 
         Differentiates position by position, so the result is exact for
         tensors with no index symmetry: it is the sum, from zeros, of the
-        ``m-1`` one-slot contractions, slot by slot.  Tensors carry no
-        symmetry flag, and the sum is formed for every tensor: for a
-        semi-symmetric one it equals ``(m-1)`` times the first term in
-        exact arithmetic, but not always in floating point.
+        ``m-1`` one-slot contractions, slot by slot.  Where
+        :meth:`is_exactly_semi_symmetric` holds, every slot term equals
+        the first, and the result is ``(m-1)`` times that term.
         """
         return self._jacobian(_check_vector(x, self.dim))
 
@@ -336,25 +341,30 @@ class Tensor:
         small scale-relative margin so that rows whose coefficients sum to
         zero in exact arithmetic are not misclassified by rounding.
         """
-        ax = self._ones_image()
+        ax = self._ones_record()[0]
         margin = 1e-12 * max(1.0, self.max_abs())
         return bool(np.all(ax > margin))
 
     @_fact
-    def _ones_image(self) -> np.ndarray:
-        """``A e^{m-1}`` (read-only): the image of the all-ones vector,
-        which the dominance test reads and
-        :func:`~mteq.initializer.initial_point` reuses."""
-        ax = self.apply(np.ones(self.dim))
-        ax.flags.writeable = False
-        return ax
+    def _ones_record(self):
+        """``image_and_jacobian`` of the all-ones vector ``e``, both parts
+        read-only: ``A e^{m-1}``, which the dominance test reads and
+        :func:`~mteq.initializer.initial_point` reuses, and ``J(e)`` or
+        ``None``.  A record at a constant vector scales both instead of
+        contracting the tensor (see :mod:`mteq.model`)."""
+        image, jac = self.image_and_jacobian(np.ones(self.dim))
+        for part in (image, jac):
+            if part is not None:
+                part.flags.writeable = False
+        return image, jac
 
 
 class _DenseTensor(Tensor):
     """Dense storage: one read-only C-contiguous array of shape ``(n,)*m``.
     Every contraction is one pass of :func:`_slot_terms` over the slabs
     ``a[i]``, which gives ``M = A x^{m-2}``, with ``A x^{m-1} = M x``, and,
-    when asked, the derivative matrix."""
+    when asked, the derivative matrix: ``(m-1) M`` from a pass without
+    slot terms where the trailing indices permute exactly."""
 
     is_dense = True
     storage = "dense"
@@ -407,15 +417,37 @@ class _DenseTensor(Tensor):
         loose = self._vals.size - np.count_nonzero(self._vals <= 0.0)
         return bool(loose == diag.size - np.count_nonzero(diag <= 0.0))
 
+    @_fact
+    def is_exactly_semi_symmetric(self) -> bool:
+        """Whether every permutation of the trailing indices leaves every
+        entry equal (``==``, so a NaN entry fails at ``m > 2``; at
+        ``m = 2`` no permutation moves an index, and the fact holds).
+
+        Compares each slab with its transposes under the permutations of
+        :func:`_generating_perms` and stops at the first slab that
+        differs.
+        """
+        perms = _generating_perms(self.order - 1)
+        return all(np.array_equal(slab, slab.transpose(p))
+                   for slab in self._vals for p in perms)
+
     def _apply(self, x) -> np.ndarray:
         return _slot_terms(self._vals, x, False)[0] @ x
 
+    def _terms(self, x):
+        """``(M, J)`` from one pass over the slabs.  At ``m = 2`` the one
+        slot term is added to zeros, as in every sum of slot terms."""
+        if self.order > 2 and self.is_exactly_semi_symmetric():
+            partial = _slot_terms(self._vals, x, False)[0]
+            return partial, (self.order - 1) * partial
+        return _slot_terms(self._vals, x, True)
+
     def _jacobian(self, x) -> np.ndarray:
-        return _slot_terms(self._vals, x, True)[1]
+        return self._terms(x)[1]
 
     def _image_and_jacobian(self, x):
-        # one pass gives both; M @ x has the bits of _apply's
-        partial, jac = _slot_terms(self._vals, x, True)
+        # M @ x has the bits of _apply's
+        partial, jac = self._terms(x)
         return partial @ x, jac
 
     def semi_symmetrize(self) -> Tensor:
@@ -541,13 +573,33 @@ class _CooTensor(Tensor):
         terms = self._vals * np.prod(x[self._idx[:, 1:]], axis=1)
         return np.bincount(self._idx[:, 0], weights=terms, minlength=self.dim)
 
+    @_fact
+    def is_exactly_semi_symmetric(self) -> bool:
+        """As on dense storage: the nonzero entries, sorted, equal those
+        moved by each permutation of :func:`_generating_perms` and sorted
+        again, index for index and value for value."""
+        nonzero = self._vals != 0.0
+        idx, vals = self._idx[nonzero], self._vals[nonzero]
+        for p in _generating_perms(self.order - 1):
+            moved = idx[:, (0,) + tuple(q + 1 for q in p)]
+            key = np.lexsort(moved.T[::-1])
+            if not (np.array_equal(moved[key], idx)
+                    and np.array_equal(vals[key], vals)):
+                return False
+        return True
+
     def _jacobian(self, x) -> np.ndarray:
+        # one slot term, times m-1, where the trailing indices permute
+        # exactly
+        symmetric = self.is_exactly_semi_symmetric()
         jac = np.zeros((self.dim, self.dim))
         cols = self._idx[:, 1:]
         xs = x[cols]
-        for p in range(self.order - 1):
+        for p in range(1 if symmetric else self.order - 1):
             others = self._vals * np.prod(np.delete(xs, p, axis=1), axis=1)
             np.add.at(jac, (self._idx[:, 0], cols[:, p]), others)
+        if symmetric:
+            jac *= self.order - 1
         return jac
 
     def _image_and_jacobian(self, x):
@@ -603,6 +655,17 @@ def _max_abs(a) -> float:
         return 0.0
     # abs turns the -0.0 of an all-zero tensor into 0.0
     return abs(float(max(a.max(), -a.min())))
+
+
+def _generating_perms(k) -> list:
+    """Axis permutations that generate every permutation of ``k`` axes:
+    the swap of the first two and, for ``k >= 3``, the cycle.  An array
+    equal to its transposes under these equals all its transposes."""
+    if k < 2:
+        return []
+    swap = (1, 0) + tuple(range(2, k))
+    cycle = tuple(range(1, k)) + (0,)
+    return [swap] if k == 2 else [swap, cycle]
 
 
 def _contract(a, x, times) -> np.ndarray:
@@ -677,11 +740,12 @@ def _scaled_facts(facts, f) -> dict:
 
     Only a finite ``f > 0`` carries any.  Rounding is monotone, so
     ``max_abs`` becomes ``abs(max_abs * f)``; the diagonal becomes
-    ``d * f``, the same products as the new entries; and a Z-tensor stays
-    one.  A failed Z test does not carry, because a positive off-diagonal
-    entry can underflow to +0, and neither do the dominance test and the
-    image ``A e^{m-1}`` it reads, because scaled row sums round
-    differently.
+    ``d * f``, the same products as the new entries; a Z-tensor stays
+    one; and equal entries stay equal, so exact trailing symmetry carries.
+    A failed Z or symmetry test does not carry, because a positive
+    off-diagonal entry can underflow to +0 and two entries that differ can
+    round to one value, and neither do the dominance test and the record
+    of ``e`` it reads, because scaled row sums round differently.
     """
     if not (f > 0.0 and math.isfinite(f)):
         return {}
@@ -692,8 +756,9 @@ def _scaled_facts(facts, f) -> dict:
         d = facts["_diagonal"] * f
         d.flags.writeable = False
         carried["_diagonal"] = d
-    if facts.get("is_z_tensor"):
-        carried["is_z_tensor"] = True
+    for name in ("is_z_tensor", "is_exactly_semi_symmetric"):
+        if facts.get(name):
+            carried[name] = True
     return carried
 
 

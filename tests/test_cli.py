@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from mteq import (SolverConfig, Tensor, initial_point, model, read_vector,
-                  solve_positive, write_tensor, write_vector)
+                  scale_problem, solve_positive, write_tensor, write_vector)
 from mteq.cli import (EXIT_CAP, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, _config_from,
                       bench_cell, build_parser, main)
-from mteq.problems import gen_problem1
+from mteq.problems import gen_problem1, gen_problem2, gen_problem3
 
 
 def run_cli(*argv):
@@ -49,6 +49,56 @@ def test_gen_usage_errors(tmp_path, monkeypatch, capsys):
         "error: a tensor needs order >= 2 and dimension >= 1, "
         "got order 3, dimension 0\n")
     assert not (tmp_path / "p0").exists()
+
+
+FRACTION_MESSAGE = "error: zero fraction must lie strictly between 0 and 1"
+SEED_MESSAGE = "error: seed must be an integer from 0 to 2**128 - 1"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--zero-frac", "2"), FRACTION_MESSAGE),
+    (("--zero-frac", "-1"), FRACTION_MESSAGE),
+    (("--zero-frac", "0"), FRACTION_MESSAGE),
+    (("--zero-frac", "1"), FRACTION_MESSAGE),
+    (("--zero-frac", "nan"), FRACTION_MESSAGE),
+    (("--zero-frac", "inf"), FRACTION_MESSAGE),
+    (("--seed", "-1"), SEED_MESSAGE),
+    (("--seed", str(2 ** 128)), SEED_MESSAGE),
+], ids=["frac-2", "frac-neg", "frac-0", "frac-1", "frac-nan", "frac-inf",
+        "seed-neg", "seed-big"])
+def test_gen_refuses_a_zero_fraction_or_seed_out_of_range(tmp_path, capsys,
+                                                          argv, message):
+    # problem 3 draws nothing for its tensor, and is refused all the same
+    for problem, m in (("1", "3"), ("3", "4")):
+        out = tmp_path / f"p{problem}"
+        assert run_cli("gen", "--problem", problem, "--m", m, "--n", "6",
+                       *argv, "--out", str(out)) == EXIT_CAP
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("problem", ["2", "3"])
+def test_exactly_symmetric_file_solves_to_the_in_process_bits(tmp_path,
+                                                              problem):
+    # P2 and P3 know their exact trailing symmetry from their
+    # construction; the file's tensor finds it in its entries
+    out = tmp_path / f"p{problem}"
+    m, n, p = (("3", "8", gen_problem2(3, 8, 5)) if problem == "2"
+               else ("4", "24", gen_problem3(24)))
+    assert run_cli("gen", "--problem", problem, "--m", m, "--n", n,
+                   "--seed", "5", "--out", str(out)) == EXIT_OK
+    sol, trace = tmp_path / "x.vec", tmp_path / "trace.csv"
+    assert run_cli("solve", str(out / "tensor.mt"), str(out / "rhs.vec"),
+                   "--relative", "--solution", str(sol),
+                   "--trace", str(trace)) == EXIT_OK
+    q = scale_problem(p.A, p.b)  # as the CLI scales what it reads
+    cfg = SolverConfig(relative_stop=True)
+    rep = solve_positive(q, initial_point(q, cfg).x0, cfg)
+    assert rep.converged and q.A._facts["is_exactly_semi_symmetric"]
+    assert read_vector(sol).tobytes() == rep.x_final.tobytes()
+    with open(trace, newline="") as fh:
+        residuals = [float(row["residual"]) for row in csv.DictReader(fh)]
+    assert residuals == [rec.residual_norm for rec in rep.trace]
 
 
 def test_solve_round_trip_matches_in_process(tmp_path):
@@ -175,8 +225,9 @@ def test_verify_rejects_non_m_tensor(tmp_path):
 
 
 @pytest.mark.parametrize("problem,m,n,expect", [
-    ("1", "3", "8", "yes"), ("2", "3", "8", "yes"), ("3", "4", "8", "yes"),
-    ("4", "3", "8", "no")])
+    ("1", "3", "8", "to rounding"), ("2", "3", "8", "exact"),
+    ("3", "4", "8", "exact"), ("4", "3", "8", "no"), ("5", "3", "8", "no"),
+    ("5", "3", "2", "exact")])
 def test_verify_reads_semi_symmetry_from_the_file(tmp_path, capsys, problem,
                                                   m, n, expect):
     out = tmp_path / f"p{problem}"
@@ -282,7 +333,11 @@ def test_solver_flag_out_of_range_is_a_usage_error(tmp_path, capsys):
     (("--problem", "5", "--sizes", "3,1"), "the triangular generator needs n >= 2"),
     (("--problem", "1", "--sizes", "3,1", "--trials", "0"),
      "trials must be at least 1"),
-], ids=["order", "dimension", "trials"])
+    (("--problem", "1", "--sizes", "3,1", "--zero-frac", "nan"),
+     FRACTION_MESSAGE.removeprefix("error: ")),
+    (("--problem", "3", "--sizes", "4,6", "--seed", "-1"),
+     SEED_MESSAGE.removeprefix("error: ")),
+], ids=["order", "dimension", "trials", "zero-frac", "seed"])
 def test_bench_refuses_arguments_that_gen_refuses(capsys, argv, message):
     assert run_cli("bench", *argv) == EXIT_CAP
     captured = capsys.readouterr()

@@ -1,6 +1,8 @@
-"""Each point is contracted once: the evaluated-point record, its memo on
-the problem, and the fused dense kernel behind both, which reads the
-tensor once for the contraction and the Jacobian."""
+"""Each point is contracted at most once: the evaluated-point record, its
+memo on the problem, and the fused dense kernel behind both, which reads
+the tensor once for the contraction and the Jacobian.  A dominant start
+is not contracted at all, and the point that ends a solve with ``b > 0``
+is contracted without its Jacobian."""
 
 import gc
 import types
@@ -12,10 +14,10 @@ import pytest
 from mteq import (SolverConfig, Tensor, hadamard_power, initial_point,
                   line_search_basic, make_problem, newton_direction, residual,
                   residual_jacobian, solve_nonnegative, solve_positive)
-from mteq import cli
+from mteq import cli, tensor
 from mteq.model import _evaluate
-from mteq.problems import (gen_problem1, gen_problem4, gen_problem5,
-                           write_problem, zero_out_rhs)
+from mteq.problems import (gen_problem1, gen_problem2, gen_problem4,
+                           gen_problem5, write_problem, zero_out_rhs)
 
 KERNELS = ("apply", "jacobian_matrix", "image_and_jacobian")
 # kernels that contract the tensor with their vector
@@ -112,13 +114,78 @@ def test_start_is_contracted_once(zero):
         rep = solve_positive(p, init.x0)
     assert rep.converged
     x0 = hadamard_power(init.y0, 1.0 / (p.m - 1))
-    assert counted.at(x0) == 1
-    # the certificate check in initial_point reads the all-ones image the
-    # dominance test cached, then one record per point, each a single
-    # fused pass
-    assert not counted.calls["apply"]
-    assert len(counted.calls["image_and_jacobian"]) == 1 + trials(rep)
-    assert not counted.calls["jacobian_matrix"]
+    # the start costs no pass: x0 is constant, and its record scales the
+    # record of the all-ones vector that the dominance test made; then
+    # one record per trial, each a single pass
+    assert counted.at(x0) == 0
+    records = counted.calls["image_and_jacobian"] + counted.calls["apply"]
+    assert len(records) == trials(rep)
+    # with zeros in b every trial is one fused pass; with b > 0 a trial
+    # predicted final is contracted without its Jacobian, which the final
+    # point never builds, and a wrong guess builds it on first use
+    guessed = counted.calls["apply"]
+    if zero:
+        assert not guessed
+    else:
+        assert np.array_equal(guessed[-1], rep.x_final)
+    wrong = guessed[:-1]
+    built = counted.calls["jacobian_matrix"]
+    assert len(built) == len(wrong)
+    assert all(np.array_equal(a, b) for a, b in zip(wrong, built))
+
+
+@pytest.fixture
+def slot_passes(monkeypatch):
+    """Every dense pass, as ``(x, jacobian)``: the arguments of each
+    ``tensor._slot_terms`` call, where ``jacobian`` asks for the slot
+    terms of the derivative matrix."""
+    passes = []
+    original = tensor._slot_terms
+
+    def counted(a, x, jacobian):
+        passes.append((np.array(x), jacobian))
+        return original(a, x, jacobian)
+    monkeypatch.setattr(tensor, "_slot_terms", counted)
+    return passes
+
+
+@pytest.mark.parametrize("gen", [gen_problem1, gen_problem2, gen_problem4])
+def test_dominant_start_makes_no_pass(slot_passes, gen):
+    # the dominance test of make_problem recorded e; the start is s e
+    p = gen(3, 30, 0)
+    slot_passes.clear()
+    init = initial_point(p)
+    assert init.iterations == 0
+    newton_direction(p, init.y0)
+    assert not slot_passes
+
+
+@pytest.mark.parametrize("gen", [gen_problem1, gen_problem4])
+def test_positive_solve_makes_one_fused_and_one_image_pass(slot_passes, gen):
+    # at (3, 200) the first step's trial is one fused pass, and the second
+    # step's, predicted final, is one pass without slot terms
+    for seed in range(2):
+        p = gen(3, 200, seed)
+        for solve, start in ((solve_positive, "x0"),
+                             (solve_nonnegative, "y0")):
+            slot_passes.clear()
+            rep = solve(p, getattr(initial_point(p), start))
+            assert rep.converged and rep.iterations == 2
+            assert [jac for _, jac in slot_passes] == [True, False]
+            assert np.array_equal(slot_passes[-1][0], rep.x_final)
+
+
+@pytest.mark.parametrize("n", [30, 200])
+def test_exact_symmetry_makes_no_slot_term_pass(slot_passes, n):
+    # P2 knows its symmetry: every Jacobian is (m-1) M, from passes
+    # without slot terms, with b > 0 and with zeros in b
+    p = gen_problem2(3, n, 0)
+    q = make_problem(p.A, zero_out_rhs(p.b, 0), omega=p.omega)
+    slot_passes.clear()
+    assert solve_positive(p, initial_point(p).x0).converged
+    assert solve_nonnegative(q, initial_point(q).y0).converged
+    assert slot_passes
+    assert not any(jac for _, jac in slot_passes)
 
 
 @pytest.mark.parametrize("gen", [gen_problem1, gen_problem4])
@@ -137,7 +204,7 @@ def test_half_zeroed_jacobians_within_one_plus_trials(gen):
 
 def test_dense_record_costs_one_pass_before_its_jacobian():
     p, counted = counted_problem(gen_problem1(3, 12, 0))
-    y = initial_point(p).y0 * 1.5
+    y = initial_point(p).y0 * np.linspace(1.0, 1.5, p.n)
     counted.reset()
     point = _evaluate(p, y)
     assert len(counted.calls["image_and_jacobian"]) == 1
@@ -151,10 +218,11 @@ def test_dense_record_costs_one_pass_before_its_jacobian():
 
 
 def test_initial_point_contracts_with_all_ones_once():
-    # P5 fails the dominance test, which contracts with all ones once.
-    # Sweep 0 of the certificate search reads that image, every later
-    # sweep contracts once, and the start reuses the last sweep's image
-    # of the certificate instead of contracting at it again.
+    # P5 fails the dominance test, whose record of the all-ones vector
+    # contracts with it once.  Sweep 0 of the certificate search reads
+    # that image, every later sweep contracts once, and the start reuses
+    # the last sweep's image of the certificate instead of contracting at
+    # it again.
     q = gen_problem5(3, 12, 0)
     counted = CountingTensor(Tensor.from_dense(q.A.to_dense_array()))
     p = make_problem(counted, q.b)
@@ -163,12 +231,13 @@ def test_initial_point_contracts_with_all_ones_once():
     assert init.iterations > 0
     ones = np.ones(p.n)
     assert counted.at(ones) == 1
-    assert np.array_equal(counted.calls["apply"][0], ones)
-    assert len(counted.calls["apply"]) == 1 + init.iterations
+    assert np.array_equal(counted.calls["image_and_jacobian"][0], ones)
+    assert len(counted.calls["apply"]) == init.iterations
     assert counted.at(init.u) == 1
     # the feasibility check of the start is its record's one pass
     x0 = hadamard_power(init.y0, 1.0 / (p.m - 1))
-    assert len(counted.calls["image_and_jacobian"]) == counted.at(x0) == 1
+    assert counted.at(x0) == 1
+    assert len(counted.calls["image_and_jacobian"]) == 2
     assert not counted.applied_at_records()
     assert not counted.calls["jacobian_matrix"]
 
@@ -187,27 +256,30 @@ def test_zeroed_rebuild_makes_no_contraction(gen):
 def test_verify_contracts_the_file_tensor_with_all_ones_once(tmp_path,
                                                              monkeypatch):
     # the printed dominance test; sweep 0 of the certificate search and
-    # the problem built for --rhs read the image it cached
+    # the problem built for --rhs read the record of e it cached
     p = gen_problem5(3, 8, 0)
     write_problem(tmp_path, p, {})
-    loaded, applied = [], []
-    read_tensor, original_apply = cli.read_tensor, Tensor.apply
+    loaded, contracted = [], []
+    read_tensor = cli.read_tensor
 
     def read(path):
         loaded.append(read_tensor(path))
         return loaded[-1]
 
-    def apply(self, x):
-        applied.append((self, np.array(x)))
-        return original_apply(self, x)
+    def counting(kernel):
+        def counted(self, x):
+            contracted.append((self, np.array(x)))
+            return kernel(self, x)
+        return counted
     monkeypatch.setattr(cli, "read_tensor", read)
-    monkeypatch.setattr(Tensor, "apply", apply)
+    for name in CONTRACTIONS:
+        monkeypatch.setattr(Tensor, name, counting(getattr(Tensor, name)))
     code = cli.main(["verify", str(tmp_path / "tensor.mt"),
                      "--rhs", str(tmp_path / "rhs.vec")])
     assert code == cli.EXIT_OK
     (A,) = loaded
     ones = np.ones(p.n)
-    assert sum(t is A and np.array_equal(x, ones) for t, x in applied) == 1
+    assert sum(t is A and np.array_equal(x, ones) for t, x in contracted) == 1
 
 
 @pytest.mark.parametrize("m,n", [(3, 9), (4, 6), (5, 5)])
@@ -237,7 +309,7 @@ def test_fused_kernel_matches_stand_alone_kernels_bitwise(m, n):
 
 def test_memo_hits_only_on_equal_points():
     p, counted = counted_problem(gen_problem1(3, 12, 1))
-    y = initial_point(p).y0
+    y = initial_point(p).y0 * np.linspace(1.0, 1.5, p.n)
     point = _evaluate(p, y)
     counted.reset()
     assert _evaluate(p, y.copy()) is point

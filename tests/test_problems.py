@@ -6,14 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mteq import (Tensor, m_splitting, read_tensor, read_vector,
-                  scale_problem)
+from mteq import (SolverConfig, Tensor, initial_point, m_splitting,
+                  make_problem, read_tensor, read_vector, scale_problem,
+                  solve_nonnegative, solve_positive, tensor)
 from mteq.model import _scale_factor
-from mteq.problems import (CENTRAL_MASS, GRAVITATIONAL_CONSTANT, _rng,
-                           _shifted_scaled, _uniform_open, gen_problem1,
-                           gen_problem2, gen_problem3, gen_problem4,
-                           gen_problem5, symmetrize_full, write_problem,
-                           zero_out_rhs)
+from mteq.problems import (CENTRAL_MASS, GRAVITATIONAL_CONSTANT,
+                           _problem2_scaled, _rng, _shifted_scaled,
+                           _uniform_open, gen_problem1, gen_problem2,
+                           gen_problem3, gen_problem4, gen_problem5,
+                           symmetrize_full, write_problem, zero_out_rhs)
 
 
 def test_problem1_structure():
@@ -133,6 +134,61 @@ def test_zero_out_rhs():
     assert z2.max() > 0.0
 
 
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 2.0, np.nan, np.inf])
+def test_zero_out_rhs_refuses_a_fraction_outside_the_open_unit_interval(
+        fraction):
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        zero_out_rhs(np.ones(6), seed=0, fraction=fraction)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128])
+def test_generators_refuse_a_seed_that_is_no_philox_key(seed):
+    for draw in (lambda: gen_problem1(3, 4, seed), lambda: gen_problem2(3, 4, seed),
+                 lambda: zero_out_rhs(np.ones(4), seed)):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            draw()
+
+
+# (generator, arguments, exact trailing symmetry); P1, P4 at n = 1 and
+# P5(3, 2) are symmetric by accident
+SYMMETRY_CASES = [
+    (gen_problem1, (3, 8, 0), False), (gen_problem1, (4, 5, 1), False),
+    (gen_problem1, (3, 1, 0), True), (gen_problem2, (3, 8, 0), True),
+    (gen_problem2, (4, 5, 0), True), (gen_problem2, (3, 1, 3), True),
+    (gen_problem3, (8,), True), (gen_problem4, (3, 8, 0), False),
+    (gen_problem4, (3, 1, 0), True), (gen_problem5, (3, 8, 0), False),
+    (gen_problem5, (3, 2, 0), True)]
+
+
+@pytest.mark.parametrize("gen,args,exact", SYMMETRY_CASES,
+                         ids=[f"P{g.__name__[-1]}{a}" for g, a, _ in
+                              SYMMETRY_CASES])
+def test_generator_symmetry_fact_matches_a_fresh_test(gen, args, exact):
+    A = gen(*args).A
+    fresh = Tensor.from_dense(A.to_dense_array())
+    assert A.is_exactly_semi_symmetric() is exact
+    assert fresh.is_exactly_semi_symmetric() is exact
+    assert fresh.to_coo().is_exactly_semi_symmetric() is exact
+
+
+def test_problems_2_and_3_know_their_symmetry_from_construction(monkeypatch):
+    def no_test(k):
+        raise AssertionError("a symmetry test of the entries")
+    monkeypatch.setattr(tensor, "_generating_perms", no_test)
+    _problem2_scaled.cache_clear()
+    cfg = SolverConfig(relative_stop=True)
+    try:
+        p3 = gen_problem3(12)
+        for p in (gen_problem2(3, 12, 0), gen_problem2(3, 1, 3),
+                  scale_problem(p3.A, p3.b)):
+            assert solve_positive(p, initial_point(p, cfg).x0, cfg).converged
+        p = gen_problem2(3, 12, 1)
+        q = make_problem(p.A, zero_out_rhs(p.b, 1), omega=p.omega)
+        assert solve_nonnegative(q, initial_point(q, cfg).y0, cfg).converged
+    finally:
+        _problem2_scaled.cache_clear()
+
+
 def test_write_problem_round_trip(tmp_path):
     p = gen_problem1(3, 5, seed=9)
     write_problem(tmp_path, p, {"problem": 1, "m": 3, "n": 5, "seed": 9})
@@ -221,6 +277,8 @@ def test_generator_matches_the_scaled_shift_bitwise(problem, m, n,
         fresh = Tensor.from_dense(got.A.to_dense_array())
         assert float(got.A.max_abs()).hex() == float(fresh.max_abs()).hex()
         assert got.A.is_z_tensor() is fresh.is_z_tensor() is True
+        assert (got.A.is_exactly_semi_symmetric()
+                is fresh.is_exactly_semi_symmetric())
     # the same build over B with a negative entry or a NaN put in, off and
     # on the diagonal: the Z sign reads only the off-diagonal entries, and
     # a NaN makes max_abs NaN

@@ -157,7 +157,8 @@ def test_generators_do_not_depend_on_workers(spans, m, n):
 def kernels(t, x):
     image, jac = t.image_and_jacobian(x)
     return (t.apply(x).tobytes(), t.jacobian_matrix(x).tobytes(),
-            image.tobytes(), jac.tobytes(), t._ones_image().tobytes())
+            image.tobytes(), jac.tobytes(),
+            *[part.tobytes() for part in t._ones_record()])
 
 
 @pytest.mark.parametrize("m,n", [(2, 53), (2, 801), (3, 37), (4, 33), (5, 7)])

@@ -13,7 +13,8 @@ from mteq.problems import gen_problem1, gen_problem4
 from mteq.tensor import SEMI_SYMMETRY_TOL
 
 from oracles import apply_loops, jacobian_loops
-from test_evaluation import reference_apply, reference_jacobian
+from test_evaluation import (reference_apply, reference_jacobian,
+                             reference_partial)
 
 
 def random_dense(m, n, seed):
@@ -145,6 +146,69 @@ def test_partial_and_jacobian_matches_stand_alone_kernels_bitwise(
     assert image.tobytes() == coo.apply(x).tobytes()
 
 
+def exactly_symmetric(a):
+    """``a`` with each entry replaced by the one at its sorted trailing
+    indices: every trailing permutation leaves every entry equal."""
+    idx = np.indices(a.shape)
+    return a[(idx[0],) + tuple(np.sort(idx[1:], axis=0))]
+
+
+def all_permutations_equal(a):
+    """Whether every trailing permutation but the identity leaves every
+    entry equal (``==``)."""
+    perms = list(itertools.permutations(range(a.ndim - 1)))[1:]
+    return all(np.array_equal(a, a.transpose((0,) + tuple(q + 1 for q in p)))
+               for p in perms)
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_exact_semi_symmetry_is_read_from_the_entries(m, n):
+    raw = signed_dense(m, n, seed=m * 3 + n)
+    sym = exactly_symmetric(raw)
+    last = (n - 1,) * (m - 1) + (0,)
+    ulp = sym.copy()
+    ulp[last] = np.nextafter(ulp[last], 1.0)  # one entry of an orbit moves
+    # 0.0 == -0.0: an orbit of zeros of both signs is symmetric
+    zeros = raw.copy()
+    zeros[(n - 1, 0) + (n - 1,) * (m - 2)] = 0.0
+    signed_zero = exactly_symmetric(zeros)
+    signed_zero[last] = -0.0
+    nan = sym.copy()
+    nan[(0,) * m] = np.nan
+    for arr in (raw, sym, ulp, signed_zero, nan):
+        want = all_permutations_equal(arr)
+        dense = Tensor.from_dense(arr)
+        assert dense.is_exactly_semi_symmetric() is want
+        assert dense.to_coo().is_exactly_semi_symmetric() is want
+    assert all_permutations_equal(sym) and all_permutations_equal(signed_zero)
+    if m > 2:
+        assert not all_permutations_equal(nan)
+        assert not all_permutations_equal(ulp) or n == 1
+
+
+@pytest.mark.parametrize("m,n", [(3, 7), (4, 5), (5, 4)])
+def test_exact_symmetry_gives_the_jacobian_from_one_slot_term(m, n):
+    arr = exactly_symmetric(signed_dense(m, n, seed=m + 2 * n))
+    x = np.random.default_rng(n).uniform(0.5, 2.0, size=n)
+    dense = Tensor.from_dense(arr)
+    coo = dense.to_coo()
+    # dense: (m-1) M with M = A x^{m-2}
+    first = reference_partial(arr, x)
+    assert dense.jacobian_matrix(x).tobytes() == ((m - 1) * first).tobytes()
+    image, jac = dense.image_and_jacobian(x)
+    assert image.tobytes() == dense.apply(x).tobytes()
+    assert jac.tobytes() == ((m - 1) * first).tobytes()
+    # COO: one np.add.at of the first slot term, then times m-1
+    idx, vals = coo.coo_indices, coo.coo_values
+    one = np.zeros((n, n))
+    np.add.at(one, (idx[:, 0], idx[:, 1]), vals * np.prod(x[idx[:, 2:]], axis=1))
+    assert coo.jacobian_matrix(x).tobytes() == (one * (m - 1)).tobytes()
+    # both equal the slot sum to rounding
+    for t in (dense, coo):
+        assert np.allclose(t.jacobian_matrix(x), reference_jacobian(arr, x),
+                           rtol=1e-13, atol=1e-15)
+
+
 @pytest.mark.parametrize("m,n", SHAPES)
 def test_semi_symmetrize_by_slabs_matches_whole_array_sums_bitwise(m, n):
     arr = signed_dense(m, n, seed=m * 5 + n)
@@ -270,12 +334,13 @@ FACTORS = (0.37, 3.0, 1e-300, 1e300)
 
 
 def _facts(t):
-    return (t.max_abs(), t.is_z_tensor(), t.is_diag_dominant(), t.diagonal())
+    return (t.max_abs(), t.is_z_tensor(), t.is_diag_dominant(),
+            t.is_exactly_semi_symmetric(), t.diagonal())
 
 
 def _same_facts(got, want):
-    return (_same_float(got[0], want[0]) and got[1:3] == want[1:3]
-            and got[3].tobytes() == want[3].tobytes())
+    return (_same_float(got[0], want[0]) and got[1:4] == want[1:4]
+            and got[4].tobytes() == want[4].tobytes())
 
 
 def _fresh(t):
@@ -293,17 +358,18 @@ def test_scaled_carries_facts_equal_to_fresh_ones():
         dense = Tensor.from_dense(a)
         for t in (dense, dense.to_coo()):
             _facts(t)
-            assert "_ones_image" in t._facts
+            assert "_ones_record" in t._facts
             for f in FACTORS:
                 with np.errstate(over="ignore", invalid="ignore"):
                     s = t.scaled(f)
                     carried = set(s._facts)
                     got, want = _facts(s), _facts(_fresh(s))
                 assert _same_facts(got, want), (label, t.storage, f)
-                # Z = False, the dominance test and the image A e^{m-1} it
-                # reads are read from the entries
-                expect = {"max_abs", "_diagonal"} | (
-                    {"is_z_tensor"} if t.is_z_tensor() else set())
+                # Z = False, symmetry = False, the dominance test and the
+                # record of e it reads are read from the entries
+                expect = {"max_abs", "_diagonal"} | {
+                    name for name in ("is_z_tensor", "is_exactly_semi_symmetric")
+                    if getattr(t, name)()}
                 assert carried == expect, (label, t.storage, f)
 
 
@@ -341,16 +407,24 @@ def test_facts_are_computed_once(monkeypatch):
     # the diagonal is handed out as a copy of the cached one
     d = t.diagonal()
     d[:] = 0.0
-    assert t.diagonal().tobytes() == first[3].tobytes()
+    assert t.diagonal().tobytes() == first[4].tobytes()
 
 
 def test_ones_image_is_the_read_only_apply_of_all_ones():
+    # the record of e: its image, and on dense storage its Jacobian
     for t in (Tensor.from_dense(random_dense(3, 5, seed=2)),
               Tensor.from_dense(random_dense(4, 3, seed=3)).to_coo()):
-        image = t._ones_image()
-        assert image.tobytes() == t.apply(np.ones(t.dim)).tobytes()
+        e = np.ones(t.dim)
+        record = t._ones_record()
+        image, jac = record
+        assert image.tobytes() == t.apply(e).tobytes()
         assert not image.flags.writeable
-        assert t._ones_image() is image
+        if t.is_dense:
+            assert jac.tobytes() == t.jacobian_matrix(e).tobytes()
+            assert not jac.flags.writeable
+        else:
+            assert jac is None
+        assert t._ones_record() is record
 
 
 def test_from_dense_stores_the_array_read_only():

@@ -10,7 +10,8 @@ Generators 1, 2, 4 and 5 return problems scaled by their largest magnitude
 because its runs are judged by the relative residual.  Each dense
 generator builds ``A = s I - B`` and scales it in the one buffer it drew
 ``B`` into (:func:`_shifted_scaled`), with the same bits as
-``scale_problem(m_splitting(B, s)[1], b)``.
+``scale_problem(m_splitting(B, s)[1], b)``; generator 1 first averages
+that buffer in place (:func:`symmetrize_full`), exactly symmetric.
 
 The tensor draw and every full pass over a dense buffer run over spans of
 its leading axis on up to ``_WORKERS`` threads
@@ -52,6 +53,8 @@ GRAVITATIONAL_CONSTANT = 6.67e-11
 CENTRAL_MASS = 5.98e24
 # uint64 outputs per Philox4x64 counter step; one per uniform
 _PHILOX_BLOCK = 4
+# Bytes per tile of symmetrize_full: an orbit's tiles fit in a core's cache
+_TILE_BYTES = 1 << 17
 
 
 def _seed_key(seed) -> int:
@@ -101,58 +104,70 @@ def _uniform_open(rng, size) -> np.ndarray:
     return out
 
 
-def _slab_axis(perm):
-    """First output axis ``q < m-1`` that ``perm`` takes from an input axis
-    other than the last, or ``None`` when there is none (only at m <= 2)."""
-    last = len(perm) - 1
-    return next((q for q in range(last) if perm[q] < last), None)
+def _sorted_positions(starts, shape) -> np.ndarray:
+    """For each entry of the tile of ``shape`` at ``starts``, in C order,
+    the flat position of its sorted index tuple in the tile, where the
+    tile's index ranges are in order."""
+    offsets = np.array(starts, dtype=np.int32)[:, None]
+    idx = np.indices(shape, dtype=np.int32).reshape(len(shape), -1)
+    idx += offsets
+    idx.sort(axis=0)
+    idx -= offsets
+    flat = idx[0]
+    for k in range(1, len(shape)):
+        flat *= shape[k]
+        flat += idx[k]
+    return flat.copy()
 
 
-def symmetrize_full(array) -> np.ndarray:
-    """Average an array over all permutations of all its axes.
+def symmetrize_full(a) -> np.ndarray:
+    """Average ``a``, a writable C-contiguous float64 array with equal
+    axes, over all permutations of its axes, in place; returns ``a``.
 
-    Every entry is the sum, in ``itertools.permutations`` order, of the
-    entries it meets under each permutation, divided by their number.
-    The sums run slab by slab: consecutive permutations that share a slab
-    axis ``q`` (see :func:`_slab_axis`) are added one output slab
-    ``acc[.., j, ..]`` at a time, so both the slab and its source slice
-    keep the input's contiguous last axis and the transposed reads stay
-    within one slab.  The ``j`` loop of each group runs over spans
-    (:func:`~mteq.tensor._over_spans`).  The first group starts each slab
-    as ``first_view + 0.0``, which is ``0.0 + first_view`` bit for bit
-    and so keeps ``0.0 + (-0.0) = +0.0``, and the last group divides each
-    slab while it is still in cache.  Each entry sees the same additions
-    in the same order as whole-array sums from zeros, so the result is
-    the same to the bit.
+    Every entry becomes the average at its sorted index tuple
+    ``i1 <= .. <= im``: the sum, in ``itertools.permutations`` order from
+    zero, of the entries that tuple meets under each permutation, divided
+    by their number.  So the result is equal under every permutation of
+    its axes, bit for bit.  The axes are cut into tiles of about
+    ``_TILE_BYTES``, and the work goes one orbit at a time: a sorted
+    tuple of tiles and all its permutations.  The orbit's ``m!`` permuted
+    tiles are read into one sum, in the layout of the sorted tile, which
+    starts as ``first + 0.0``, ``0.0 + first`` bit for bit.  Where tiles
+    repeat, each entry then takes the value of its sorted tuple
+    (:func:`_sorted_positions`), and the tile is written back to every
+    permuted position.  Orbits are disjoint, so they run over spans
+    (:func:`~mteq.tensor._over_spans`), one orbit on one thread.
     """
-    a = np.asarray(array, dtype=float)
-    perms = list(itertools.permutations(range(a.ndim)))
-    groups = [(q, [np.transpose(a, p) for p in group])
-              for q, group in itertools.groupby(perms, key=_slab_axis)]
-    acc = np.empty_like(a)
+    m, n = a.ndim, len(a)
+    perms = list(itertools.permutations(range(m)))
+    count = -(-n // max(1, round((_TILE_BYTES / a.itemsize) ** (1.0 / m))))
+    cuts = [n * k // count for k in range(count + 1)]
+    # each orbit, with the sorted-tuple positions of a repeated-tile orbit
+    orbits, fixes = [], {}
+    for orbit in itertools.combinations_with_replacement(range(count), m):
+        shape = tuple(cuts[t + 1] - cuts[t] for t in orbit)
+        key = (tuple(i == j for i, j in zip(orbit, orbit[1:])), shape)
+        if any(key[0]) and key not in fixes:
+            fixes[key] = _sorted_positions([cuts[t] for t in orbit], shape)
+        orbits.append((orbit, fixes.get(key)))
 
-    def add(views, where, first, last):
-        slab = acc[where]
-        rest = views
-        if first:
-            np.add(views[0][where], 0.0, out=slab)
-            rest = views[1:]
-        for view in rest:
-            slab += view[where]
-        if last:
-            slab /= len(perms)
-
-    for g, (q, views) in enumerate(groups):
-        first, last = g == 0, g == len(groups) - 1
-        if q is None:
-            add(views, ..., first, last)
-            continue
-
-        def slabs(start, stop):
-            for j in range(start, stop):
-                add(views, (slice(None),) * q + (j,), first, last)
-        _over_spans(slabs, a.shape[q], a.nbytes)
-    return acc
+    def span(start, stop):
+        for orbit, positions in orbits[start:stop]:
+            where = tuple(slice(cuts[t], cuts[t + 1]) for t in orbit)
+            views = [a.transpose(p)[where] for p in perms]
+            acc = views[0] + 0.0
+            for view in views[1:]:
+                acc += view
+            acc /= len(perms)
+            if positions is not None:
+                acc = acc.reshape(-1)[positions].reshape(acc.shape)
+            # one view per distinct tile tuple that the orbit covers
+            targets = {tuple(orbit[p.index(k)] for k in range(m)): view
+                       for p, view in zip(perms, views)}
+            for view in targets.values():
+                view[...] = acc
+    _over_spans(span, len(orbits), a.nbytes)
+    return a
 
 
 def _shifted_scaled(s, buf, b, symmetric=False):
@@ -236,16 +251,15 @@ def gen_problem1(m, n, seed) -> MTeqProblem:
     ``A = s I - B`` with ``s = 1.01 * max_i (B e^{m-1})_i``, which makes
     ``A`` diagonally dominant by a one-percent margin.  Draw order: the
     ``n**m`` tensor uniforms first, then the ``n`` right-hand side
-    uniforms.  ``A`` is built in the buffer :func:`symmetrize_full`
-    returns, so two tensor-sized buffers are live only while it runs.
+    uniforms.  ``A`` is built in the buffer of the draw, averaged in
+    place, and its indices permute exactly.
     """
     check_dense_size(m, n)
-    raw, rng = _draw(seed, (n,) * m)
-    buf = symmetrize_full(raw)
-    del raw  # free the draw before the next buffer
+    buf, rng = _draw(seed, (n,) * m)
+    symmetrize_full(buf)
     s = _dominance_shift(1.01, buf)
     b = _uniform_open(rng, n)
-    return _shifted_problem(s, buf, b)
+    return _shifted_problem(s, buf, b, symmetric=True)
 
 
 def _sine_entries(m, n) -> np.ndarray:

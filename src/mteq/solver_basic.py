@@ -162,8 +162,10 @@ def _predicted_final(p: MTeqProblem, y, d, cfg: SolverConfig, r, r_prev,
     """Evaluate the unit-step trial ``y + d`` without its Jacobian when
     ``b > 0`` and the quadratic rate predicts that it ends the solve:
     ``r^3 / r_prev^2 <= threshold`` (see the module docstring).  Does
-    nothing where the search would not evaluate that trial."""
-    if p.partition.i_zero.size or r_prev is None:
+    nothing where the search would not evaluate that trial, or where the
+    trailing indices permute exactly: the Jacobian then costs no pass."""
+    if (p.partition.i_zero.size or r_prev is None
+            or p.A.is_exactly_semi_symmetric()):
         return
     if r * (r / r_prev) ** 2 > threshold:
         return

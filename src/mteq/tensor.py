@@ -424,12 +424,15 @@ class _DenseTensor(Tensor):
         ``m = 2`` no permutation moves an index, and the fact holds).
 
         Compares each slab with its transposes under the permutations of
-        :func:`_generating_perms` and stops at the first slab that
-        differs.
+        :func:`_generating_perms`, over spans (:func:`_over_spans`), and
+        each span stops at its first slab that differs.
         """
         perms = _generating_perms(self.order - 1)
-        return all(np.array_equal(slab, slab.transpose(p))
-                   for slab in self._vals for p in perms)
+
+        def span(start, stop):
+            return all(np.array_equal(slab, slab.transpose(p))
+                       for slab in self._vals[start:stop] for p in perms)
+        return all(_over_spans(span, self.dim, self._vals.nbytes))
 
     def _apply(self, x) -> np.ndarray:
         return _slot_terms(self._vals, x, False)[0] @ x

@@ -5,7 +5,7 @@ central differences, and bisection.  None of it shares code with the
 package under test, so agreement is meaningful.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -122,3 +122,17 @@ def missing_rows_blocks(dense, i_plus, i_zero):
         if not np.any(sub != 0.0):
             missing.append(int(i))
     return tuple(missing)
+
+
+def symmetrize_whole_array(dense):
+    """The average over all permutations of the axes, as whole-array sums
+    from zeros in ``itertools.permutations`` order, divided by their
+    number; then every entry takes the value at its sorted index tuple."""
+    a = np.asarray(dense, dtype=float)
+    perms = list(permutations(range(a.ndim)))
+    sums = np.zeros_like(a)
+    for p in perms:
+        sums += a.transpose(p)
+    sums /= len(perms)
+    at_sorted = np.sort(np.indices(a.shape).reshape(a.ndim, -1), axis=0)
+    return sums[tuple(at_sorted)].reshape(a.shape)

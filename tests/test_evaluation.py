@@ -106,7 +106,8 @@ def trials(rep):
 
 @pytest.mark.parametrize("zero", [False, True], ids=["positive", "half_zeroed"])
 def test_start_is_contracted_once(zero):
-    p, counted = counted_problem(gen_problem1(3, 30, 2), zero=zero, seed=2)
+    # P4 has no symmetry, so with b > 0 the final point is predicted
+    p, counted = counted_problem(gen_problem4(3, 30, 2), zero=zero, seed=2)
     init = initial_point(p)
     if zero:
         rep = solve_nonnegative(p, init.y0)
@@ -160,7 +161,7 @@ def test_dominant_start_makes_no_pass(slot_passes, gen):
     assert not slot_passes
 
 
-@pytest.mark.parametrize("gen", [gen_problem1, gen_problem4])
+@pytest.mark.parametrize("gen", [gen_problem4])
 def test_positive_solve_makes_one_fused_and_one_image_pass(slot_passes, gen):
     # at (3, 200) the first step's trial is one fused pass, and the second
     # step's, predicted final, is one pass without slot terms
@@ -186,6 +187,28 @@ def test_exact_symmetry_makes_no_slot_term_pass(slot_passes, n):
     assert solve_nonnegative(q, initial_point(q).y0).converged
     assert slot_passes
     assert not any(jac for _, jac in slot_passes)
+
+
+@pytest.mark.parametrize("gen,points", [(gen_problem1, 2), (gen_problem2, 3)])
+def test_exact_symmetry_makes_one_pass_per_point(slot_passes, monkeypatch,
+                                                 gen, points):
+    # with b > 0 no final point is predicted: a record with its Jacobian
+    # (m-1) M costs the same pass as one without, so a wrong guess would
+    # cost a second pass through jacobian_matrix
+    built = []
+    jacobian_matrix = Tensor.jacobian_matrix
+
+    def counted(self, x):
+        built.append(np.array(x))
+        return jacobian_matrix(self, x)
+    monkeypatch.setattr(Tensor, "jacobian_matrix", counted)
+    p = gen(3, 200, 0)
+    assert p.A.is_exactly_semi_symmetric()
+    slot_passes.clear()
+    rep = solve_positive(p, initial_point(p).x0)
+    assert rep.converged and trials(rep) == points
+    assert [jac for _, jac in slot_passes] == [False] * points
+    assert not built
 
 
 @pytest.mark.parametrize("gen", [gen_problem1, gen_problem4])

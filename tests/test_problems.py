@@ -1,5 +1,6 @@
 """Seeded benchmark generators: structure, determinism, and exact values."""
 
+import itertools
 import json
 import tracemalloc
 
@@ -7,14 +8,15 @@ import numpy as np
 import pytest
 
 from mteq import (SolverConfig, Tensor, initial_point, m_splitting,
-                  make_problem, read_tensor, read_vector, scale_problem,
-                  solve_nonnegative, solve_positive, tensor)
+                  make_problem, problems, read_tensor, read_vector,
+                  scale_problem, solve_nonnegative, solve_positive, tensor)
 from mteq.model import _scale_factor
 from mteq.problems import (CENTRAL_MASS, GRAVITATIONAL_CONSTANT,
                            _problem2_scaled, _rng, _shifted_scaled,
                            _uniform_open, gen_problem1, gen_problem2,
                            gen_problem3, gen_problem4, gen_problem5,
                            symmetrize_full, write_problem, zero_out_rhs)
+from oracles import symmetrize_whole_array
 
 
 def test_problem1_structure():
@@ -53,8 +55,41 @@ def test_symmetrize_full_is_permutation_invariant():
     rng = np.random.default_rng(2)
     arr = rng.uniform(size=(3, 3, 3))
     sym = symmetrize_full(arr)
-    assert np.allclose(sym, sym.transpose(1, 0, 2), rtol=0, atol=1e-15)
-    assert np.allclose(sym, sym.transpose(2, 1, 0), rtol=0, atol=1e-15)
+    assert sym is arr
+    assert sym.tobytes() == sym.transpose(1, 0, 2).tobytes()
+    assert sym.tobytes() == sym.transpose(2, 1, 0).tobytes()
+
+
+def no_symmetry_test(k):
+    raise AssertionError("a symmetry test of the entries")
+
+
+# (m, n, tile bytes): tiles of unequal sizes at odd n, at n that is not a
+# multiple of the tile, and in repeated orbits; None keeps the default
+TILINGS = [(3, 53, None), (3, 9, 8 * 2 ** 3), (4, 23, None),
+           (4, 7, 8 * 2 ** 4), (5, 9, None), (5, 7, 8 * 2 ** 5)]
+
+
+@pytest.mark.parametrize("m,n,tile_bytes", TILINGS)
+def test_problem1_is_exactly_symmetric_with_whole_array_bits(monkeypatch, m,
+                                                             n, tile_bytes):
+    if tile_bytes is not None:
+        monkeypatch.setattr(problems, "_TILE_BYTES", tile_bytes)
+    raw = _rng(1).random((n,) * m)
+    want = symmetrize_whole_array(raw)
+    assert symmetrize_full(raw.copy()).tobytes() == want.tobytes()
+    with monkeypatch.context() as patch:
+        # the fact comes from the construction, not from a test
+        patch.setattr(tensor, "_generating_perms", no_symmetry_test)
+        p = gen_problem1(m, n, 1)
+        assert p.A.is_exactly_semi_symmetric() is True
+    a = p.A.dense_values
+    for perm in itertools.permutations(range(m)):
+        assert a.transpose(perm).tobytes() == a.tobytes()
+    fresh = Tensor.from_dense(p.A.to_dense_array())
+    assert fresh.is_exactly_semi_symmetric() is True
+    assert (p.A.dense_values.tobytes()
+            == reference_problem(1, m, n, 1).A.dense_values.tobytes())
 
 
 def test_problem2_entries():
@@ -149,10 +184,10 @@ def test_generators_refuse_a_seed_that_is_no_philox_key(seed):
             draw()
 
 
-# (generator, arguments, exact trailing symmetry); P1, P4 at n = 1 and
+# (generator, arguments, exact trailing symmetry); P4 at n = 1 and
 # P5(3, 2) are symmetric by accident
 SYMMETRY_CASES = [
-    (gen_problem1, (3, 8, 0), False), (gen_problem1, (4, 5, 1), False),
+    (gen_problem1, (3, 8, 0), True), (gen_problem1, (4, 5, 1), True),
     (gen_problem1, (3, 1, 0), True), (gen_problem2, (3, 8, 0), True),
     (gen_problem2, (4, 5, 0), True), (gen_problem2, (3, 1, 3), True),
     (gen_problem3, (8,), True), (gen_problem4, (3, 8, 0), False),
@@ -172,9 +207,7 @@ def test_generator_symmetry_fact_matches_a_fresh_test(gen, args, exact):
 
 
 def test_problems_2_and_3_know_their_symmetry_from_construction(monkeypatch):
-    def no_test(k):
-        raise AssertionError("a symmetry test of the entries")
-    monkeypatch.setattr(tensor, "_generating_perms", no_test)
+    monkeypatch.setattr(tensor, "_generating_perms", no_symmetry_test)
     _problem2_scaled.cache_clear()
     cfg = SolverConfig(relative_stop=True)
     try:
@@ -215,7 +248,7 @@ def reference_parts(problem, m, n, seed):
         return B, float(n) ** (m - 1), _uniform_open(rng, n)
     raw = rng.random((n,) * m)
     if problem == 1:
-        raw = symmetrize_full(raw)
+        raw = symmetrize_whole_array(raw)
     if problem == 5:
         idx = np.indices((n,) * m)
         raw = np.where(np.all(idx[1:] < idx[0], axis=0), raw, 0.0)
@@ -317,13 +350,9 @@ def peak_tensors(gen, m, n):
     return peak / (8.0 * n ** m)
 
 
-@pytest.mark.parametrize("gen", [gen_problem4, gen_problem5])
+@pytest.mark.parametrize("gen", [gen_problem1, gen_problem4, gen_problem5])
 def test_generator_holds_one_tensor_buffer(gen):
     assert peak_tensors(gen, 4, 16) < 1.5
-
-
-def test_problem1_holds_two_tensor_buffers_only_while_symmetrizing():
-    assert peak_tensors(gen_problem1, 4, 16) < 2.5
 
 
 def test_second_problem2_makes_no_tensor_pass(monkeypatch):

@@ -17,6 +17,7 @@ from mteq.problems import (_draw, _rng, _uniform_open, gen_problem1,
                            gen_problem2, gen_problem3, gen_problem4,
                            gen_problem5, symmetrize_full)
 from mteq.tensor import Tensor, _over_spans
+from oracles import symmetrize_whole_array
 
 WORKERS = (1, 2, 3)
 
@@ -117,21 +118,38 @@ def test_draw_and_the_next_uniforms_match_one_serial_draw(spans, m, n):
 
 
 @pytest.mark.parametrize("m,n", [(3, 7), (4, 5), (5, 3)])
-def test_symmetrize_full_matches_whole_array_sums(spans, m, n):
+def test_symmetrize_full_matches_whole_array_sums(spans, monkeypatch, m, n):
+    # tiles of 1 or 2 indices: orbits with and without repeated tiles,
+    # one span each
+    monkeypatch.setattr(problems, "_TILE_BYTES", 8 * 2 ** m)
     a = np.random.default_rng(m).uniform(-1.0, 1.0, size=(n,) * m)
     a[(0,) * m] = -0.0
     a[(1,) * m] = np.nan
-    perms = list(itertools.permutations(range(m)))
-    want = np.zeros_like(a)
-    for p in perms:
-        want += a.transpose(p)
-    want /= len(perms)
+    want = symmetrize_whole_array(a)
     for w in WORKERS:
-        got = spans(w, symmetrize_full, a)
+        mine = a.copy()
+        got = spans(w, symmetrize_full, mine)
+        assert got is mine
         assert got.tobytes() == want.tobytes()
         # 0.0 + (-0.0) is +0.0
         assert not np.signbit(got[(0,) * m])
-    assert spans.submitted >= 4
+    # one pass per call, handed to W - 1 helpers
+    assert spans.submitted >= 1 + 2
+
+
+@pytest.mark.parametrize("m,n", [(3, 6), (4, 5)])
+def test_exact_symmetry_test_does_not_depend_on_workers(spans, m, n):
+    # the same answer from every span, also where only the last slab
+    # breaks the symmetry
+    a = symmetrize_whole_array(
+        np.random.default_rng(n).uniform(-1.0, 1.0, size=(n,) * m))
+    broken = a.copy()
+    broken[(n - 1, 0) + (1,) * (m - 2)] += 1.0
+    for entries, exact in ((a, True), (broken, False)):
+        for w in WORKERS:
+            t = Tensor.from_dense(entries.copy())
+            assert spans(w, t.is_exactly_semi_symmetric) is exact
+    assert spans.submitted >= 2 * 2
 
 
 def build(gen, *args):

@@ -569,12 +569,35 @@ class _CooTensor(Tensor):
         """True when every off-diagonal entry is <= 0."""
         return bool(np.all(self._vals[~self._on_diagonal()] <= 0.0))
 
+    @_fact
+    def _columns(self) -> tuple:
+        """The index columns, each as its own contiguous read-only array,
+        so that a kernel gathers ``x`` by a column without a strided
+        copy."""
+        cols = tuple(np.ascontiguousarray(c) for c in self._idx.T)
+        for c in cols:
+            c.flags.writeable = False
+        return cols
+
+    def _products(self, x, cols) -> np.ndarray:
+        """``vals * (x[c1] * x[c2] * ...)`` over the index columns
+        ``cols``, multiplied left to right: the bits of ``np.prod`` along
+        the gathered columns, then times the values."""
+        if not cols:
+            # the product over no columns is 1
+            return self._vals * 1.0
+        prod = x.take(cols[0])
+        for c in cols[1:]:
+            prod *= x.take(c)
+        return np.multiply(self._vals, prod, out=prod)
+
     def _apply(self, x) -> np.ndarray:
         if not self._vals.size:
             # np.bincount over no entries returns integer zeros
             return np.zeros(self.dim)
-        terms = self._vals * np.prod(x[self._idx[:, 1:]], axis=1)
-        return np.bincount(self._idx[:, 0], weights=terms, minlength=self.dim)
+        rows, *cols = self._columns()
+        return np.bincount(rows, weights=self._products(x, cols),
+                           minlength=self.dim)
 
     @_fact
     def is_exactly_semi_symmetric(self) -> bool:
@@ -595,12 +618,18 @@ class _CooTensor(Tensor):
         # one slot term, times m-1, where the trailing indices permute
         # exactly
         symmetric = self.is_exactly_semi_symmetric()
-        jac = np.zeros((self.dim, self.dim))
-        cols = self._idx[:, 1:]
-        xs = x[cols]
-        for p in range(1 if symmetric else self.order - 1):
-            others = self._vals * np.prod(np.delete(xs, p, axis=1), axis=1)
-            np.add.at(jac, (self._idx[:, 0], cols[:, p]), others)
+        n = self.dim
+        if not self._vals.size:
+            # as in _apply: np.bincount would return integer zeros
+            return np.zeros((n, n))
+        rows, *cols = self._columns()
+        slots = range(1 if symmetric else self.order - 1)
+        # slot-major entries of J, summed from zero in that order: the
+        # bits of adding the slot terms one slot after the other
+        at = np.concatenate([rows * n + cols[p] for p in slots])
+        terms = np.concatenate([self._products(x, cols[:p] + cols[p + 1:])
+                                for p in slots])
+        jac = np.bincount(at, weights=terms, minlength=n * n).reshape(n, n)
         if symmetric:
             jac *= self.order - 1
         return jac

@@ -136,3 +136,88 @@ def symmetrize_whole_array(dense):
     sums /= len(perms)
     at_sorted = np.sort(np.indices(a.shape).reshape(a.ndim, -1), axis=0)
     return sums[tuple(at_sorted)].reshape(a.shape)
+
+
+def coo_apply_prod(idx, vals, n, x):
+    """COO contraction as one ``np.prod`` over the gathered trailing
+    columns, then ``np.bincount`` by the leading index."""
+    if not vals.size:
+        return np.zeros(n)
+    terms = vals * np.prod(x[idx[:, 1:]], axis=1)
+    return np.bincount(idx[:, 0], weights=terms, minlength=n)
+
+
+def coo_jacobian_add_at(idx, vals, n, x, symmetric):
+    """COO derivative matrix slot by slot: ``np.delete`` the slot's column,
+    ``np.prod`` the others, ``np.add.at`` into zeros; with ``symmetric``
+    the first slot term alone, times ``m-1``."""
+    m = idx.shape[1]
+    jac = np.zeros((n, n))
+    cols = idx[:, 1:]
+    xs = x[cols]
+    for p in range(1 if symmetric else m - 1):
+        others = vals * np.prod(np.delete(xs, p, axis=1), axis=1)
+        np.add.at(jac, (idx[:, 0], cols[:, p]), others)
+    if symmetric:
+        jac *= m - 1
+    return jac
+
+
+def certificate_sweeps(apply, diag, max_abs, m, rhs=None, depth=5,
+                       max_sweeps=100_000):
+    """``(u, sweeps, A u^{m-1})`` of the Anderson-accelerated splitting
+    sweeps, written out step by step: sweep 0 applies ``apply`` at the
+    all-ones vector, each later sweep at the new iterate.  Returns ``None``
+    where the sweeps fail or the cap runs out."""
+    n = diag.size
+    e = np.ones(n)
+    target = e if rhs is None else np.asarray(rhs, dtype=float)
+    floor = np.maximum(1e-12 * max(1.0, max_abs), 0.1 * target)
+    x = xm = e
+    z = np.zeros(n)
+    d_res = np.empty((n, depth))
+    d_val = np.empty((n, depth))
+    stored = 0
+    last = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweep in range(max_sweeps + 1):
+            ax = apply(x)
+            if not np.all(np.isfinite(ax)):
+                return None
+            if np.all(ax > floor):
+                return x, sweep, ax
+            if sweep == max_sweeps:
+                return None
+            num = target + diag * xm - ax
+            if np.any(num <= 0.0):
+                return None
+            w = num / diag
+            g = np.log(w)
+            if not np.all(np.isfinite(g)):
+                return None
+            res = g - z
+            if last is not None:
+                slot = stored % depth
+                d_res[:, slot] = res - last[0]
+                d_val[:, slot] = g - last[1]
+                stored += 1
+            last = res, g
+            z, xm = g, w
+            if stored:
+                cols = min(stored, depth)
+                mixed = None
+                try:
+                    gamma = np.linalg.lstsq(d_res[:, :cols], res, rcond=None)[0]
+                except np.linalg.LinAlgError:
+                    gamma = None
+                if gamma is not None:
+                    zm = g - d_val[:, :cols] @ gamma
+                    em = np.exp(zm)
+                    if np.all(np.isfinite(em) & (em > 0.0)):
+                        mixed = zm, em
+                if mixed is None:
+                    stored = 0
+                else:
+                    z, xm = mixed
+            x = xm ** (1.0 / (m - 1))
+    return None

@@ -9,8 +9,10 @@ import pytest
 from mteq import (SolverConfig, Tensor, find_certificate, hadamard_power,
                   in_feasible, in_feasible_split, initial_point, jacobi_step,
                   make_problem)
-from mteq.initializer import MAX_SWEEPS, InitializationError
+from mteq.initializer import MAX_SWEEPS, InitializationError, _sweep
 from mteq.problems import gen_problem1, gen_problem3, gen_problem5, zero_out_rhs
+
+from oracles import certificate_sweeps, coo_apply_prod
 
 
 class CountingTensor:
@@ -92,6 +94,48 @@ def test_find_certificate_non_m_tensor_fails_cleanly(shift):
         warnings.simplefilter("error")
         with pytest.raises(InitializationError):
             find_certificate(Tensor.from_dense(dense), max_sweeps=2000)
+
+
+@pytest.mark.parametrize("cap", [-1, 2.5, 2.0, "3", None])
+def test_find_certificate_refuses_a_cap_that_is_not_a_count(cap):
+    t = Tensor.identity(3, 2)
+    with pytest.raises(ValueError, match="max_sweeps must be an integer >= 0"):
+        find_certificate(t, max_sweeps=cap)
+
+
+def test_find_certificate_cap_zero_tests_the_all_ones_start_only():
+    p = gen_problem3(24)
+    with pytest.raises(InitializationError, match="cap of 0 splitting sweeps"):
+        find_certificate(p.A, rhs=p.b, max_sweeps=0)
+    assert find_certificate(Tensor.identity(3, 2), max_sweeps=np.int64(0))[1] == 0
+
+
+def _pin_sweeps(A, rhs, apply):
+    want = certificate_sweeps(apply, A.diagonal(), A.max_abs(), A.order, rhs)
+    assert want is not None
+    u, sweeps, image = _sweep(A, rhs)
+    assert sweeps == want[1] > 0
+    assert u.tobytes() == want[0].tobytes()
+    assert image.tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize("bounds", [(1e7, 1e7), (2e7, 1e7), (1e7, 5e7)])
+@pytest.mark.parametrize("n", [24, 40, 160])
+def test_stencil_sweeps_match_the_step_by_step_loop_bitwise(n, bounds):
+    p = gen_problem3(n, *bounds)
+    A = p.A
+
+    def apply(x):
+        return coo_apply_prod(A.coo_indices, A.coo_values, A.dim, x)
+    _pin_sweeps(A, p.b, apply)
+
+
+def test_dense_sweeps_match_the_step_by_step_loop_bitwise():
+    # P5 is not diagonally dominant, and with half of b zeroed
+    # initial_point sweeps towards the all-ones target
+    p = gen_problem5(3, 12, seed=0)
+    assert p.certificate is None
+    _pin_sweeps(p.A, None, p.A.apply)
 
 
 def test_find_certificate_cap_message_reports_reach():

@@ -12,7 +12,8 @@ from mteq import tensor
 from mteq.problems import gen_problem1, gen_problem4
 from mteq.tensor import SEMI_SYMMETRY_TOL
 
-from oracles import apply_loops, jacobian_loops
+from oracles import (apply_loops, coo_apply_prod, coo_jacobian_add_at,
+                     jacobian_loops)
 from test_evaluation import (reference_apply, reference_jacobian,
                              reference_partial)
 
@@ -199,14 +200,81 @@ def test_exact_symmetry_gives_the_jacobian_from_one_slot_term(m, n):
     assert image.tobytes() == dense.apply(x).tobytes()
     assert jac.tobytes() == ((m - 1) * first).tobytes()
     # COO: one np.add.at of the first slot term, then times m-1
-    idx, vals = coo.coo_indices, coo.coo_values
-    one = np.zeros((n, n))
-    np.add.at(one, (idx[:, 0], idx[:, 1]), vals * np.prod(x[idx[:, 2:]], axis=1))
-    assert coo.jacobian_matrix(x).tobytes() == (one * (m - 1)).tobytes()
+    one = coo_jacobian_add_at(coo.coo_indices, coo.coo_values, n, x, True)
+    assert coo.jacobian_matrix(x).tobytes() == one.tobytes()
     # both equal the slot sum to rounding
     for t in (dense, coo):
         assert np.allclose(t.jacobian_matrix(x), reference_jacobian(arr, x),
                            rtol=1e-13, atol=1e-15)
+
+
+def _coo_kernel_cases():
+    """COO tensors of order 2 to 5 whose values span many magnitudes: a
+    random index set (no symmetry at m >= 3), the same made exactly
+    symmetric in the trailing indices, and one with no entries."""
+    rng = np.random.default_rng(2024)
+    for m, n in [(2, 6), (3, 5), (4, 4), (5, 3)]:
+        arr = np.zeros((n,) * m)
+        flat = rng.choice(arr.size, size=arr.size // 2, replace=False)
+        arr.flat[flat] = rng.uniform(-1, 1, flat.size) * 10.0 ** rng.integers(
+            -6, 6, flat.size)
+        for dense in (arr, exactly_symmetric(arr)):
+            t = Tensor.from_dense(dense).to_coo()
+            yield f"{m}-{n}-{t.is_exactly_semi_symmetric()}", t
+        yield f"{m}-{n}-empty", Tensor.from_coo(m, n, np.zeros((0, m)), [])
+
+
+def _coo_kernel_points(n):
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-2, 2, n) * 10.0 ** rng.integers(-3, 3, n)
+    special = x.copy()
+    special[: min(n, 3)] = [-0.0, np.inf, np.nan][: min(n, 3)]
+    return [x, special]
+
+
+def _nan_free_bits(a):
+    # where the inputs hold inf or nan, np.add.at on a 2-D index and
+    # np.bincount keep the NaN of different terms, which may differ in
+    # sign; every other bit is pinned
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def test_coo_kernels_match_prod_and_add_at_bitwise():
+    seen = set()
+    for label, t in _coo_kernel_cases():
+        idx, vals = t.coo_indices, t.coo_values
+        seen.add(t.is_exactly_semi_symmetric())
+        for x in _coo_kernel_points(t.dim):
+            with np.errstate(invalid="ignore", over="ignore"):
+                image = coo_apply_prod(idx, vals, t.dim, x)
+                jac = coo_jacobian_add_at(idx, vals, t.dim, x,
+                                          t.is_exactly_semi_symmetric())
+                got_image, got_jac = t.apply(x), t.jacobian_matrix(x)
+            assert got_image.dtype == jac.dtype == float, label
+            assert got_image.tobytes() == image.tobytes(), label
+            if np.isfinite(x).all():
+                assert got_jac.tobytes() == jac.tobytes(), label
+            assert _nan_free_bits(got_jac) == _nan_free_bits(jac), label
+    assert seen == {True, False}
+
+
+def test_coo_index_columns_are_read_only_and_built_once():
+    t = Tensor.from_dense(signed_dense(4, 5, seed=3)).to_coo()
+    assert "_columns" not in t._facts
+    x = np.linspace(0.5, 2.0, 5)
+    t.apply(x)
+    cols = t._facts["_columns"]
+    t.apply(x)
+    t.jacobian_matrix(x)
+    t.scaled(2.0).apply(x)
+    assert t._columns() is cols
+    assert len(cols) == t.order
+    for k, c in enumerate(cols):
+        assert c.dtype == np.int64 and c.flags.c_contiguous
+        assert not c.flags.writeable
+        assert np.array_equal(c, t.coo_indices[:, k])
+        with pytest.raises(ValueError):
+            c[0] = 0
 
 
 @pytest.mark.parametrize("m,n", SHAPES)

@@ -19,9 +19,8 @@ The ensemble:
 
 - P1, P2, P4 and P5 at (m, n) = (3, 30) and (4, 8), and P1 and P4 at
   (5, 6), seeds 0 to 7, each with its generated ``b`` and half-zeroed,
-  solved with the default config, with ``plain_steps=True`` and with
-  ``max_iter=2``; a positive ``b`` goes through both ``solve_positive``
-  and ``solve_nonnegative``;
+  solved with the default config and with ``max_iter=2``; a positive
+  ``b`` goes through both ``solve_positive`` and ``solve_nonnegative``;
 - P3 at n = 24 and 40 with the three boundary pairs of the stencil
   benchmark, stopping on the residual relative to ``||b||``;
 - bad starting points (negative, zero, infeasible, wrong shape) and a
@@ -68,7 +67,6 @@ import mteq
 from mteq.cli import main as cli_main
 
 CONFIGS = {"default": mteq.SolverConfig(),
-           "plain_steps": mteq.SolverConfig(plain_steps=True),
            "max_iter=2": mteq.SolverConfig(max_iter=2)}
 STENCIL_CONFIG = mteq.SolverConfig(relative_stop=True)
 STENCIL_BOUNDARIES = ((1e7, 1e7), (2e7, 1e7), (1e7, 5e7))

@@ -52,7 +52,6 @@ def _add_solver_flags(sub):
         "max_iter": "iteration cap",
         "max_backtracks": "line-search trial cap",
         "relative_stop": "stop on the residual relative to ||b||",
-        "plain_steps": "disable the residual-scaled retry of the unit step",
     }
     for field in fields(SolverConfig):
         name, default = field.name, field.default
@@ -291,9 +290,8 @@ def cmd_verify(args) -> int:
     print(f"z sign pattern (off-diagonal <= 0): {'yes' if z else 'no'}")
     print(f"diagonally dominant (A e^{{m-1}} > 0): "
           f"{'yes' if A.is_diag_dominant() else 'no'}")
-    symmetry = ("exact" if A.is_exactly_semi_symmetric()
-                else "to rounding" if A.is_semi_symmetric() else "no")
-    print(f"semi-symmetric: {symmetry}")
+    print(f"semi-symmetric: "
+          f"{'exact' if A.is_exactly_semi_symmetric() else 'no'}")
     s, B = m_splitting(A)
     print(f"splitting shift s (max diagonal): {s:.6g}")
     if B.min_entry() >= 0.0:
@@ -314,7 +312,9 @@ def cmd_verify(args) -> int:
             print(f"positivity certificate: not found ({exc})")
     else:
         print("positivity certificate: not attempted (not a Z sign pattern)")
-    if b is not None:
+    if b is not None and not z:
+        print("zero-row coupling check: not attempted (not a Z sign pattern)")
+    elif b is not None:
         try:
             p = make_problem(A, b)
         except ValueError as exc:

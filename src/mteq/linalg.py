@@ -12,7 +12,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "SingularMatrixError",
@@ -40,6 +39,10 @@ def lu_solve(mat, rhs) -> np.ndarray:
     Raises :class:`SingularMatrixError` when the smallest pivot falls below
     ``1e-14 * ||mat||_inf``.
     """
+    # imported here, its only use, so that commands which never solve
+    # (``mteq gen``, ``verify``, ``--help``) start without it
+    import scipy.linalg
+
     mat = _as_square(mat)
     rhs = np.asarray(rhs, dtype=float)
     n = mat.shape[0]

@@ -92,9 +92,7 @@ class SolverConfig:
     backtracking line search, ``eta`` is the stopping tolerance on the
     Euclidean residual norm (relative to ``||b||`` when ``relative_stop``
     is set), and ``c`` scales the retried near-unit steplength of the
-    extended line search.  ``plain_steps`` makes the extended line search
-    use the plain ``rho**i`` trials of the basic one instead of that
-    retry.
+    extended line search.
     """
 
     eps: float = 0.1
@@ -106,7 +104,6 @@ class SolverConfig:
     max_iter: int = 300
     max_backtracks: int = 60
     relative_stop: bool = False
-    plain_steps: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:

@@ -6,11 +6,10 @@ judged per index block: rows with ``b_i > 0`` keep the ``eps * b`` floor,
 rows with ``b_i = 0`` compare against the Jacobian-derived threshold of
 :func:`mteq.model.zero_block_threshold`.
 
-The default step rule retries the unit step scaled by ``1 - c * ||f(y)||``
-after a failed unit trial.  Near the solution that scale tends to 1, so
-full Newton steps are recovered and the quadratic convergence rate
-survives the damping.  ``SolverConfig.plain_steps`` selects the plain
-``rho**i`` trials of the basic solver instead.
+The step rule retries the unit step scaled by ``1 - c * ||f(y)||`` after
+a failed unit trial.  Near the solution that scale tends to 1, so full
+Newton steps are recovered and the quadratic convergence rate survives
+the damping.
 """
 
 from __future__ import annotations
@@ -32,9 +31,9 @@ def line_search_extended(p: MTeqProblem, y, d, cfg: SolverConfig,
     """Backtracking search under the split feasibility test.
 
     Trials are ``1, beta, beta*rho, ...`` with ``beta = trial_scale(||f(y)||,
-    cfg.c)``, or the plain ``rho**i`` when ``cfg.plain_steps`` is set.
+    cfg.c)``.
     """
-    return _backtrack(p, y, d, cfg, current_norm, scaled=not cfg.plain_steps)
+    return _backtrack(p, y, d, cfg, current_norm, scaled=True)
 
 
 def solve_nonnegative(p: MTeqProblem, y0, cfg: SolverConfig | None = None) -> SolveReport:
@@ -44,13 +43,12 @@ def solve_nonnegative(p: MTeqProblem, y0, cfg: SolverConfig | None = None) -> So
     row has no nonzero entry coupling it to the positive index set, since no
     positive solution can exist then.  The starting point must satisfy the
     split feasibility test, else ``BAD_INITIAL_POINT``.  The report's
-    ``mode`` is ``"plain"`` or ``"residual_scaled"``.
+    ``mode`` is ``"residual_scaled"``.
     """
     cfg = cfg or SolverConfig()
     assumption = p.assumption
     refusal = "" if assumption.ok else (
         "zero-indexed rows without coupling entries: "
         + assumption.missing_text)
-    mode = "plain" if cfg.plain_steps else "residual_scaled"
     return _damped_newton(p, y0, cfg, line_search_extended, start_is_y=True,
-                          mode=mode, refusal=refusal)
+                          mode="residual_scaled", refusal=refusal)

@@ -43,7 +43,6 @@ depend on the number of threads or on which thread ran which span.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import re
@@ -69,7 +68,6 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_CAP = 200_000_000
-SEMI_SYMMETRY_TOL = 1e-13  # of max(1, max|a|); see Tensor.is_semi_symmetric
 # Slabs per step of a pass that builds the derivative matrix: about this
 # many bytes, so that at small n the loop costs little next to the
 # arithmetic, while at large n a block read for the first slot is still in
@@ -453,36 +451,6 @@ class _DenseTensor(Tensor):
         partial, jac = self._terms(x)
         return partial @ x, jac
 
-    def semi_symmetrize(self) -> Tensor:
-        """Average over all permutations of the trailing ``m-1`` indices.
-
-        Leaves ``apply`` unchanged while making the trailing block of the
-        tensor fully symmetric.  Always a new tensor, even when the
-        entries are already symmetric.  Averages one slab at a time.
-        """
-        acc = np.empty_like(self._vals)
-        for slab, out in zip(self._vals, acc):
-            _semi_symmetrize_slab(slab, out)
-        return Tensor.from_dense(acc)
-
-    def is_semi_symmetric(self) -> bool:
-        """Whether the trailing indices can be permuted freely.
-
-        Compares the entries with those of :meth:`semi_symmetrize` on every
-        call, up to ``SEMI_SYMMETRY_TOL`` times ``max(1, max|a|)``, one
-        slab at a time, and stops at the first slab that differs.
-        """
-        tol = SEMI_SYMMETRY_TOL * max(1.0, self.max_abs())
-        sym = np.empty_like(self._vals[0])
-        for slab in self._vals:
-            _semi_symmetrize_slab(slab, sym)
-            np.subtract(slab, sym, out=sym)
-            np.abs(sym, out=sym)
-            # written so that a NaN difference fails the test
-            if not sym.max() <= tol:
-                return False
-        return True
-
     def uncoupled_rows(self, rows, cols) -> list:
         """The rows ``i`` in ``rows`` with no nonzero ``a[i, i2, .., im]``
         whose trailing indices all lie in ``cols``.
@@ -639,28 +607,6 @@ class _CooTensor(Tensor):
         # Jacobian is built when asked for
         return self.apply(x), None
 
-    def semi_symmetrize(self) -> Tensor:
-        """As on dense storage; entries that average to zero are dropped."""
-        m = self.order
-        perms = list(itertools.permutations(range(1, m)))
-        stacked = np.vstack([self._idx[:, (0,) + p] for p in perms])
-        weights = np.tile(self._vals / len(perms), len(perms))
-        uniq, inv = np.unique(stacked, axis=0, return_inverse=True)
-        vals = np.bincount(inv.ravel(), weights=weights)
-        keep = vals != 0.0
-        return Tensor.from_coo(m, self.dim, uniq[keep], vals[keep])
-
-    def is_semi_symmetric(self) -> bool:
-        """As on dense storage, comparing all entries at once."""
-        tol = SEMI_SYMMETRY_TOL * max(1.0, self.max_abs())
-        sym = self.semi_symmetrize()
-        merged_idx = np.vstack([self._idx, sym._idx])
-        merged_val = np.concatenate([self._vals, -sym._vals])
-        uniq, inv = np.unique(merged_idx, axis=0, return_inverse=True)
-        diff = np.bincount(inv.ravel(), weights=merged_val,
-                           minlength=uniq.shape[0])
-        return bool(np.max(np.abs(diff), initial=0.0) <= tol)
-
     def uncoupled_rows(self, rows, cols) -> list:
         """As on dense storage, from the stored entries."""
         usable = (np.all(np.isin(self._idx[:, 1:], cols), axis=1)
@@ -741,17 +687,6 @@ def _slot_terms(a, x, jacobian):
                     acc += _contract(block.transpose(axes), x, m - 2)
     _over_spans(span, n, a.nbytes)
     return M, jac
-
-
-def _semi_symmetrize_slab(slab, out) -> None:
-    """Write into ``out`` the average of ``slab`` over all permutations of
-    its axes, summed from zero in ``itertools.permutations`` order: slab
-    ``i`` of a dense tensor's ``semi_symmetrize``, to the bit."""
-    perms = list(itertools.permutations(range(slab.ndim)))
-    out.fill(0.0)
-    for p in perms:
-        out += slab.transpose(p)
-    out /= len(perms)
 
 
 def _couples(slab, rows, cols) -> bool:

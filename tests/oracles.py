@@ -2,12 +2,58 @@
 
 Everything here is deliberately slow and direct: nested index loops,
 central differences, and bisection.  None of it shares code with the
-package under test, so agreement is meaningful.
+package under test, so agreement is meaningful.  :class:`CountingTensor`
+is the one exception: it delegates to a tensor of the package and counts
+the calls that reach its kernels.
 """
 
+import types
 from itertools import permutations, product
 
 import numpy as np
+
+# the tensor methods that CountingTensor records
+KERNELS = ("apply", "jacobian_matrix", "image_and_jacobian", "diagonal")
+# the kernels that contract the tensor with their vector
+CONTRACTIONS = ("apply", "image_and_jacobian")
+
+
+class CountingTensor:
+    """Delegates to a tensor and records every call of a method in
+    ``KERNELS`` by its argument (``None`` for ``diagonal``).  The tensor's
+    other methods run with the counter as ``self``, so the kernels they
+    call (the dominance test's ``apply``) are counted too."""
+
+    def __init__(self, tensor):
+        self._tensor = tensor
+        self.calls = {k: [] for k in KERNELS}
+
+    def __getattr__(self, name):
+        attr = getattr(self._tensor, name)
+        if name not in KERNELS:
+            method = getattr(type(self._tensor), name, None)
+            if isinstance(method, types.FunctionType):
+                return types.MethodType(method, self)
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name].append(np.array(args[0]) if args else None)
+            return attr(*args, **kwargs)
+        return counted
+
+    def reset(self):
+        for calls in self.calls.values():
+            calls.clear()
+
+    def at(self, x):
+        """Number of contractions of the tensor with ``x``."""
+        return sum(np.array_equal(v, x) for k in CONTRACTIONS
+                   for v in self.calls[k])
+
+    def applied_at_records(self):
+        """Number of ``apply`` calls at a point that a record contracted."""
+        return sum(np.array_equal(v, x) for v in self.calls["apply"]
+                   for x in self.calls["image_and_jacobian"])
 
 
 def apply_loops(dense, x):

@@ -5,7 +5,6 @@ is not contracted at all, and the point that ends a solve with ``b > 0``
 is contracted without its Jacobian."""
 
 import gc
-import types
 import weakref
 
 import numpy as np
@@ -19,47 +18,7 @@ from mteq.model import _evaluate
 from mteq.problems import (gen_problem1, gen_problem2, gen_problem4,
                            gen_problem5, write_problem, zero_out_rhs)
 
-KERNELS = ("apply", "jacobian_matrix", "image_and_jacobian")
-# kernels that contract the tensor with their vector
-CONTRACTIONS = ("apply", "image_and_jacobian")
-
-
-class CountingTensor:
-    """Delegates to a tensor and records every kernel call by the vector
-    it was given.  The tensor's other methods run with the counter as
-    ``self``, so the kernels they call (the dominance test's ``apply``)
-    are counted too."""
-
-    def __init__(self, tensor):
-        self._tensor = tensor
-        self.calls = {k: [] for k in KERNELS}
-
-    def __getattr__(self, name):
-        attr = getattr(self._tensor, name)
-        if name not in KERNELS:
-            method = getattr(type(self._tensor), name, None)
-            if isinstance(method, types.FunctionType):
-                return types.MethodType(method, self)
-            return attr
-
-        def counted(x, *args, **kwargs):
-            self.calls[name].append(np.array(x))
-            return attr(x, *args, **kwargs)
-        return counted
-
-    def reset(self):
-        for calls in self.calls.values():
-            calls.clear()
-
-    def at(self, x):
-        """Number of contractions of the tensor with ``x``."""
-        return sum(np.array_equal(v, x) for k in CONTRACTIONS
-                   for v in self.calls[k])
-
-    def applied_at_records(self):
-        """Number of ``apply`` calls at a point that a record contracted."""
-        return sum(np.array_equal(v, x) for v in self.calls["apply"]
-                   for x in self.calls["image_and_jacobian"])
+from oracles import CONTRACTIONS, CountingTensor
 
 
 def counted_problem(p, zero=False, seed=0):

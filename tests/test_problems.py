@@ -22,7 +22,7 @@ from oracles import symmetrize_whole_array
 def test_problem1_structure():
     p = gen_problem1(3, 8, seed=0)
     assert p.A.is_z_tensor()
-    assert p.A.is_semi_symmetric()
+    assert p.A.is_exactly_semi_symmetric()
     assert p.A.is_diag_dominant()
     assert p.certificate is not None
     assert p.omega > 0.0
@@ -48,7 +48,7 @@ def test_problem1_determinism():
 def test_problem1_order_five():
     p = gen_problem1(5, 6, seed=0)
     assert p.A.order == 5
-    assert p.A.is_diag_dominant() and p.A.is_semi_symmetric()
+    assert p.A.is_diag_dominant() and p.A.is_exactly_semi_symmetric()
 
 
 def test_symmetrize_full_is_permutation_invariant():
@@ -111,7 +111,7 @@ def test_problem3_stencil():
     p = gen_problem3(n, c0=2.0, c1=3.0)
     assert p.A.storage == "coo"
     assert p.omega == 1.0
-    assert p.A.is_semi_symmetric()
+    assert p.A.is_exactly_semi_symmetric()
     dense = p.A.to_dense_array()
     assert dense[0, 0, 0, 0] == 1.0
     assert dense[n - 1, n - 1, n - 1, n - 1] == 1.0
@@ -135,7 +135,7 @@ def test_problem4_raw_draw():
     assert p.A.is_diag_dominant()
     # no symmetrization on this family
     d = p.A.to_dense_array()
-    assert not p.A.is_semi_symmetric()
+    assert not p.A.is_exactly_semi_symmetric()
     assert d[0, 1, 2] != d[0, 2, 1]
 
 
@@ -363,7 +363,7 @@ def test_second_problem2_makes_no_tensor_pass(monkeypatch):
     # each name on every class that defines it, so no storage's own
     # method escapes the guard
     for name in ("apply", "image_and_jacobian", "jacobian_matrix", "scaled",
-                 "to_dense_array", "semi_symmetrize", "min_entry"):
+                 "to_dense_array", "min_entry"):
         owners = [cls for cls in (Tensor, *Tensor.__subclasses__())
                   if name in vars(cls)]
         assert owners, name

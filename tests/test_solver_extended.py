@@ -38,19 +38,6 @@ def test_mode_recorded_in_report():
     p = small_problem()
     y0 = initial_point(p).y0
     assert solve_nonnegative(p, y0).mode == "residual_scaled"
-    plain = SolverConfig(plain_steps=True)
-    assert solve_nonnegative(p, y0, plain).mode == "plain"
-
-
-def test_plain_rule_reduces_to_basic_solver_on_positive_rhs():
-    p = gen_problem1(3, 10, 5)
-    ip = initial_point(p)
-    basic = solve_positive(p, ip.x0)
-    ext = solve_nonnegative(p, ip.y0, SolverConfig(plain_steps=True))
-    assert basic.converged and ext.converged
-    assert basic.iterations == ext.iterations
-    for ya, yb in zip(basic.iterates, ext.iterates):
-        assert np.array_equal(ya, yb)
 
 
 def test_trial_scale():
@@ -60,14 +47,6 @@ def test_trial_scale():
     assert trial_scale(1.0, 1.0) == 1.0
     assert trial_scale(5.0, 1.0) == 1.0
     assert trial_scale(0.5, 0.5) == pytest.approx(0.75)
-
-
-def same_step(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    return (a.alpha == b.alpha and a.residual_norm == b.residual_norm
-            and a.backtracks == b.backtracks
-            and np.array_equal(a.y_next, b.y_next))
 
 
 def test_scaled_retry_follows_failed_unit_step():
@@ -83,21 +62,6 @@ def test_scaled_retry_follows_failed_unit_step():
     assert hit.alpha != cfg.rho
 
 
-def test_plain_steps_match_basic_line_search():
-    plain = SolverConfig(plain_steps=True)
-    for b in ((1.0, 0.0), (1.0, 1.0)):
-        p = small_problem(b)
-        y = initial_point(p).y0
-        nd = newton_direction(p, y)
-        for scale in (1.0, 2.0, 10.0, -1.0):
-            d = scale * nd
-            ext = line_search_extended(p, y, d, plain)
-            assert same_step(ext, line_search_basic(p, y, d, plain))
-            assert (ext is None) == (scale < 0.0)
-            if ext is not None:
-                assert ext.alpha == plain.rho ** ext.backtracks
-
-
 def test_search_along_ascent_direction_fails_instead_of_standing_still():
     # with 60 backtracks the trials shrink until y + alpha d rounds to y
     # (b = (1, 0)) or 1 - 2 sigma alpha rounds to 1 (b = (1, 1)); either
@@ -106,9 +70,8 @@ def test_search_along_ascent_direction_fails_instead_of_standing_still():
         p = small_problem(b)
         y = initial_point(p).y0
         d = -newton_direction(p, y)
-        for cfg in (SolverConfig(), SolverConfig(plain_steps=True)):
-            assert line_search_basic(p, y, d, cfg) is None
-            assert line_search_extended(p, y, d, cfg) is None
+        assert line_search_basic(p, y, d, SolverConfig()) is None
+        assert line_search_extended(p, y, d, SolverConfig()) is None
 
 
 def test_solve_along_ascent_directions_ends_in_line_search_failure(monkeypatch):
@@ -134,13 +97,12 @@ def test_failed_search_names_the_real_reason(monkeypatch, b):
 
     # along an ascent direction the trials shrink until the descent factor
     # rounds to 1, well before the 60th backtrack
-    for cfg in (SolverConfig(), SolverConfig(plain_steps=True)):
-        rep = solve(-1.0, cfg)
-        assert rep.status is SolveStatus.LINE_SEARCH_FAILURE
-        head, why = rep.message.split(": ")
-        assert head.startswith("line search stopped at iteration 1 after ")
-        assert int(head.split()[-2]) < cfg.max_backtracks
-        assert why == "the descent factor 1 - 2 sigma alpha rounds to 1"
+    rep = solve(-1.0, SolverConfig())
+    assert rep.status is SolveStatus.LINE_SEARCH_FAILURE
+    head, why = rep.message.split(": ")
+    assert head.startswith("line search stopped at iteration 1 after ")
+    assert int(head.split()[-2]) < SolverConfig().max_backtracks
+    assert why == "the descent factor 1 - 2 sigma alpha rounds to 1"
     # a direction too short to move y stops at the unit trial
     rep = solve(1e-20, SolverConfig())
     assert rep.status is SolveStatus.LINE_SEARCH_FAILURE

@@ -9,8 +9,7 @@ from mteq import (FormatError, Tensor, dense_cap, hadamard_power, m_splitting,
                   nqz_spectral_radius, read_tensor, read_vector, write_tensor,
                   write_vector)
 from mteq import tensor
-from mteq.problems import gen_problem1, gen_problem4
-from mteq.tensor import SEMI_SYMMETRY_TOL
+from mteq.problems import gen_problem1, gen_problem4, symmetrize_full
 
 from oracles import (apply_loops, coo_apply_prod, coo_jacobian_add_at,
                      jacobian_loops)
@@ -73,38 +72,13 @@ def test_identity_small_values():
     assert np.array_equal(t.apply(np.array([2.0, 3.0])), np.array([8.0, 27.0]))
 
 
-def test_semi_symmetrize_preserves_apply_and_jacobian():
-    arr = random_dense(3, 4, seed=42)
-    t = Tensor.from_dense(arr)
-    s = t.semi_symmetrize()
-    assert s.is_semi_symmetric()
-    x = np.random.default_rng(3).uniform(0.5, 1.5, size=4)
-    # averaging over trailing-index permutations changes entries but not
-    # the contraction, hence not its gradient either
-    assert np.allclose(s.apply(x), t.apply(x), rtol=1e-13, atol=0)
-    assert np.allclose(s.jacobian_matrix(x), t.jacobian_matrix(x),
-                       rtol=1e-12, atol=1e-14)
-
-
 def test_semi_symmetry_is_read_from_the_entries():
-    raw = Tensor.from_dense(gen_problem4(3, 6, 0).A.to_dense_array())
-    assert raw.is_semi_symmetric() is False
-    sym = raw.semi_symmetrize()
-    assert sym is not raw
-    assert sym.is_semi_symmetric() is True
-    assert raw.is_semi_symmetric() is False
-    # symmetric entries still give a new tensor, equal to the old one
-    again = sym.semi_symmetrize()
-    assert again is not sym
-    assert np.allclose(again.to_dense_array(), sym.to_dense_array(),
-                       rtol=1e-15, atol=0)
-
-
-def test_semi_symmetrize_coo_matches_dense():
-    arr = random_dense(3, 3, seed=5)
-    dense_sym = Tensor.from_dense(arr).semi_symmetrize().to_dense_array()
-    coo_sym = Tensor.from_dense(arr).to_coo().semi_symmetrize().to_dense_array()
-    assert np.allclose(dense_sym, coo_sym, rtol=1e-13, atol=1e-16)
+    entries = gen_problem4(3, 6, 0).A.to_dense_array()
+    raw = Tensor.from_dense(entries)
+    assert raw.is_exactly_semi_symmetric() is False
+    sym = Tensor.from_dense(symmetrize_full(entries.copy()))
+    assert sym.is_exactly_semi_symmetric() is True
+    assert sym.to_coo().is_exactly_semi_symmetric() is True
 
 
 SHAPES = [(2, 5), (3, 1), (3, 7), (4, 5), (5, 4)]
@@ -116,15 +90,6 @@ def signed_dense(m, n, seed):
     arr[arr > 0.8] = 0.0
     arr[arr < -0.8] = -0.0
     return arr
-
-
-def whole_array_semi_symmetrize(a):
-    """Sum of whole transposed views from zeros, then one division."""
-    perms = list(itertools.permutations(range(1, a.ndim)))
-    acc = np.zeros_like(a)
-    for p in perms:
-        acc += np.transpose(a, (0,) + p)
-    return acc / len(perms)
 
 
 @pytest.mark.parametrize("slabs", [1, 2, 3, None])
@@ -275,36 +240,6 @@ def test_coo_index_columns_are_read_only_and_built_once():
         assert np.array_equal(c, t.coo_indices[:, k])
         with pytest.raises(ValueError):
             c[0] = 0
-
-
-@pytest.mark.parametrize("m,n", SHAPES)
-def test_semi_symmetrize_by_slabs_matches_whole_array_sums_bitwise(m, n):
-    arr = signed_dense(m, n, seed=m * 5 + n)
-    sym = Tensor.from_dense(arr).semi_symmetrize().dense_values
-    assert sym.tobytes() == whole_array_semi_symmetrize(arr).tobytes()
-
-
-@pytest.mark.parametrize("m,n", [(3, 6), (4, 4)])
-def test_is_semi_symmetric_by_slabs_matches_whole_array_comparison(m, n):
-    def whole_array(a):
-        tol = SEMI_SYMMETRY_TOL * max(1.0, float(np.max(np.abs(a))))
-        return bool(np.max(np.abs(a - whole_array_semi_symmetrize(a))) <= tol)
-
-    raw = signed_dense(m, n, seed=m + n)
-    sym = whole_array_semi_symmetrize(raw)
-    last = (n - 1,) * m
-    near = sym.copy()
-    near[last[:-2] + (0, n - 1)] += 0.5 * SEMI_SYMMETRY_TOL
-    far = sym.copy()
-    far[last[:-2] + (0, n - 1)] += 4.0 * SEMI_SYMMETRY_TOL
-    cases = {"raw": (raw, False), "sym": (sym, True), "near": (near, True),
-             "far": (far, False)}
-    for name, (arr, want) in cases.items():
-        assert whole_array(arr) is want, name
-        assert Tensor.from_dense(arr).is_semi_symmetric() is want, name
-    bad = sym.copy()
-    bad[last] = np.nan
-    assert Tensor.from_dense(bad).is_semi_symmetric() is False
 
 
 def test_from_coo_rejects_duplicates_and_accepts_unsorted():

@@ -10,12 +10,12 @@ initializer, seeded benchmark generators, and a command-line front end
 
 from .initializer import (InitializationError, InitialPoint, find_certificate,
                           initial_point, jacobi_step)
-from .linalg import SingularMatrixError, lu_solve, submatrix
+from .linalg import SingularMatrixError, lu_solve
 from .model import (AssumptionReport, IndexPartition, MTeqProblem,
                     SolverConfig, check_assumption, feasibility_slack,
-                    in_feasible, in_feasible_split, make_problem,
-                    partition_indices, residual, residual_jacobian,
-                    scale_problem, zero_block_threshold)
+                    in_feasible_split, make_problem, partition_indices,
+                    residual, residual_jacobian, scale_problem,
+                    zero_block_threshold)
 from .problems import (gen_problem1, gen_problem2, gen_problem3, gen_problem4,
                        gen_problem5, write_problem, zero_out_rhs)
 from .report import (IterationRecord, SolveReport, SolveStatus,

@@ -304,7 +304,7 @@ def cmd_verify(args) -> int:
     certified = False
     if z:
         try:
-            u, sweeps = find_certificate(A)
+            sweeps = find_certificate(A)[1]
             how = "all-ones vector" if sweeps == 0 else f"{sweeps} splitting sweeps"
             print(f"positivity certificate A u^{{m-1}} > 0: found ({how})")
             certified = True

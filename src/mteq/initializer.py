@@ -27,11 +27,12 @@ is replaced by the plain Jacobi value and the history restarts.  Each
 sweep costs one contraction ``A x^{m-1}`` through the public
 ``A.apply``, shared by the positivity test and the next Jacobi value, and
 one least-squares solve of at most ``ANDERSON_DEPTH`` columns; the rest
-is a few elementwise passes over vectors of length ``n``.  Sweep 0, at
-the all-ones vector, reads the image the tensor cached for its dominance
-test, and the feasible start reuses the image of the last sweep.  On the
-order-4 stencil a sweep takes about 40 us at ``n = 40`` and 170 us at
-``n = 1280`` (one core), about half of it in the least-squares solve.
+is a few elementwise passes over vectors of length ``n``.  Every sweep
+runs in :func:`find_certificate`: sweep 0 reads the image of ``e`` that
+the dominance test cached, and the last sweep's image, which it returns
+with ``u``, serves the feasible start.  On the order-4 stencil a sweep
+takes about 40 us at ``n = 40`` and 170 us at ``n = 1280`` (one core),
+about half of it in the least-squares solve.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MTeqProblem, SolverConfig, in_feasible_split
+from .model import MTeqProblem, SolverConfig, _in_domain, in_feasible_split
 from .tensor import Tensor, hadamard_power
 
 __all__ = [
@@ -62,10 +63,6 @@ POSITIVITY_MARGIN = 0.1
 
 # Number of earlier Jacobi values each accelerated step mixes in.
 ANDERSON_DEPTH = 5
-
-
-def _noise_floor(A: Tensor) -> float:
-    return 1e-12 * max(1.0, A.max_abs())
 
 
 class InitializationError(RuntimeError):
@@ -149,26 +146,18 @@ def jacobi_step(A: Tensor, rhs, x) -> np.ndarray:
 def find_certificate(A: Tensor, rhs=None, max_sweeps=MAX_SWEEPS):
     """Positive ``u`` with ``A u^{m-1} > 0``, found by splitting sweeps.
 
-    Returns ``(u, sweeps)``.  Sweeps solve ``A x^{m-1} = rhs`` approximately
+    Returns ``(u, sweeps, image)``, where ``image`` is ``A u^{m-1}`` from
+    the last sweep, so that :func:`initial_point` does not contract the
+    tensor at ``u`` again.  Sweeps solve ``A x^{m-1} = rhs`` approximately
     (all-ones target when ``rhs`` is omitted; an explicit target must be
     strictly positive), Anderson accelerated in ``log x^{m-1}``.  The loop
-    stops once ``A x^{m-1}`` clears both the rounding noise floor and a
+    stops once ``A x^{m-1}`` clears both the tensor's noise floor and a
     fixed fraction of the target on every component, so the certificate
     has a usable margin.  ``max_sweeps`` caps the sweeps after sweep 0 and
     must be an integer ``>= 0`` (else ``ValueError``).  Raises
     :class:`InitializationError` when the iterates diverge, or when the
     sweep cap runs out; the message then gives how close the last iterate
     came to passing the test.
-    """
-    u, sweeps, _ = _sweep(A, rhs, max_sweeps)
-    return u, sweeps
-
-
-def _sweep(A: Tensor, rhs=None, max_sweeps=MAX_SWEEPS):
-    """:func:`find_certificate`'s ``(u, sweeps)`` with the image
-    ``A u^{m-1}`` of its last sweep, so that :func:`initial_point` does not
-    contract the tensor at ``u`` again.  Sweep 0 reads the all-ones image
-    that the tensor caches (:meth:`~mteq.tensor.Tensor._ones_record`).
     """
     e = np.ones(A.dim)
     if rhs is None:
@@ -185,7 +174,7 @@ def _sweep(A: Tensor, rhs=None, max_sweeps=MAX_SWEEPS):
     d = _positive_diagonal(A)
     # xm > 0 by construction, so its root needs no sign test
     root = 1.0 / (A.order - 1)
-    floor = np.maximum(_noise_floor(A), POSITIVITY_MARGIN * target)
+    floor = np.maximum(A._noise_floor(), POSITIVITY_MARGIN * target)
     # Anderson mixing in z = log x^{m-1}, of the map G(z) = log of the
     # Jacobi value's (m-1)-th power, with fixed-point residual G(z) - z.
     # The last ANDERSON_DEPTH differences of both sit in ring buffers;
@@ -260,7 +249,7 @@ def initial_point(p: MTeqProblem, cfg: SolverConfig | None = None) -> InitialPoi
         au = p.A._ones_record()[0] if np.all(u == 1.0) else p.A.apply(u)
     else:
         target = p.b if part.i_zero.size == 0 else None
-        u, sweeps, au = _sweep(p.A, rhs=target)
+        u, sweeps, au = find_certificate(p.A, rhs=target)
     if au.min() <= 0.0:
         raise InitializationError("certificate vector lost positivity of its image")
     m = p.m
@@ -269,6 +258,6 @@ def initial_point(p: MTeqProblem, cfg: SolverConfig | None = None) -> InitialPoi
     t = max(1.0, float(np.max(cfg.eps * p.b / au)) ** (1.0 / (m - 1))) * 1.01
     x0 = t * u
     y0 = hadamard_power(x0, m - 1)
-    if not in_feasible_split(p, y0, cfg.eps, cfg.eps2):
+    if not (_in_domain(y0) and in_feasible_split(p, y0, cfg.eps, cfg.eps2)):
         raise InitializationError("constructed point failed the feasibility check")
     return InitialPoint(x0=x0, y0=y0, iterations=sweeps, u=u)

@@ -1,14 +1,15 @@
-"""Dense linear solves and the block extraction used by the feasibility
-machinery.
+"""Dense linear solves.
 
 Solves go through an LU factorization with partial pivoting; a pivot below
 ``1e-14`` times the infinity norm of the matrix is treated as singular to
-working precision and reported as an explicit error rather than letting
-garbage propagate into a Newton step.
+working precision, and a matrix with a NaN or infinite entry as unusable.
+Both are reported as an explicit error rather than letting garbage
+propagate into a Newton step.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -16,7 +17,6 @@ import numpy as np
 __all__ = [
     "SingularMatrixError",
     "lu_solve",
-    "submatrix",
 ]
 
 PIVOT_RTOL = 1e-14
@@ -26,24 +26,20 @@ class SingularMatrixError(RuntimeError):
     """Matrix is singular to working precision."""
 
 
-def _as_square(mat) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return mat
-
-
 def lu_solve(mat, rhs) -> np.ndarray:
     """Solve ``mat @ z = rhs`` by LU with partial pivoting.
 
-    Raises :class:`SingularMatrixError` when the smallest pivot falls below
-    ``1e-14 * ||mat||_inf``.
+    Raises :class:`SingularMatrixError` unless the smallest pivot exceeds
+    ``1e-14 * ||mat||_inf``, which a zero matrix, and one with a NaN or
+    infinite entry, never does.
     """
     # imported here, its only use, so that commands which never solve
     # (``mteq gen``, ``verify``, ``--help``) start without it
     import scipy.linalg
 
-    mat = _as_square(mat)
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     rhs = np.asarray(rhs, dtype=float)
     n = mat.shape[0]
     if rhs.shape[0] != n:
@@ -57,21 +53,10 @@ def lu_solve(mat, rhs) -> np.ndarray:
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
     pivots = np.abs(np.diag(lu))
-    if norm == 0.0 or pivots.min() <= PIVOT_RTOL * norm:
+    if not pivots.min() > PIVOT_RTOL * norm:
+        why = ("singular to working precision" if math.isfinite(norm)
+               else "not finite")
         raise SingularMatrixError(
-            f"matrix singular to working precision (pivot {pivots.min():.3e}, "
-            f"norm {norm:.3e})")
+            f"matrix {why} (pivot {pivots.min():.3e}, norm {norm:.3e})")
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
-
-def submatrix(mat, rows, cols) -> np.ndarray:
-    """Copy of ``mat[rows, cols]`` preserving the given index order."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2:
-        raise ValueError("submatrix needs a 2-d array")
-    rows = np.asarray(rows, dtype=np.int64).ravel()
-    cols = np.asarray(cols, dtype=np.int64).ravel()
-    for name, ix, limit in (("row", rows, mat.shape[0]), ("column", cols, mat.shape[1])):
-        if ix.size and (ix.min() < 0 or ix.max() >= limit):
-            raise IndexError(f"{name} index out of range 0..{limit - 1}")
-    return mat[np.ix_(rows, cols)]

@@ -1,5 +1,5 @@
-"""Problem container and the transformed residual map with its feasibility
-tests.
+"""Problem container and the transformed residual map with its one
+feasibility test.
 
 The solvers work in the transformed variable ``y = x^{m-1}`` (componentwise
 power), where the residual
@@ -7,9 +7,9 @@ power), where the residual
     f(y) = A (y^{1/(m-1)})^{m-1} - b
 
 has a Jacobian that is an M-matrix on the feasible region.  Feasibility of
-a point means ``A x^{m-1} >= eps * b`` componentwise; for right-hand sides
-with zero components the zero-indexed rows instead compare against a
-threshold built from the Jacobian blocks of the positive-indexed rows.
+a point, decided by :func:`in_feasible_split` alone, means ``A x^{m-1} >=
+eps * b`` componentwise; where ``b`` has zeros, those rows instead compare
+against a threshold built from the Jacobian blocks of the positive rows.
 
 All strict inequalities from the underlying theory are implemented with an
 additive slack of ``1e-14 * (1 + max|b|)``: exact float comparisons would
@@ -19,25 +19,25 @@ in exact arithmetic.
 Every quantity at a point comes from one private record, built by
 ``_evaluate(p, y)``: ``y``, ``x``, ``g = A x^{m-1}``, ``f = g - b`` and,
 on first use, the residual Jacobian.  The record takes ``g`` and the raw
-Jacobian sum from the tensor's ``image_and_jacobian``: dense storage
-gives both from one pass over its slabs, COO storage gives ``g`` alone and
-the record asks ``jacobian_matrix`` on first use, so no code here asks
-which storage a tensor has.  A record asked for without its Jacobian
-takes ``g`` from ``apply`` and leaves the Jacobian to ``jacobian_matrix``,
-which gives the same bits.  A record at a constant vector ``x = s e``
-makes no pass: by homogeneity it takes ``g = s^{m-1} A e^{m-1}`` and the
-raw Jacobian ``s^{m-2} J(e)`` from the tensor's record of ``e``, which
-the dominance test of :func:`make_problem` has already built.  The
-problem keeps the last record in a
-one-slot memo that is hit only by a ``y`` exactly equal to the record's,
-which hands the point evaluated by
-:func:`~mteq.initializer.initial_point` or accepted by a line search on
-to the next step without a second contraction.
-:func:`residual`, :func:`residual_jacobian` and the feasibility tests all
-take ``y`` and read its record; none accepts a caller's copy of ``g``,
-``f`` or the Jacobian.  Facts about the problem itself (the index
-partition of ``b``, the certificate of :func:`make_problem`) are fixed
-when it is built, and its :func:`check_assumption` report on first use.
+Jacobian sum from the tensor's ``image_and_jacobian``: dense storage gives
+both from one pass over its slabs, COO storage gives ``g`` alone and the
+record asks ``jacobian_matrix`` on first use, so no code here asks which
+storage a tensor has.  A record asked for without its Jacobian takes ``g``
+from ``apply`` and leaves the Jacobian to ``jacobian_matrix``, which gives
+the same bits.  A record at a constant vector ``x = s e`` makes no pass:
+by homogeneity it takes ``g = s^{m-1} A e^{m-1}`` and the raw Jacobian
+``s^{m-2} J(e)`` from the tensor's record of ``e``, which the dominance
+test of :func:`make_problem` has already built.  The problem keeps the
+last record in a one-slot memo that is hit only by a ``y`` exactly equal
+to the record's, which hands the point evaluated by
+:func:`~mteq.initializer.initial_point` or accepted by a line search on to
+the next step without a second contraction.  :func:`residual`,
+:func:`residual_jacobian` and the feasibility test all take ``y``, which
+must be positive and finite (else ``ValueError``), and read its record;
+none accepts a caller's copy of ``g``, ``f`` or ``J``.  Facts about the
+problem itself (the index partition of ``b``, the certificate of
+:func:`make_problem`) are fixed when it is built, and its
+:func:`check_assumption` report on first use.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SingularMatrixError, lu_solve, submatrix
+from .linalg import SingularMatrixError, lu_solve
 from .tensor import Tensor, hadamard_power
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "feasibility_slack",
     "residual",
     "residual_jacobian",
-    "in_feasible",
     "in_feasible_split",
     "zero_block_threshold",
     "check_assumption",
@@ -230,12 +229,17 @@ def feasibility_slack(b) -> float:
     return 1e-14 * (1.0 + bmax)
 
 
+def _in_domain(y) -> bool:
+    """Whether every entry of ``y`` is positive and finite."""
+    return bool(np.all((y > 0.0) & (y < np.inf)))
+
+
 def _check_transformed(p: MTeqProblem, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (p.n,):
         raise ValueError(f"expected vector of length {p.n}, got shape {y.shape}")
-    if np.any(y <= 0.0):
-        raise ValueError("transformed iterate must be strictly positive")
+    if not _in_domain(y):
+        raise ValueError("transformed iterate must be strictly positive and finite")
     return y
 
 
@@ -320,13 +324,6 @@ def residual_jacobian(p: MTeqProblem, y) -> np.ndarray:
     return _evaluate(p, y).jacobian().copy()
 
 
-def in_feasible(p: MTeqProblem, y, eps) -> bool:
-    """Whether ``A x^{m-1} >= eps * b`` componentwise (with slack)."""
-    g = _evaluate(p, y).g
-    slack = feasibility_slack(p.b)
-    return bool(np.all(g >= eps * p.b - slack))
-
-
 def zero_block_threshold(p: MTeqProblem, y, eps2) -> np.ndarray:
     """Feasibility threshold for the zero-indexed rows.
 
@@ -343,17 +340,16 @@ def zero_block_threshold(p: MTeqProblem, y, eps2) -> np.ndarray:
     if part.i_zero.size == 0:
         return np.zeros(0)
     J = _evaluate(p, y).jacobian()
-    block_pp = submatrix(J, part.i_plus, part.i_plus)
-    block_zp = submatrix(J, part.i_zero, part.i_plus)
-    z = lu_solve(block_pp, p.b[part.i_plus])
-    return eps2 * (block_zp @ z)
+    z = lu_solve(J[np.ix_(part.i_plus, part.i_plus)], p.b[part.i_plus])
+    return eps2 * (J[np.ix_(part.i_zero, part.i_plus)] @ z)
 
 
 def in_feasible_split(p: MTeqProblem, y, eps, eps2) -> bool:
-    """Feasibility test honouring the zero/positive partition of ``b``.
+    """Whether ``A x^{m-1}`` clears the feasibility floor on every row.
 
-    Positive-indexed rows must clear ``eps * b`` as in :func:`in_feasible`;
-    zero-indexed rows must clear :func:`zero_block_threshold`.  A singular
+    Positive-indexed rows must clear ``eps * b``, which is the whole test
+    when ``b > 0``; zero-indexed rows must clear
+    :func:`zero_block_threshold`.  Both compare with slack.  A singular
     positive block simply reports the point as infeasible, so a line search
     can back away from it instead of aborting the solve.  The Jacobian
     comes from the record of ``y`` and only once the positive rows pass,
@@ -361,12 +357,12 @@ def in_feasible_split(p: MTeqProblem, y, eps, eps2) -> bool:
     and hands it on to the next Newton step.
     """
     part = p.partition
-    if part.i_zero.size == 0:
-        return in_feasible(p, y, eps)
     g = _evaluate(p, y).g
     slack = feasibility_slack(p.b)
     if not np.all(g[part.i_plus] >= eps * p.b[part.i_plus] - slack):
         return False
+    if part.i_zero.size == 0:
+        return True
     try:
         r = zero_block_threshold(p, y, eps2)
     except SingularMatrixError:

@@ -2,8 +2,8 @@
 
 Each step solves the Newton system of the transformed residual and then
 backtracks along the direction until the trial point stays strictly
-positive, remains inside the feasible region and achieves the descent
-condition
+positive and finite, remains inside the feasible region and achieves the
+descent condition
 
     ||f(y + alpha d)||^2 <= (1 - 2 sigma alpha) ||f(y)||^2.
 
@@ -44,7 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import SingularMatrixError, lu_solve
-from .model import MTeqProblem, SolverConfig, _evaluate, in_feasible_split
+from .model import (MTeqProblem, SolverConfig, _evaluate, _in_domain,
+                    in_feasible_split)
 from .report import IterationRecord, SolveReport, SolveStatus
 from .tensor import hadamard_power
 
@@ -110,8 +111,8 @@ def _descends(rt, r, alpha, sigma) -> bool:
 
 def _backtrack(p: MTeqProblem, y, d, cfg: SolverConfig, current_norm,
                scaled: bool) -> LineSearchResult | None:
-    """Return the first trial of :func:`_steps` that is positive, feasible
-    and descending.
+    """Return the first trial of :func:`_steps` that is positive, finite,
+    feasible and descending.
 
     The search ends with ``None`` after the last trial, or at a trial that
     rounds away (:func:`_rounds_away`); :func:`_search_failure` says
@@ -124,7 +125,7 @@ def _backtrack(p: MTeqProblem, y, d, cfg: SolverConfig, current_norm,
         yt = y + alpha * d
         if _rounds_away(y, yt, alpha, cfg):
             return None
-        if np.all(yt > 0.0):
+        if _in_domain(yt):
             trial = _evaluate(p, yt)
             if in_feasible_split(p, trial.y, cfg.eps, cfg.eps2):
                 rt = float(np.linalg.norm(trial.f))
@@ -170,7 +171,7 @@ def _predicted_final(p: MTeqProblem, y, d, cfg: SolverConfig, r, r_prev,
     if r * (r / r_prev) ** 2 > threshold:
         return
     yt = y + d  # the first trial of _steps, y + 1.0 * d, to the bit
-    if np.all(yt > 0.0) and not _rounds_away(y, yt, 1.0, cfg):
+    if _in_domain(yt) and not _rounds_away(y, yt, 1.0, cfg):
         _evaluate(p, yt, jacobian=False)
 
 
@@ -186,12 +187,13 @@ def _damped_newton(p: MTeqProblem, start, cfg: SolverConfig, line_search, *,
     """Run the damped Newton loop from ``start`` and assemble the report.
 
     ``start`` is ``x0``, or ``y0 = x0^{m-1}`` when ``start_is_y`` is set.
-    A nonempty ``refusal`` ends the solve with ``ASSUMPTION_VIOLATED``
-    before any evaluation.  ``line_search(p, y, d, cfg, current_norm=r)``
-    picks each step; ``mode`` names its rule in the report, and
-    ``"residual_scaled"`` is the scaled schedule of :func:`_steps`.  A step
-    that breaks the descent bound ends the solve with
-    ``LINE_SEARCH_FAILURE``.
+    A nonempty ``refusal`` ends the solve before any evaluation with
+    ``ASSUMPTION_VIOLATED``, and a start that is not positive, or whose
+    ``y`` is not finite, with ``BAD_INITIAL_POINT``.
+    ``line_search(p, y, d, cfg, current_norm=r)`` picks each step;
+    ``mode`` names its rule in the report, and ``"residual_scaled"`` is
+    the scaled schedule of :func:`_steps`.  A step that breaks the descent
+    bound ends the solve with ``LINE_SEARCH_FAILURE``.
     """
     threshold = _stop_threshold(p, cfg)
     start = np.asarray(start, dtype=float)
@@ -206,7 +208,11 @@ def _damped_newton(p: MTeqProblem, start, cfg: SolverConfig, line_search, *,
     if start.shape != (p.n,) or np.any(start <= 0.0):
         return stopped(SolveStatus.BAD_INITIAL_POINT, start, start,
                        float("nan"), "starting point must be strictly positive")
-    y = start if start_is_y else hadamard_power(start, p.m - 1)
+    with np.errstate(over="ignore"):  # an overflow fails the next test
+        y = start if start_is_y else hadamard_power(start, p.m - 1)
+    if not np.isfinite(y).all():
+        return stopped(SolveStatus.BAD_INITIAL_POINT, start, start, float("nan"),
+                       "starting point or its power y = x^{m-1} is not finite")
     point = _evaluate(p, y)
     r = float(np.linalg.norm(point.f))
     if not in_feasible_split(p, y, cfg.eps, cfg.eps2):
@@ -259,10 +265,10 @@ def _damped_newton(p: MTeqProblem, start, cfg: SolverConfig, line_search, *,
 def solve_positive(p: MTeqProblem, x0, cfg: SolverConfig | None = None) -> SolveReport:
     """Solve ``A x^{m-1} = b`` for ``b > 0`` starting from a feasible ``x0``.
 
-    The starting point must be strictly positive with ``A x0^{m-1} >=
-    eps * b``; otherwise the report comes back with status
-    ``BAD_INITIAL_POINT``.  Right-hand sides with zero components belong to
-    :func:`~mteq.solver_extended.solve_nonnegative`.
+    The starting point must be strictly positive, with a finite ``x0^{m-1}``
+    and ``A x0^{m-1} >= eps * b``; otherwise the report comes back with
+    status ``BAD_INITIAL_POINT``.  Right-hand sides with zero components
+    belong to :func:`~mteq.solver_extended.solve_nonnegative`.
     """
     cfg = cfg or SolverConfig()
     if p.partition.i_zero.size:

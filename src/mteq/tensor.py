@@ -340,8 +340,11 @@ class Tensor:
         zero in exact arithmetic are not misclassified by rounding.
         """
         ax = self._ones_record()[0]
-        margin = 1e-12 * max(1.0, self.max_abs())
-        return bool(np.all(ax > margin))
+        return bool(np.all(ax > self._noise_floor()))
+
+    def _noise_floor(self) -> float:
+        """Least value an entry of ``A x^{m-1}`` must exceed to count as positive."""
+        return 1e-12 * max(1.0, self.max_abs())
 
     @_fact
     def _ones_record(self):

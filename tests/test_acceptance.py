@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from mteq import (SolverConfig, Tensor, check_assumption, estimate_order,
-                  in_feasible, in_feasible_split, initial_point, make_problem,
-                  residual, residual_jacobian, solve_nonnegative,
-                  solve_positive, write_tensor)
+                  in_feasible_split, initial_point, make_problem, residual,
+                  residual_jacobian, solve_nonnegative, solve_positive,
+                  write_tensor)
 from mteq.cli import EXIT_INFEASIBLE, main as cli_main
 from mteq.initializer import InitializationError
 from mteq.problems import (gen_problem1, gen_problem2, gen_problem3,
@@ -50,16 +50,13 @@ class WalkStats:
 WALK = WalkStats()
 
 
-def _walk_invariants(p, cfg, rep, split):
+def _walk_invariants(p, cfg, rep):
     """Re-check feasibility and logged descent for every iteration."""
     WALK.runs += 1
     prev = rep.initial_residual
     for rec, y_next in zip(rep.trace, rep.iterates[1:]):
         WALK.iterations += 1
-        if split:
-            feasible = in_feasible_split(p, y_next, cfg.eps, cfg.eps2)
-        else:
-            feasible = in_feasible(p, y_next, cfg.eps)
+        feasible = in_feasible_split(p, y_next, cfg.eps, cfg.eps2)
         if not (rec.feasible and feasible):
             WALK.violations.append(f"iterate {rec.k} infeasible")
         if not rec.residual_norm ** 2 <= (1.0 - 2.0 * cfg.sigma * rec.alpha) * prev ** 2:
@@ -71,10 +68,9 @@ def _solve_and_walk(p, cfg, mode="positive"):
     ip = initial_point(p, cfg)
     if mode == "positive":
         rep = solve_positive(p, ip.x0, cfg)
-        _walk_invariants(p, cfg, rep, split=False)
     else:
         rep = solve_nonnegative(p, ip.y0, cfg)
-        _walk_invariants(p, cfg, rep, split=p.partition.i_zero.size > 0)
+    _walk_invariants(p, cfg, rep)
     return ip, rep
 
 

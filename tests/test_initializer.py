@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+import mteq.initializer
 from mteq import (SolverConfig, Tensor, find_certificate, hadamard_power,
-                  in_feasible, in_feasible_split, initial_point, jacobi_step,
-                  make_problem)
-from mteq.initializer import MAX_SWEEPS, InitializationError, _sweep
+                  in_feasible_split, initial_point, jacobi_step, make_problem)
+from mteq.initializer import MAX_SWEEPS, InitializationError
 from mteq.problems import gen_problem1, gen_problem3, gen_problem5, zero_out_rhs
 
 from oracles import CountingTensor, certificate_sweeps, coo_apply_prod
@@ -39,7 +39,7 @@ def test_jacobi_step_refuses_nonpositive_diagonal():
 
 def test_find_certificate_problem5():
     p = gen_problem5(3, 20, seed=0)
-    u, sweeps = find_certificate(p.A, max_sweeps=500)
+    u, sweeps, _ = find_certificate(p.A, max_sweeps=500)
     assert sweeps <= 500
     assert p.A.apply(u).min() > 0.0
 
@@ -93,7 +93,7 @@ def test_find_certificate_cap_zero_tests_the_all_ones_start_only():
 def _pin_sweeps(A, rhs, apply):
     want = certificate_sweeps(apply, A.diagonal(), A.max_abs(), A.order, rhs)
     assert want is not None
-    u, sweeps, image = _sweep(A, rhs)
+    u, sweeps, image = find_certificate(A, rhs)
     assert sweeps == want[1] > 0
     assert u.tobytes() == want[0].tobytes()
     assert image.tobytes() == want[2].tobytes()
@@ -131,7 +131,7 @@ def test_find_certificate_cap_message_reports_reach():
 def test_find_certificate_stencil_sweep_count():
     # plain Jacobi sweeps took 16,074 here; the accelerated map takes 86
     p = gen_problem3(40)
-    u, sweeps = find_certificate(p.A, rhs=p.b)
+    u, sweeps, _ = find_certificate(p.A, rhs=p.b)
     assert 0 < sweeps < 1000
     assert np.all(p.A.apply(u) > 0.1 * p.b)
 
@@ -139,12 +139,30 @@ def test_find_certificate_stencil_sweep_count():
 def test_find_certificate_one_apply_per_sweep():
     p = gen_problem3(24)
     counted = CountingTensor(p.A)
-    u, sweeps = find_certificate(counted, rhs=p.b)
+    u, sweeps, _ = find_certificate(counted, rhs=p.b)
     assert sweeps > 0
     # sweep 0 reads the all-ones image the tensor cached; every later
     # sweep contracts once, the last one for the test at the result
     assert len(counted.calls["apply"]) == sweeps
     assert len(counted.calls["diagonal"]) == 1
+
+
+@pytest.mark.parametrize("gen, calls", [(lambda: gen_problem3(24), 1),
+                                         (lambda: gen_problem1(3, 10, 0), 0)],
+                         ids=["P3", "P1-dominant"])
+def test_initial_point_sweeps_through_find_certificate(monkeypatch, gen, calls):
+    # the public loop is the one that runs, so a wrapper set on the module
+    # (as a tracer sets one) sees every sweep; a dominant tensor needs none
+    seen = []
+    real = mteq.initializer.find_certificate
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(mteq.initializer, "find_certificate", counting)
+    ip = initial_point(gen())
+    assert len(seen) == calls
+    assert (ip.iterations > 0) == (calls > 0)
 
 
 def test_dominant_shortcut_uses_ones():
@@ -173,7 +191,15 @@ def test_identity_inflation_arithmetic():
     ip = initial_point(p)
     t_expect = np.sqrt(2.7) * 1.01
     assert np.allclose(ip.x0, t_expect, rtol=1e-14, atol=0)
-    assert in_feasible(p, ip.y0, 0.1)
+    assert in_feasible_split(p, ip.y0, 0.1, 0.05)
+
+
+def test_initial_point_refuses_an_inflation_that_overflows():
+    # t^2 = 0.1 * 1e300 / 1e-11 overflows: the start would be infinite
+    p = make_problem(Tensor.identity(3, 2).scaled(1e-11), np.full(2, 1e300))
+    with np.errstate(over="ignore"):
+        with pytest.raises(InitializationError, match="failed the feasibility check"):
+            initial_point(p)
 
 
 def test_initial_point_rejects_zero_rhs():
@@ -188,7 +214,7 @@ def test_boundary_value_problem_start_is_feasible():
     ip = initial_point(p, cfg)
     assert 0 < ip.iterations < MAX_SWEEPS
     assert ip.x0.min() > 0.0
-    assert in_feasible(p, ip.y0, cfg.eps)
+    assert in_feasible_split(p, ip.y0, cfg.eps, cfg.eps2)
 
 
 def test_split_feasible_start_for_zeroed_rhs():
@@ -206,4 +232,4 @@ def test_start_feasible_across_generators(seed):
     cfg = SolverConfig()
     for p in (gen_problem1(3, 12, seed), gen_problem5(3, 12, seed)):
         ip = initial_point(p, cfg)
-        assert in_feasible(p, ip.y0, cfg.eps)
+        assert in_feasible_split(p, ip.y0, cfg.eps, cfg.eps2)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from mteq import (MTeqProblem, SingularMatrixError, SolverConfig, Tensor,
-                  check_assumption,
-                  feasibility_slack, hadamard_power, in_feasible,
+                  check_assumption, feasibility_slack, hadamard_power,
                   in_feasible_split, make_problem, partition_indices, residual,
                   residual_jacobian, scale_problem, zero_block_threshold)
 from mteq.problems import gen_problem1
@@ -102,9 +101,20 @@ def test_euler_identity(m, n, seed):
 def test_in_feasible():
     p = make_problem(Tensor.identity(3, 2), np.array([4.0, 4.0]))
     # x = (1, 1): A x^2 = (1, 1) >= 0.1 * b = (0.4, 0.4)
-    assert in_feasible(p, np.array([1.0, 1.0]), 0.1)
+    assert in_feasible_split(p, np.array([1.0, 1.0]), 0.1, 0.05)
     # x = (0.5, 0.5): image (0.25, 0.25) < 0.4
-    assert not in_feasible(p, np.array([0.25, 0.25]), 0.1)
+    assert not in_feasible_split(p, np.array([0.25, 0.25]), 0.1, 0.05)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_transformed_iterate_rejected(value):
+    # NaN and +inf pass a test for y <= 0; neither may reach the tensor
+    p = make_problem(Tensor.identity(3, 2), np.array([4.0, 4.0]))
+    y = np.array([1.0, value])
+    for evaluate in (residual, residual_jacobian):
+        with pytest.raises(ValueError, match="strictly positive and finite"):
+            evaluate(p, y)
+    assert p._memo is None
 
 
 def test_feasibility_slack_scales_with_b():

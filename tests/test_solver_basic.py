@@ -9,6 +9,7 @@ from mteq import (SolveStatus, SolverConfig, Tensor, hadamard_power,
                   solve_positive)
 from mteq.problems import (gen_problem1, gen_problem4, gen_problem5,
                            zero_out_rhs)
+from mteq.solver_basic import _predicted_final
 
 from oracles import two_var_bisection
 
@@ -66,6 +67,37 @@ def test_bad_initial_point_status():
     rep = solve_positive(p, np.array([1e-3, 1e-3]))
     assert rep.status is SolveStatus.BAD_INITIAL_POINT
     assert rep.iterations == 0 and not rep.converged
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+def test_non_finite_start_is_refused_before_evaluation(value):
+    # NaN and inf pass a test for x <= 0, and 1e200 overflows in x^2;
+    # none may reach the tensor (nor warn there)
+    p = gen_problem1(3, 5, 0)
+    x0 = np.ones(5)
+    x0[0] = value
+    runs = [solve_positive(p, x0)]
+    if not np.isfinite(value):
+        runs.append(solve_nonnegative(p, x0))  # x0 read as y0
+    for rep in runs:
+        assert rep.status is SolveStatus.BAD_INITIAL_POINT
+        assert rep.message == "starting point or its power y = x^{m-1} is not finite"
+        assert rep.iterations == 0
+    assert p._memo is None
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_line_search_skips_a_non_finite_trial(value):
+    p = gen_problem4(3, 5, 0)
+    cfg = SolverConfig()
+    y = initial_point(p, cfg).y0
+    start = p._memo
+    d = newton_direction(p, y)
+    d[0] = value  # every trial y + alpha d has that entry
+    assert line_search_basic(p, y, d, cfg) is None
+    # the prediction of the final point skips it too
+    _predicted_final(p, y, d, cfg, 1e-30, 1.0, 1.0)
+    assert p._memo is start
 
 
 def test_iteration_cap_status():

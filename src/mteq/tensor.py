@@ -823,7 +823,7 @@ def nqz_spectral_radius(t: Tensor, tol=1e-10, max_iter=5000):
 # text bodies are parsed in chunks of about _TEXT_CHUNK_BYTES straight into
 # the result, a COO body by one ``np.loadtxt`` call; both take numpy's
 # number parsing, so ``1_000`` is malformed.  Text writers format about
-# _TEXT_CHUNK_VALUES values per ``%`` call.
+# _WRITE_CHUNK_VALUES values per _format_rows call, in numpy.
 # read_tensor tells a .npy file from text by its magic bytes, whatever its
 # name, and reads its body into private memory.  It does not memory-map
 # the file: the finiteness test reads every page anyway, and a map would
@@ -831,8 +831,11 @@ def nqz_spectral_radius(t: Tensor, tol=1e-10, max_iter=5000):
 
 _TEXT_CHUNK_BYTES = 1 << 20
 _TEXT_CHUNK_VALUES = 1 << 16
+_WRITE_CHUNK_VALUES = 1 << 12
 _WHITESPACE = (b" ", b"\n", b"\t", b"\r", b"\v", b"\f")
 _NOT_WHITESPACE = re.compile(rb"\S")
+# a header integer; ``int`` would also take "1_0" and non-ASCII digits
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 _NPY_MAGIC = b"\x93NUMPY"
 _NPY_DTYPE = np.dtype("<f8")
 
@@ -848,32 +851,130 @@ def write_tensor(path, t: Tensor) -> None:
             np.lib.format.write_array(fh, t.dense_values, version=(1, 0),
                                       allow_pickle=False)
         return
-    with open(path, "w") as fh:
+    m, n = t.order, t.dim
+    with open(path, "wb") as fh:
         if t.is_dense:
-            count = t.dim ** t.order
-            fh.write(f"MT1 {t.order} {t.dim} dense {count}\n")
-            # one line per row of the last index, as np.savetxt wrote them
-            line = " ".join(["%.17g"] * t.dim) + "\n"
-            _write_chunks(fh, t.dense_values.reshape(-1, t.dim), line)
+            fh.write(f"MT1 {m} {n} dense {n ** m}\n".encode())
+            # one line per row of the last index
+            _write_rows(fh, t.dense_values.reshape(-1, n))
         else:
-            m, count = t.order, t.coo_values.shape[0]
-            fh.write(f"MT1 {m} {t.dim} coo {count}\n")
-            # 1-based indices as floats, which "%d" prints as integers
-            line = "%d " * m + "%.17g\n"
-            step = max(1, _TEXT_CHUNK_VALUES // (m + 1))
-            for start in range(0, count, step):
-                entries = np.column_stack([t.coo_indices[start:start + step] + 1,
-                                           t.coo_values[start:start + step]])
-                _write_chunks(fh, entries, line)
+            fh.write(f"MT1 {m} {n} coo {t.nnz}\n".encode())
+            # 1-based indices as floats, which print as integers
+            _write_rows(fh, np.column_stack([t.coo_indices + 1, t.coo_values]))
 
 
-def _write_chunks(fh, rows, line) -> None:
-    """Write each row of the 2-D array ``rows`` with the ``%`` template
-    ``line``, one ``%`` call per chunk of rows."""
-    step = max(1, _TEXT_CHUNK_VALUES // max(1, rows.shape[1]))
+def _write_rows(fh, rows) -> None:
+    """Write the 2-D float64 array ``rows`` as :func:`_format_rows` does,
+    in chunks of about ``_WRITE_CHUNK_VALUES`` values."""
+    step = max(1, _WRITE_CHUNK_VALUES // rows.shape[1])
     for start in range(0, rows.shape[0], step):
-        chunk = rows[start:start + step]
-        fh.write(line * chunk.shape[0] % tuple(chunk.ravel().tolist()))
+        fh.write(_format_rows(rows[start:start + step]))
+
+
+# ``'%.17g'`` of a finite x != 0 is D, the 17-digit integer nearest to
+# |x| * 10**(16 - X) for the decimal exponent X of x (10**X <= |x| <
+# 10**(X+1)), in fixed form for -4 <= X < 17, else as d.ddde-XX, with the
+# trailing zeros of D and then a bare point dropped.  For X in -6..16,
+# 10**(16 - X) is an exact double, so Dekker's product (Numer. Math.
+# 18:224, 1971) gives |x| * 10**(16 - X) exactly as hi + lo, and D is
+# hi + rint(lo): hi >= 10**16 > 2**53 is an even integer, so rint's ties
+# to even are D's.  No rounding in that range carries to 10**17: the
+# largest double below each 10**k, k = -5..17, lies more than half a unit
+# of the 17th digit below it.  Other nonzero values go through ``%``.
+_LOW_X, _HIGH_X = -6, 17
+# the least double >= 10**X for each X (the one nearest 10**-6 is below)
+_DECADES = np.array([1.0000000000000002e-06, 1e-05, 1e-04, 1e-03, 1e-02, 1e-01]
+                    + [float(10 ** k) for k in range(_HIGH_X + 1)])
+_POW10 = np.array([float(10 ** p) for p in range(16 - _LOW_X + 1)])
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into halves of 26 significant bits."""
+    t = a * 134217729.0  # 2**27 + 1
+    high = t - (t - a)
+    return high, a - high
+
+
+def _divmod(a, b):
+    """``np.divmod(a, b)`` for ``a >= 0`` and ``b > 0``, in less time."""
+    q = a // b
+    return q, a - q * b
+
+
+# One value takes 45 bytes of a layout from which a mask keeps its text
+# in a few runs: 0 the sign "-"; 1-5 "0.000", the start of fixed form for
+# X < 0; 6-22 the 17 digits of D; 23 the point; 24-39 the digits of D but
+# the first, again, for after the point; 40-43 "e-0" and the exponent
+# digit; 44 the separator, " " or "\n".
+_LAYOUT = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 16 + b"e-0  ",
+                        np.uint8)
+
+
+def _layout_mask(X, s, negative) -> np.ndarray:
+    """What ``%.17g`` keeps of the layout for X, D's digits up to its last
+    nonzero one (``s``, 0 for zero) and the sign."""
+    keep = np.zeros(_LAYOUT.size, dtype=bool)
+    keep[[0, 44]] = negative, True
+    if s == 0:  # zero
+        keep[6] = True
+    elif X < -4:  # d.ddde-0X
+        keep[[6, 23]] = True, s > 1
+        keep[24:23 + s] = keep[40:44] = True
+    elif X < 0:  # 0.000ddd
+        keep[1:2 - X] = keep[6:6 + s] = True
+    else:  # ddd.ddd
+        keep[6:7 + X] = True
+        keep[23] = s > X + 1
+        keep[24 + X:23 + s] = True
+    return keep
+
+
+@functools.cache
+def _format_tables():
+    """Built on first use: q = 0..9999 as 4 ASCII digits in one uint32; how
+    many of them run to its last nonzero one; and the layout masks, row
+    ((X - _LOW_X) * 18 + s) * 2 + negative for X, s and the sign."""
+    digits = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10).astype(np.uint8)
+    tails = ((digits != 0) * np.arange(1, 5, dtype=np.uint8)).max(axis=1)
+    masks = np.array([_layout_mask(X, s, negative) for X in range(_LOW_X, _HIGH_X)
+                      for s in range(18) for negative in (False, True)])
+    return (digits + 48).view(np.uint32).ravel(), tails, masks
+
+
+def _format_rows(rows) -> np.ndarray:
+    """``'%.17g'`` of each value of the 2-D float64 array ``rows`` as uint8
+    text, with " " between the values of a row and "\n" after it."""
+    quad_text, quad_tails, masks = _format_tables()
+    x = rows.ravel()
+    a = np.abs(x)
+    slow = ~((a >= _DECADES[0]) & (a < _DECADES[-1])) & (a != 0.0)
+    a[slow] = 0.0
+    # a lies in [2**(e-1), 2**e) for frexp's exponent e, so X is
+    # floor((e-1) log10(2)) or one more; zero takes X = -1
+    X = np.floor((np.frexp(a)[1] - 1) * math.log10(2.0)).astype(np.intp)
+    X += a >= _DECADES[X + (1 - _LOW_X)]
+    b = _POW10[16 - X]
+    hi = a * b
+    (a_high, a_low), (b_high, b_low) = _split(a), _split(b)
+    lo = ((a_high * b_high - hi) + a_high * b_low + a_low * b_high) + a_low * b_low
+    first, rest = _divmod(hi.astype(np.int64) + np.rint(lo).astype(np.int64), 10 ** 16)
+    quads = np.empty((4, x.size), dtype=np.int64)
+    for j, half in enumerate(_divmod(rest, 10 ** 8)):
+        quads[2 * j], quads[2 * j + 1] = _divmod(half, 10 ** 4)
+    tails = quad_tails.take(quads)
+    s = np.where(tails, tails + np.arange(1, 17, 4)[:, None], first != 0).max(axis=0)
+    buf = np.tile(_LAYOUT, (x.size, 1))
+    buf[:, 6] = first + 48
+    buf[:, 7:23].view(np.uint32)[:] = buf[:, 24:40].view(np.uint32)[:] = \
+        quad_text.take(quads).T
+    buf[:, 43] = 48 - X
+    buf.reshape(rows.shape[0], -1, _LAYOUT.size)[:, -1, 44] = ord("\n")
+    keep = masks.take(((X - _LOW_X) * 18 + s) * 2 + np.signbit(x), axis=0)
+    for k in np.flatnonzero(slow):
+        text = b"%.17g" % float(x[k])
+        buf[k, :len(text)] = np.frombuffer(text, np.uint8)
+        keep[k, :-1] = np.arange(_LAYOUT.size - 1) < len(text)
+    return buf.ravel()[keep.ravel()]
 
 
 def read_tensor(path) -> Tensor:
@@ -892,10 +993,9 @@ def read_tensor(path) -> Tensor:
             raise FormatError(
                 f"{path}:1: expected header 'MT1 <m> <n> <dense|coo> <count>', "
                 f"got {header.strip()!r}")
-        try:
-            m, n, count = int(parts[1]), int(parts[2]), int(parts[4])
-        except ValueError:
-            raise FormatError(f"{path}:1: non-integer field in header") from None
+        if not all(_DECIMAL.fullmatch(parts[k]) for k in (1, 2, 4)):
+            raise FormatError(f"{path}:1: non-integer field in header")
+        m, n, count = int(parts[1]), int(parts[2]), int(parts[4])
         storage = parts[3]
         if storage not in ("dense", "coo"):
             raise FormatError(f"{path}:1: unknown storage {storage!r}")
@@ -1010,10 +1110,10 @@ def _read_npy(fh, path) -> np.ndarray:
 
 def write_vector(path, x) -> None:
     """Write ``x`` as ``.vec`` text: its length, then one value per line."""
-    x = np.asarray(x, dtype=float).ravel()
-    with open(path, "w") as fh:
-        fh.write(f"{x.size}\n")
-        _write_chunks(fh, x.reshape(-1, 1), "%.17g\n")
+    x = np.asarray(x, dtype=float).reshape(-1, 1)
+    with open(path, "wb") as fh:
+        fh.write(f"{x.shape[0]}\n".encode())
+        _write_rows(fh, x)
 
 
 def read_vector(path) -> np.ndarray:
@@ -1021,11 +1121,11 @@ def read_vector(path) -> np.ndarray:
     file for a malformed header or body or a non-finite entry."""
     with open(path, "rb") as fh:
         header = fh.readline().decode(errors="replace")
-        try:
-            n = int(header.split()[0])
-        except (IndexError, ValueError):
+        parts = header.split()
+        if len(parts) != 1 or not _DECIMAL.fullmatch(parts[0]):
             raise FormatError(
-                f"{path}:1: expected the vector length, got {header.strip()!r}") from None
+                f"{path}:1: expected the vector length, got {header.strip()!r}")
+        n = int(parts[0])
         if n < 0:
             raise FormatError(f"{path}:1: negative length")
         values = _read_text_values(fh, path, n, "vector body")

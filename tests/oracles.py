@@ -267,3 +267,26 @@ def certificate_sweeps(apply, diag, max_abs, m, rhs=None, depth=5,
                     z, xm = mixed
             x = xm ** (1.0 / (m - 1))
     return None
+
+
+def percent_tensor_text(t):
+    """The ``.mt`` text of tensor ``t`` from one ``%`` template per row:
+    ``'%.17g'`` per dense value, one line per row of the last index, and
+    for COO one line of ``'%d'`` indices plus 1 and a ``'%.17g'`` value."""
+    if t.is_dense:
+        n = t.dim
+        line = " ".join(["%.17g"] * n) + "\n"
+        rows = t.dense_values.reshape(-1, n).tolist()
+        head = f"MT1 {t.order} {n} dense {n ** t.order}\n"
+    else:
+        m = t.order
+        line = "%d " * m + "%.17g\n"
+        rows = np.column_stack([t.coo_indices + 1, t.coo_values]).tolist()
+        head = f"MT1 {m} {t.dim} coo {len(rows)}\n"
+    return (head + "".join(line % tuple(row) for row in rows)).encode()
+
+
+def percent_vector_text(x):
+    """The ``.vec`` text of ``x``: its length, then ``'%.17g'`` per line."""
+    x = np.asarray(x, dtype=float).ravel().tolist()
+    return (f"{len(x)}\n" + "".join("%.17g\n" % v for v in x)).encode()

@@ -4,10 +4,12 @@ bodies told apart by their magic bytes, and every malformed file a
 
 import csv
 import io
+import math
 import os
 import re
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from mteq import (FormatError, SolverConfig, Tensor, initial_point,
                   solve_positive, write_tensor, write_vector)
 from mteq import tensor as tensor_module
 from mteq.cli import EXIT_CAP, EXIT_IO, EXIT_OK, main
-from mteq.problems import gen_problem1, gen_problem5, zero_out_rhs
+from mteq.problems import (gen_problem1, gen_problem2, gen_problem3,
+                           gen_problem4, gen_problem5, zero_out_rhs)
+from oracles import percent_tensor_text, percent_vector_text
 
 MAX = np.finfo(float).max
 TINY = np.finfo(float).smallest_subnormal
@@ -95,6 +99,157 @@ def test_non_finite_entry_is_named_by_its_index(scratch, a, data):
     message = f"bad.vec: non-finite entry {value} at index ({k + 1})"
     with pytest.raises(FormatError, match=re.escape(message)):
         read_vector(scratch / "bad.vec")
+
+
+# ----------------------------------------------------------------------
+# text bodies, byte for byte as the % templates
+
+
+def assert_written_as_percent(path, tensor):
+    write_tensor(path, tensor)
+    assert path.read_bytes() == percent_tensor_text(tensor)
+
+
+def assert_values_written_as_percent(scratch, values):
+    """Dense, COO and ``.vec`` bodies of ``values`` hold the bytes of
+    ``'%.17g'``: the vector itself, and a square matrix of the values,
+    padded with 1.0, stored dense and as COO with every entry."""
+    x = np.asarray(values, dtype=float)
+    write_vector(scratch / "x.vec", x)
+    assert (scratch / "x.vec").read_bytes() == percent_vector_text(x)
+    n = math.isqrt(x.size) + 1
+    square = np.ones(n * n)
+    square[:x.size] = x
+    every = np.argwhere(np.ones((n, n)))
+    assert_written_as_percent(scratch / "d.mt", Tensor.from_dense(square.reshape(n, n)))
+    assert_written_as_percent(scratch / "c.mt", Tensor.from_coo(2, n, every, square))
+
+
+def decade_neighbours():
+    """The double nearest 10**k and its two neighbours, k = -8..18, and
+    their negatives."""
+    out = []
+    for k in range(-8, 19):
+        d = float(Fraction(10) ** k)
+        out += [math.nextafter(d, 0.0), d, math.nextafter(d, math.inf)]
+    return out + [-v for v in out]
+
+
+def decade_carries():
+    """The largest double below 10**k, for each k at which its 17-digit
+    rounding is 10**k itself."""
+    out = []
+    for k in range(-320, 309):
+        ten = Fraction(10) ** k
+        d = float(ten)
+        if Fraction(d) >= ten:
+            d = math.nextafter(d, 0.0)
+        if Fraction("%.17g" % d) == ten:
+            out.append(d)
+    return out
+
+
+@st.composite
+def ties(draw):
+    """Doubles x for which |x| * 10**(16 - X), X the decimal exponent of
+    x, lies halfway between two integers: x = M * 2**(X - 17), M odd."""
+    X = draw(st.integers(-6, 15))
+    scale = Fraction(2) ** (17 - X)
+    low = math.ceil(Fraction(10) ** X * scale)
+    high = min(2 ** 53, math.ceil(Fraction(10) ** (X + 1) * scale))
+    odd = 2 * draw(st.integers(low // 2, (high - 2) // 2)) + 1
+    return draw(st.sampled_from([1.0, -1.0])) * math.ldexp(odd, X - 17)
+
+
+@given(a=dense_arrays())
+@example(a=np.array([[-0.0, TINY], [MAX, -MAX]]))
+def test_text_bodies_are_the_percent_templates(scratch, a):
+    t = Tensor.from_dense(a)
+    every = Tensor.from_coo(a.ndim, a.shape[0], np.argwhere(np.ones(a.shape)),
+                            a.ravel())
+    for tensor in (t, t.to_coo(), every):
+        assert_written_as_percent(scratch / "t.mt", tensor)
+    write_vector(scratch / "x.vec", a)
+    assert (scratch / "x.vec").read_bytes() == percent_vector_text(a)
+
+
+@pytest.mark.parametrize("case", ["decade-neighbours", "carries", "specials",
+                                  "non-finite"])
+def test_edge_values_are_the_percent_templates(scratch, case):
+    values = {
+        "decade-neighbours": decade_neighbours(),
+        "carries": decade_carries(),
+        "specials": [0.0, -0.0, TINY, -TINY, 2.5e-320, np.finfo(float).tiny,
+                     MAX, -MAX, 1.0, -1.0, 60.0, 1e16, 99999999999999984.0],
+        "non-finite": [np.nan, np.inf, -np.inf, -np.nan, 0.5],
+    }[case]
+    assert_values_written_as_percent(scratch, values)
+
+
+def test_decades_are_the_least_doubles_at_or_above_each_power():
+    # the writer takes a value's decimal exponent from these thresholds
+    for k, d in enumerate(tensor_module._DECADES.tolist()):
+        ten = Fraction(10) ** (k + tensor_module._LOW_X)
+        assert Fraction(d) >= ten > Fraction(math.nextafter(d, 0.0))
+
+
+def test_no_carry_falls_in_the_numpy_range():
+    # the writer rounds |x| in [_DECADES[0], _DECADES[-1]) to 17 digits
+    # with no carry step, because no rounding there reaches the next decade
+    carries = decade_carries()
+    # the double nearest 10**-14 lies below it and prints as "1e-14"
+    assert 1e-14 in carries
+    low, high = tensor_module._DECADES[0], tensor_module._DECADES[-1]
+    assert not [d for d in carries if low <= d < high]
+
+
+@given(x=ties())
+@example(x=1e15 + 0.25)
+@example(x=-math.ldexp(9, -23))
+def test_ties_round_to_even(scratch, x):
+    # the decimal exponent of x, exactly; log10 can round across a decade
+    X = math.floor(math.log10(abs(x)))
+    exact = abs(Fraction(x))
+    X += (exact >= Fraction(10) ** (X + 1)) - (exact < Fraction(10) ** X)
+    assert (exact * Fraction(10) ** (16 - X)).denominator == 2
+    assert_values_written_as_percent(scratch, [x])
+
+
+@pytest.mark.parametrize("problem", ["P1", "P2", "P3", "P4", "P5"])
+def test_generated_problems_are_the_percent_templates(tmp_path, problem):
+    p = {"P1": lambda: gen_problem1(3, 12, 0), "P2": lambda: gen_problem2(3, 12),
+         "P3": lambda: gen_problem3(8), "P4": lambda: gen_problem4(3, 12, 1),
+         "P5": lambda: gen_problem5(3, 12, 2)}[problem]()
+    for tensor in (p.A, p.A.to_coo()):
+        assert_written_as_percent(tmp_path / "t.mt", tensor)
+    for b in (p.b, zero_out_rhs(p.b, 3)):
+        write_vector(tmp_path / "b.vec", b)
+        assert (tmp_path / "b.vec").read_bytes() == percent_vector_text(b)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 7, 64])
+def test_rows_cut_by_a_write_chunk_are_whole(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(tensor_module, "_WRITE_CHUNK_VALUES", chunk)
+    a = gen_problem4(3, 5, 0).A
+    for tensor in (a, a.to_coo()):
+        assert_written_as_percent(tmp_path / "t.mt", tensor)
+    x = np.linspace(-3.0, 7.0, 23)
+    write_vector(tmp_path / "x.vec", x)
+    assert (tmp_path / "x.vec").read_bytes() == percent_vector_text(x)
+
+
+def test_dense_text_write_allocates_less_than_one_percent_call(tmp_path):
+    a = gen_problem1(3, 60, 0).A
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_tensor(tmp_path / "t.mt", a)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "t.mt").read_bytes() == percent_tensor_text(a)
+    # formatting 65,536 values with one % call peaked at 4.17 MiB
+    assert peak <= 4.17 * 2 ** 20, f"peak {peak} bytes"
 
 
 def test_format_is_told_by_magic_bytes_not_by_name(tmp_path):
@@ -201,6 +356,47 @@ def test_header_errors_quote_the_decoded_line(tmp_path):
     (tmp_path / "x.vec").write_bytes(b"three\n1 2 3\n")
     with pytest.raises(FormatError, match="got 'three'$"):
         read_vector(tmp_path / "x.vec")
+
+
+# header fields that Python's int takes but that are not plain ASCII
+# decimals, and .vec headers of more than one field
+MALFORMED_HEADERS = {
+    "vec-two-fields": ("x.vec", "3 4\n1 2 3\n", "expected the vector length"),
+    "vec-underscore": ("x.vec", "1_0\n" + "1\n" * 10,
+                       "expected the vector length"),
+    "vec-arabic-indic": ("x.vec", "\u0663\n1 2 3\n", "expected the vector length"),
+    "vec-fullwidth": ("x.vec", "\uff13\n1 2 3\n", "expected the vector length"),
+    "mt-underscore-n": ("t.mt", "MT1 2 1_0 dense 100\n" + "1\n" * 100,
+                        "non-integer field in header"),
+    "mt-underscore-count": ("t.mt", "MT1 2 2 coo 0_1\n1 1 1.0\n",
+                            "non-integer field in header"),
+    "mt-arabic-indic": ("t.mt", "MT1 \u0662 2 dense 4\n1 2 3 4\n",
+                        "non-integer field in header"),
+    "mt-fullwidth": ("t.mt", "MT1 2 2 dense \uff14\n1 2 3 4\n",
+                     "non-integer field in header"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_header_integers_are_plain_ascii_decimals(tmp_path, case):
+    name, content, message = MALFORMED_HEADERS[case]
+    (tmp_path / name).write_bytes(content.encode())
+    read = read_vector if name.endswith(".vec") else read_tensor
+    with pytest.raises(FormatError, match=f"{name}:1: {message}"):
+        read(tmp_path / name)
+
+
+def test_header_integers_may_carry_a_sign(tmp_path):
+    (tmp_path / "x.vec").write_text("+2\n1 2\n")
+    assert read_vector(tmp_path / "x.vec").tolist() == [1.0, 2.0]
+    (tmp_path / "y.vec").write_text("-2\n")
+    with pytest.raises(FormatError, match="y.vec:1: negative length"):
+        read_vector(tmp_path / "y.vec")
+    (tmp_path / "t.mt").write_text("MT1 +2 2 dense 04\n1 2 3 4\n")
+    assert read_tensor(tmp_path / "t.mt").dense_values.tolist() == [[1, 2], [3, 4]]
+    (tmp_path / "u.mt").write_text("MT1 2 -2 dense 4\n1 2 3 4\n")
+    with pytest.raises(FormatError, match="u.mt:1: header values out of range"):
+        read_tensor(tmp_path / "u.mt")
 
 
 def test_count_mismatches_name_both_counts(tmp_path):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -301,6 +302,29 @@ def test_non_finite_input_is_a_format_error(tmp_path, capsys, value,
         assert str(path) in err
         assert f"non-finite entry {value} at index {index}" in err
     assert not (tmp_path / "x.vec").exists()
+
+
+def test_rhs_from_a_pipe_with_a_huge_length_is_a_format_error(tmp_path):
+    # the header alone once allocated 10**14 values and died in a traceback
+    write_tensor(tmp_path / "t.mt", gen_problem1(3, 4, 0).A)
+    fifo = tmp_path / "rhs.vec"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes,
+                              args=(b"100000000000000\n1 2 3 4\n",))
+    writer.start()
+    src = os.path.dirname(os.path.dirname(mteq.__file__))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "mteq", "solve", str(tmp_path / "t.mt"), str(fifo),
+             "--solution", str(tmp_path / "x.vec")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert done.returncode == EXIT_IO
+    assert "Traceback" not in done.stderr
+    assert "expected 100000000000000 values, found 4" in done.stderr
 
 
 def test_verify_missing_file(tmp_path):

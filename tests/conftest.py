@@ -1,7 +1,4 @@
-import pytest
 from hypothesis import settings
-
-from mteq import problems, tensor
 
 # Property tests run a fixed number of examples, drawn the same way on
 # every run, with no time limit per example: tier-1 time and outcome do
@@ -9,40 +6,6 @@ from mteq import problems, tensor
 settings.register_profile("mteq", max_examples=40, deadline=None,
                           derandomize=True, database=None)
 settings.load_profile("mteq")
-
-
-class CountingPool:
-    """Wraps the module's pool and counts the tasks handed to it."""
-
-    def __init__(self, pool):
-        self.pool = pool
-        self.submitted = 0
-
-    def submit(self, *args):
-        self.submitted += 1
-        return self.pool.submit(*args)
-
-
-@pytest.fixture
-def spans(monkeypatch):
-    """``run(w, fn, *args)``: ``fn(*args)`` with every pass run on ``w``
-    threads, cut into spans of one step each when ``w > 1``;
-    ``run.submitted`` counts the threads handed a share of a pass."""
-    monkeypatch.setattr(tensor, "_PARALLEL_MIN_BYTES", 0)
-    monkeypatch.setattr(tensor, "_SPAN_BYTES", 1)
-    counting = CountingPool(tensor._executor())
-    monkeypatch.setattr(tensor, "_executor", lambda: counting)
-
-    def run(w, fn, *args):
-        monkeypatch.setattr(tensor, "_WORKERS", w)
-        problems._problem2_scaled.cache_clear()
-        before = counting.submitted
-        out = fn(*args)
-        run.submitted += counting.submitted - before
-        return out
-    run.submitted = 0
-    yield run
-    problems._problem2_scaled.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

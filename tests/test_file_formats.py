@@ -390,11 +390,15 @@ def test_tokens_numpy_rejects_are_malformed_values(tmp_path, token):
 CHUNKS = [1, 2, 5, 13, 64]
 # tokens in the grammar that the writer does not emit: signs, bare and
 # leading points, leading zeros, exponents in both cases, and mantissas of
-# 18 and 25 digits, which the numpy path leaves to float
+# 18 and 25 digits, which the numpy path leaves to float; and integer parts
+# of 9 to 20 digits, the last two past what the numpy path reads (2**64
+# itself would wrap to 0)
 HAND_TOKENS = ["1", "5.", ".5", "-0", "007.50", "1e5", "1E+05", "+1.5",
                "2.5e+300", "-.25E-3", "123456789012345678", "1234567890123456789012345",
                "0.1234567890123456789012345", "-98765.432109876543210e-310",
-               "12345678.5", "1e-400", "4e-324", "1.7976931348623157e308"]
+               "12345678.5", "1e-400", "4e-324", "1.7976931348623157e308",
+               "123456789.12345678", "-00000000000000001.5", "1234567890123456789.5",
+               "18446744073709551616.5"]
 
 
 def fromstring_values(body):
@@ -461,30 +465,52 @@ def test_written_values_read_as_fromstring(scratch, x, chunk):
             assert_read_as_fromstring(path)
 
 
-def test_text_reads_do_not_depend_on_workers(tmp_path, monkeypatch, spans):
-    monkeypatch.setattr(tensor_module, "_TEXT_CHUNK_BYTES", 4096)
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_numpy_parser_rejects_what_fromstring_rejects(tmp_path, monkeypatch, chunk):
+    # the small bodies of the tests above, through the numpy parser
+    monkeypatch.setattr(tensor_module, "_TEXT_CHUNK_BYTES", chunk)
     monkeypatch.setattr(tensor_module, "_TEXT_FAST_MIN_BYTES", 0)
-    write_tensor(tmp_path / "t.mt", gen_problem4(3, 14, 0).A)
-    paths = [tmp_path / "t.mt", *write_values(tmp_path, decade_neighbours() * 20)]
-    for path in paths:
-        want = spans(1, read_values, path)
-        for w in (2, 3):
-            assert spans(w, read_values, path).tobytes() == want.tobytes()
-        assert_read_as_fromstring(path)
-    assert spans.submitted >= 2 * len(paths)
+    parsed = []
+    monkeypatch.setattr(tensor_module, "_parse_text", counted(tensor_module._parse_text, parsed))
+    for token in ["1_000", "1,5", "0x10", "1.0.5", "abc", "1e", "1e+", "--1", "+-1",
+                  "1e5.0", "1ee5", ".", "-", ".e5", "e5", "1\x01"]:
+        (tmp_path / "x.vec").write_text(f"2\n1.0 {token}\n")
+        with pytest.raises(FormatError, match="x.vec: malformed value in vector body"):
+            read_vector(tmp_path / "x.vec")
+        (tmp_path / "t.mt").write_text(f"MT1 2 2 dense 4\n1 2\n3 {token}\n")
+        with pytest.raises(FormatError, match="t.mt: malformed value in dense body"):
+            read_tensor(tmp_path / "t.mt")
+    (tmp_path / "t.mt").write_bytes(b"MT1 2 2 dense 4\r\n2\t-1.\r\n-.5 2E+00\r\n")
+    assert read_tensor(tmp_path / "t.mt").dense_values.tolist() == [[2, -1], [-0.5, 2]]
+    (tmp_path / "x.vec").write_text("6\n  123456789.125 -1.5e-300\n\n\n        \t 0.1\n"
+                                    "-0 7\r\n2.5e+300  \n\n")
+    assert read_vector(tmp_path / "x.vec").tobytes() == np.array(
+        [123456789.125, -1.5e-300, 0.1, -0.0, 7.0, 2.5e+300]).tobytes()
+    (tmp_path / "b.vec").write_text("1\n   \n\n  \n")
+    with pytest.raises(FormatError, match="expected 1 values, found 0"):
+        read_vector(tmp_path / "b.vec")
+    (tmp_path / "e.vec").write_text("0\n  \n")
+    assert read_vector(tmp_path / "e.vec").shape == (0,)
+    assert len(parsed) >= 34
+
+
+def counted(fn, calls):
+    """``fn``, appending the return value of each call to ``calls``."""
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append(out)
+        return out
+    return wrapper
 
 
 @pytest.mark.parametrize("problem", ["P1", "P2", "P3", "P4", "P5"])
 def test_written_tensors_take_the_numpy_path(tmp_path, monkeypatch, problem):
-    # a silent fallback to np.fromstring would lose the parser's speed
-    # and fail no other test
-    calls = []
-    fromstring = np.fromstring
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return fromstring(*args, **kwargs)
-    monkeypatch.setattr(np, "fromstring", counting)
+    # a silent fallback, to np.fromstring or to Python's float per token,
+    # would lose the parser's speed and fail no other test
+    calls, parsed = [], []
+    monkeypatch.setattr(np, "fromstring", counted(np.fromstring, calls))
+    monkeypatch.setattr(tensor_module, "_token_values",
+                        counted(tensor_module._token_values, parsed))
     p = {"P1": lambda: gen_problem1(3, 30, 0), "P2": lambda: gen_problem2(3, 30),
          "P3": lambda: gen_problem3(30), "P4": lambda: gen_problem4(3, 30, 1),
          "P5": lambda: gen_problem5(3, 30, 2)}[problem]()
@@ -493,12 +519,31 @@ def test_written_tensors_take_the_numpy_path(tmp_path, monkeypatch, problem):
     assert back.to_dense_array().tobytes() == p.A.to_dense_array().tobytes()
     assert calls == []
     if p.A.is_dense:
+        # P4 and P5 hold a few values below 10**-6, which go to float
+        tokens = sum(values.size for values, _ in parsed)
+        slow = sum(indices.size for _, indices in parsed)
+        assert tokens == p.A.to_dense_array().size and slow * 1000 < tokens
         # a token outside the grammar sends its chunk to np.fromstring
         head, body = (tmp_path / "t.mt").read_bytes().split(b"\n", 1)
         (tmp_path / "t.mt").write_bytes(head + b"\nnan" + body[body.index(b" "):])
         with pytest.raises(FormatError, match=re.escape("nan at index (1, 1, 1)")):
             read_tensor(tmp_path / "t.mt")
         assert len(calls) == 1
+
+
+def test_written_values_below_1e17_take_the_numpy_path(tmp_path, monkeypatch):
+    # from 10**-6 to 10**17 the writer spells every value in a form that
+    # the numpy path proves: fixed with up to 17 integer digits, or with an
+    # exponent of two digits
+    monkeypatch.setattr(tensor_module, "_TEXT_FAST_MIN_BYTES", 0)
+    parsed = []
+    monkeypatch.setattr(tensor_module, "_token_values",
+                        counted(tensor_module._token_values, parsed))
+    x = np.geomspace(1.0000000000000002e-6, 99999999999999984.0, 4000)
+    x[1::2] *= -1
+    for path in write_values(tmp_path, x):
+        assert_read_as_fromstring(path)
+    assert parsed and all(indices.size == 0 for _, indices in parsed)
 
 
 def test_header_errors_quote_the_decoded_line(tmp_path):

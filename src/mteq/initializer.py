@@ -31,8 +31,9 @@ is a few elementwise passes over vectors of length ``n``.  Every sweep
 runs in :func:`find_certificate`: sweep 0 reads the image of ``e`` that
 the dominance test cached, and the last sweep's image, which it returns
 with ``u``, serves the feasible start.  On the order-4 stencil a sweep
-takes about 40 us at ``n = 40`` and 170 us at ``n = 1280`` (one core),
-about half of it in the least-squares solve.
+takes about 38 us at ``n = 40`` and 150 us at ``n = 1280`` (one core of a
+2-vCPU Xeon), of which the least-squares solve, LAPACK's ``dgelsd``
+called directly (:func:`mteq.linalg.lstsq`), takes 10 us and 56 us.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import lstsq
 from .model import MTeqProblem, SolverConfig, _in_domain, in_feasible_split
 from .tensor import Tensor, hadamard_power
 
@@ -118,7 +120,7 @@ def _mix(g, res, d_res, d_val):
     problem fails or the exponential is not positive and finite.
     """
     try:
-        gamma = np.linalg.lstsq(d_res, res, rcond=None)[0]
+        gamma = lstsq(d_res, res)
     except np.linalg.LinAlgError:
         return None
     z = g - d_val @ gamma
@@ -179,9 +181,12 @@ def find_certificate(A: Tensor, rhs=None, max_sweeps=MAX_SWEEPS):
     # Jacobi value's (m-1)-th power, with fixed-point residual G(z) - z.
     # The last ANDERSON_DEPTH differences of both sit in ring buffers;
     # their column order does not matter to the least-squares problem.
+    # d_res is in Fortran order, as LAPACK takes it.  d_val stays in C
+    # order: in Fortran order d_val @ gamma runs another BLAS kernel, whose
+    # sums round differently and change the iterates' bits.
     x = xm = e
     z = np.zeros(A.dim)
-    d_res = np.empty((A.dim, ANDERSON_DEPTH))
+    d_res = np.empty((A.dim, ANDERSON_DEPTH), order="F")
     d_val = np.empty((A.dim, ANDERSON_DEPTH))
     stored = 0
     last = None

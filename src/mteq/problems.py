@@ -305,6 +305,11 @@ def gen_problem2(m, n, seed=0) -> MTeqProblem:
     return make_problem(A, b / omega, omega=omega)
 
 
+# the trailing indices of the six neighbour tuples of P3's row i, less i
+_STENCIL_STEPS = np.concatenate([-np.eye(3, dtype=np.int64),
+                                 np.eye(3, dtype=np.int64)])
+
+
 def gen_problem3(n, c0=1e7, c1=1e7) -> MTeqProblem:
     """Two-point boundary value stencil (order 4, sparse).
 
@@ -318,14 +323,16 @@ def gen_problem3(n, c0=1e7, c1=1e7) -> MTeqProblem:
     n = int(n)
     if n < 3:
         raise ValueError("the boundary stencil needs n >= 3")
-    rows = [(0, 0, 0, 0, 1.0), (n - 1, n - 1, n - 1, n - 1, 1.0)]
-    for i in range(1, n - 1):
-        rows.append((i, i, i, i, 2.0))
-        for tup in ((i, i - 1, i, i), (i, i, i - 1, i), (i, i, i, i - 1),
-                    (i, i + 1, i, i), (i, i, i + 1, i), (i, i, i, i + 1)):
-            rows.append(tup + (-1.0 / 3.0,))
-    idx = np.array([r[:4] for r in rows], dtype=np.int64)
-    vals = np.array([r[4] for r in rows])
+    # the two boundary rows, then per interior row i the diagonal entry
+    # and the six tuples that move one trailing index to i - 1, then i + 1
+    idx = np.empty((7 * n - 12, 4), dtype=np.int64)
+    idx[0], idx[1] = 0, n - 1
+    interior = idx[2:].reshape(n - 2, 7, 4)
+    interior[:] = np.arange(1, n - 1)[:, None, None]
+    interior[:, 1:, 1:] += _STENCIL_STEPS
+    vals = np.full(7 * n - 12, -1.0 / 3.0)
+    vals[:2] = 1.0
+    vals[2::7] = 2.0
     A = Tensor.from_coo(4, n, idx, vals)
     A._facts["is_exactly_semi_symmetric"] = True
     b = np.full(n, GRAVITATIONAL_CONSTANT * CENTRAL_MASS / (n - 1) ** 2)

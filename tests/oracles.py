@@ -209,6 +209,19 @@ def coo_jacobian_add_at(idx, vals, n, x, symmetric):
     return jac
 
 
+def stencil_coo(n):
+    """P3's COO input, row by row: the two boundary entries, then for each
+    interior row i its diagonal entry and six ``-1/3`` neighbour tuples."""
+    rows = [(0, 0, 0, 0, 1.0), (n - 1, n - 1, n - 1, n - 1, 1.0)]
+    for i in range(1, n - 1):
+        rows.append((i, i, i, i, 2.0))
+        for tup in ((i, i - 1, i, i), (i, i, i - 1, i), (i, i, i, i - 1),
+                    (i, i + 1, i, i), (i, i, i + 1, i), (i, i, i, i + 1)):
+            rows.append(tup + (-1.0 / 3.0,))
+    return (np.array([r[:4] for r in rows], dtype=np.int64),
+            np.array([r[4] for r in rows]))
+
+
 def certificate_sweeps(apply, diag, max_abs, m, rhs=None, depth=5,
                        max_sweeps=100_000):
     """``(u, sweeps, A u^{m-1})`` of the Anderson-accelerated splitting

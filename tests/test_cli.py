@@ -23,19 +23,31 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def test_cli_imports_without_scipy_linalg_until_a_solve():
-    # a fresh interpreter: this one has long since loaded scipy.linalg
+def test_cli_imports_without_scipy_linalg_until_a_solve(tmp_path):
+    # a fresh interpreter: this one has long since loaded scipy.linalg.
+    # --help, gen, and verify of a tensor whose all-ones vector passes the
+    # certificate test, so that no splitting sweep runs, go without it
     child = "\n".join([
-        "import mteq.cli, sys",
+        "import contextlib, io, sys",
+        "import mteq.cli",
         "print('scipy.linalg' in sys.modules)",
+        "out = sys.argv[1]",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    try:",
+        "        mteq.cli.main(['--help'])",
+        "    except SystemExit:",
+        "        pass",
+        "    mteq.cli.main(['gen', '--problem', '2', '--n', '8', '--out', out])",
+        "    code = mteq.cli.main(['verify', out + '/tensor.mt', '--rhs', out + '/rhs.vec'])",
+        "print(code, 'scipy.linalg' in sys.modules)",
         "p = mteq.gen_problem1(3, 8, 0)",
         "print(mteq.solve_positive(p, mteq.initial_point(p).x0).converged)",
         "print('scipy.linalg' in sys.modules)"])
     src = os.path.dirname(os.path.dirname(mteq.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["False", "True", "True"]
+    out = subprocess.run([sys.executable, "-c", child, str(tmp_path / "p2")],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["False", str(EXIT_OK), "False", "True", "True"]
 
 
 def test_gen_writes_problem_files(tmp_path):

@@ -105,9 +105,26 @@ def test_non_finite_entry_is_named_by_its_index(scratch, a, data):
 # text bodies, byte for byte as the % templates
 
 
+def each_text_writer():
+    """Loop once per text formatter: as set, where a body below
+    ``_WRITE_FAST_MIN_VALUES`` values goes through ``%``, then with every
+    body through the numpy formatter."""
+    yield
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor_module, "_WRITE_FAST_MIN_VALUES", 0)
+        yield
+
+
 def assert_written_as_percent(path, tensor):
-    write_tensor(path, tensor)
-    assert path.read_bytes() == percent_tensor_text(tensor)
+    for _ in each_text_writer():
+        write_tensor(path, tensor)
+        assert path.read_bytes() == percent_tensor_text(tensor)
+
+
+def assert_vector_written_as_percent(path, x):
+    for _ in each_text_writer():
+        write_vector(path, x)
+        assert path.read_bytes() == percent_vector_text(x)
 
 
 def assert_values_written_as_percent(scratch, values):
@@ -115,8 +132,7 @@ def assert_values_written_as_percent(scratch, values):
     ``'%.17g'``: the vector itself, and a square matrix of the values,
     padded with 1.0, stored dense and as COO with every entry."""
     x = np.asarray(values, dtype=float)
-    write_vector(scratch / "x.vec", x)
-    assert (scratch / "x.vec").read_bytes() == percent_vector_text(x)
+    assert_vector_written_as_percent(scratch / "x.vec", x)
     n = math.isqrt(x.size) + 1
     square = np.ones(n * n)
     square[:x.size] = x
@@ -169,8 +185,7 @@ def test_text_bodies_are_the_percent_templates(scratch, a):
                             a.ravel())
     for tensor in (t, t.to_coo(), every):
         assert_written_as_percent(scratch / "t.mt", tensor)
-    write_vector(scratch / "x.vec", a)
-    assert (scratch / "x.vec").read_bytes() == percent_vector_text(a)
+    assert_vector_written_as_percent(scratch / "x.vec", a)
 
 
 @pytest.mark.parametrize("case", ["decade-neighbours", "carries", "specials",
@@ -223,8 +238,7 @@ def test_generated_problems_are_the_percent_templates(tmp_path, problem):
     for tensor in (p.A, p.A.to_coo()):
         assert_written_as_percent(tmp_path / "t.mt", tensor)
     for b in (p.b, zero_out_rhs(p.b, 3)):
-        write_vector(tmp_path / "b.vec", b)
-        assert (tmp_path / "b.vec").read_bytes() == percent_vector_text(b)
+        assert_vector_written_as_percent(tmp_path / "b.vec", b)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 5, 7, 64])
@@ -233,9 +247,20 @@ def test_rows_cut_by_a_write_chunk_are_whole(tmp_path, monkeypatch, chunk):
     a = gen_problem4(3, 5, 0).A
     for tensor in (a, a.to_coo()):
         assert_written_as_percent(tmp_path / "t.mt", tensor)
-    x = np.linspace(-3.0, 7.0, 23)
-    write_vector(tmp_path / "x.vec", x)
-    assert (tmp_path / "x.vec").read_bytes() == percent_vector_text(x)
+    assert_vector_written_as_percent(tmp_path / "x.vec", np.linspace(-3.0, 7.0, 23))
+
+
+def test_only_bodies_past_the_cutoff_reach_the_numpy_formatter(tmp_path, monkeypatch):
+    # below the cutoff numpy's fixed cost per call outweighs its gain
+    calls = []
+    real = tensor_module._format_rows
+    monkeypatch.setattr(tensor_module, "_format_rows",
+                        lambda rows: calls.append(rows.size) or real(rows))
+    cutoff = tensor_module._WRITE_FAST_MIN_VALUES
+    write_vector(tmp_path / "x.vec", np.linspace(0.0, 1.0, cutoff - 1))
+    assert calls == []
+    write_vector(tmp_path / "x.vec", np.linspace(0.0, 1.0, cutoff))
+    assert calls == [cutoff]
 
 
 def test_dense_text_write_allocates_less_than_one_percent_call(tmp_path):

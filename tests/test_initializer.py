@@ -1,14 +1,16 @@
 """Feasible starting points from the diagonal splitting iteration."""
 
+import types
 import warnings
 
 import numpy as np
 import pytest
 
 import mteq.initializer
+import mteq.linalg
 from mteq import (SolverConfig, Tensor, find_certificate, hadamard_power,
                   in_feasible_split, initial_point, jacobi_step, make_problem)
-from mteq.initializer import MAX_SWEEPS, InitializationError
+from mteq.initializer import ANDERSON_DEPTH, MAX_SWEEPS, InitializationError, _mix
 from mteq.problems import gen_problem1, gen_problem3, gen_problem5, zero_out_rhs
 
 from oracles import CountingTensor, certificate_sweeps, coo_apply_prod
@@ -116,6 +118,83 @@ def test_dense_sweeps_match_the_step_by_step_loop_bitwise():
     p = gen_problem5(3, 12, seed=0)
     assert p.certificate is None
     _pin_sweeps(p.A, None, p.A.apply)
+
+
+def mixing_columns(n, k, kind):
+    """``(d_res, res)`` of ``k`` columns in an ``(n, ANDERSON_DEPTH)``
+    Fortran-ordered buffer, as the sweeps hold them.  "rank-deficient"
+    makes the last column a combination of the others; "near-dependent"
+    puts the two smallest singular values at 3 and 0.5 times numpy's
+    cutoff ``eps * max(n, k)`` of the largest, one on each side of it."""
+    rng = np.random.default_rng([n, k, len(kind)])
+    buf = np.asfortranarray(rng.standard_normal((n, ANDERSON_DEPTH)))
+    if kind == "rank-deficient" and k > 1:
+        buf[:, k - 1] = 2.0 * buf[:, 0] - buf[:, k - 2]
+    elif kind == "near-dependent":
+        r = min(n, k)
+        left = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        right = np.linalg.qr(rng.standard_normal((k, r)))[0]
+        cut = np.finfo(float).eps * max(n, k)
+        s = np.ones(r)
+        if r > 1:
+            s[-1] = 0.5 * cut
+        if r > 2:
+            s[-2] = 3.0 * cut
+        buf[:, :k] = (left * s) @ right.T
+    return buf[:, :k], rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("kind", ["independent", "rank-deficient", "near-dependent"])
+@pytest.mark.parametrize("k", range(1, ANDERSON_DEPTH + 1))
+@pytest.mark.parametrize("n", [2, 3, 24, 40, 1280])
+def test_mix_solves_as_numpys_lstsq_bitwise(n, k, kind):
+    # n < k (more columns than rows) pads the right-hand side for dgelsd
+    d_res, res = mixing_columns(n, k, kind)
+    held = d_res.tobytes(), res.tobytes()
+    want = np.linalg.lstsq(d_res, res, rcond=None)[0]
+    assert mteq.linalg.lstsq(d_res, res).tobytes() == want.tobytes()
+    # dgelsd overwrites its operands: the ring buffer must reach it copied
+    assert (d_res.tobytes(), res.tobytes()) == held
+    g = np.linspace(-1.0, 1.0, n)
+    # d_res @ gamma stays near res however large gamma grows, so exp(z)
+    # stays finite
+    d_val = np.ascontiguousarray(d_res)
+    z, xm = _mix(g, res, d_res, d_val)
+    assert z.tobytes() == (g - d_val @ want).tobytes()
+    assert xm.tobytes() == np.exp(z).tobytes()
+
+
+def test_mix_restarts_when_the_least_squares_solve_fails(monkeypatch):
+    lapack = mteq.linalg._lapack()
+
+    def unconverged(*args, **kwargs):
+        x, s, rank, _ = lapack.dgelsd(*args, **kwargs)
+        return x, s, rank, 1
+    monkeypatch.setattr(mteq.linalg, "_lapack", lambda: types.SimpleNamespace(
+        dgelsd=unconverged, dgelsd_lwork=lapack.dgelsd_lwork))
+    d_res, res = mixing_columns(24, 3, "independent")
+    assert _mix(np.zeros(24), res, d_res, np.ones((24, 3))) is None
+
+
+@pytest.mark.parametrize("n", [24, 40])
+def test_each_mix_of_the_sweeps_is_numpys_lstsq_bitwise(monkeypatch, n):
+    # the buffers as the sweeps hold them: the bits of every mixed iterate
+    # are those of np.linalg.lstsq and a C-ordered product d_val @ gamma
+    calls = []
+
+    def recording(g, res, d_res, d_val):
+        out = _mix(g, res, d_res, d_val)
+        calls.append((g, res, d_res.copy(), d_val.copy(order="K"), out))
+        return out
+    monkeypatch.setattr(mteq.initializer, "_mix", recording)
+    p = gen_problem3(n)
+    find_certificate(p.A, rhs=p.b)
+    assert len(calls) > 50
+    for g, res, d_res, d_val, out in calls:
+        gamma = np.linalg.lstsq(d_res, res, rcond=None)[0]
+        held = np.empty((n, ANDERSON_DEPTH))
+        held[:, :d_val.shape[1]] = d_val
+        assert out[0].tobytes() == (g - held[:, :d_val.shape[1]] @ gamma).tobytes()
 
 
 def test_find_certificate_cap_message_reports_reach():

@@ -16,7 +16,7 @@ from mteq.problems import (CENTRAL_MASS, GRAVITATIONAL_CONSTANT,
                            _uniform_open, gen_problem1, gen_problem2,
                            gen_problem3, gen_problem4, gen_problem5,
                            symmetrize_full, write_problem, zero_out_rhs)
-from oracles import symmetrize_whole_array
+from oracles import stencil_coo, symmetrize_whole_array
 
 
 def test_problem1_structure():
@@ -127,6 +127,26 @@ def test_problem3_stencil():
     assert np.allclose(p.b[1:-1], interior, rtol=1e-15, atol=0)
     with pytest.raises(ValueError):
         gen_problem3(2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 24, 40])
+def test_problem3_builds_the_stencil_rows_in_order(monkeypatch, n):
+    # from_coo sees the arrays of the row-by-row loop, so the tensor and
+    # everything cached from it keep their bits
+    seen = []
+    real = Tensor.from_coo
+
+    def recording(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(Tensor, "from_coo", recording)
+    gen_problem3(n)
+    (m, dim, idx, vals), = seen
+    want_idx, want_vals = stencil_coo(n)
+    assert (m, dim) == (4, n)
+    assert idx.dtype == want_idx.dtype and idx.tobytes() == want_idx.tobytes()
+    assert vals.dtype == want_vals.dtype and vals.tobytes() == want_vals.tobytes()
+    assert idx.shape == want_idx.shape and vals.shape == want_vals.shape
 
 
 def test_problem4_raw_draw():

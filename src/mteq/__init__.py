@@ -21,9 +21,8 @@ from .problems import (gen_problem1, gen_problem2, gen_problem3, gen_problem4,
 from .report import (IterationRecord, SolveReport, SolveStatus,
                      estimate_order, write_trace_csv)
 from .solver_basic import (line_search_basic, newton_direction,
-                           solve_positive)
-from .solver_extended import (line_search_extended, solve_nonnegative,
-                              trial_scale)
+                           solve_positive, trial_scale)
+from .solver_extended import line_search_extended, solve_nonnegative
 from .tensor import (FormatError, Tensor, dense_cap, hadamard_power,
                      m_splitting, nqz_spectral_radius, read_tensor,
                      read_vector, write_tensor, write_vector)

@@ -287,30 +287,32 @@ def cmd_verify(args) -> int:
     print(f"tensor: order {A.order}, dimension {A.dim}, "
           f"{A.storage} storage, {A.nnz} nonzeros")
     z = A.is_z_tensor()
+    dominant = A.is_diag_dominant()
     print(f"z sign pattern (off-diagonal <= 0): {'yes' if z else 'no'}")
     print(f"diagonally dominant (A e^{{m-1}} > 0): "
-          f"{'yes' if A.is_diag_dominant() else 'no'}")
+          f"{'yes' if dominant else 'no'}")
     print(f"semi-symmetric: "
           f"{'exact' if A.is_exactly_semi_symmetric() else 'no'}")
-    s, B = m_splitting(A)
+    s = float(A.diagonal().max())
     print(f"splitting shift s (max diagonal): {s:.6g}")
-    if B.min_entry() >= 0.0:
-        lo, hi = nqz_spectral_radius(B)
+    certified = False
+    if z:
+        # s*I - A of a finite tensor is nonnegative exactly when A is a
+        # Z-tensor; the certificate is the solvers' own: the all-ones
+        # vector when the tensor is dominant, else splitting sweeps
+        lo, hi = nqz_spectral_radius(m_splitting(A, s)[1])
         cmp = "<" if hi < s else ">="
         print(f"spectral radius bracket of the nonnegative part: "
               f"[{lo:.6g}, {hi:.6g}] (upper {cmp} s)")
-    else:
-        print("spectral radius bracket: not applicable (nonnegative split failed)")
-    certified = False
-    if z:
         try:
-            sweeps = find_certificate(A)[1]
-            how = "all-ones vector" if sweeps == 0 else f"{sweeps} splitting sweeps"
+            how = ("all-ones vector" if dominant
+                   else f"{find_certificate(A)[1]} splitting sweeps")
             print(f"positivity certificate A u^{{m-1}} > 0: found ({how})")
             certified = True
         except InitializationError as exc:
             print(f"positivity certificate: not found ({exc})")
     else:
+        print("spectral radius bracket: not applicable (nonnegative split failed)")
         print("positivity certificate: not attempted (not a Z sign pattern)")
     if b is not None and not z:
         print("zero-row coupling check: not attempted (not a Z sign pattern)")

@@ -1,8 +1,8 @@
 """Construct feasible starting points.
 
 The recipe: find a positive vector ``u`` with ``A u^{m-1} > 0`` (the
-problem's certificate, which :func:`~mteq.model.make_problem` sets to the
-all-ones vector when the tensor is diagonally dominant, otherwise iterate
+problem's certificate, which every problem over a diagonally dominant
+tensor carries as the all-ones vector when it is built, otherwise iterate
 the diagonal tensor splitting of ``A x^{m-1} = r`` for a positive target
 ``r``), then inflate it by the smallest factor ``t >= 1`` such that
 ``t^{m-1} A u^{m-1} >= eps * b`` holds strictly.  The inflated point lies
@@ -76,8 +76,9 @@ class InitialPoint:
     """Feasible start: ``x0`` with its transform ``y0 = x0^{m-1}``.
 
     ``iterations`` counts splitting sweeps spent finding the certificate
-    vector ``u`` (0 when the problem carries a certificate or the all-ones
-    start of the sweeps already passes).
+    vector ``u`` (0 when the tensor is diagonally dominant, so that the
+    problem carries the all-ones certificate, or when the all-ones start
+    of the sweeps already passes).
     """
 
     x0: np.ndarray
@@ -231,13 +232,14 @@ def initial_point(p: MTeqProblem, cfg: SolverConfig | None = None) -> InitialPoi
     """Build a feasible starting point for either solver.
 
     The certificate is ``p.certificate`` when the problem carries one (the
-    all-ones vector that :func:`~mteq.model.make_problem` attaches to a
-    diagonally dominant tensor); otherwise :func:`find_certificate`
-    sweeps for it.  Raises :class:`InitializationError` when no
-    certificate vector exists within the sweep cap or the constructed
-    point fails the feasibility check it was built to satisfy.  The image
-    ``A u^{m-1}`` is not contracted again: it is the last sweep's, or for
-    the all-ones certificate the one the tensor's dominance test cached.
+    all-ones vector, which every problem over a diagonally dominant tensor
+    carries); otherwise :func:`find_certificate` sweeps for it.  Either
+    way ``A u^{m-1}`` clears a positive floor.  Raises
+    :class:`InitializationError` when no certificate vector exists within
+    the sweep cap or the constructed point fails the feasibility check it
+    was built to satisfy.  The image ``A u^{m-1}`` is not contracted
+    again: it is the last sweep's, or for the all-ones certificate the one
+    the tensor's dominance test cached.
     The feasibility check evaluates ``y0`` and leaves its record in the
     problem's memo, so a solver started from ``x0`` or ``y0`` does not
     contract the tensor at the start again.  For the all-ones certificate
@@ -250,13 +252,10 @@ def initial_point(p: MTeqProblem, cfg: SolverConfig | None = None) -> InitialPoi
         raise InitializationError(
             "right-hand side has no positive components; only x = 0 could solve this")
     if p.certificate is not None:
-        u, sweeps = p.certificate, 0
-        au = p.A._ones_record()[0] if np.all(u == 1.0) else p.A.apply(u)
+        u, sweeps, au = p.certificate, 0, p.A._ones_record()[0]
     else:
         target = p.b if part.i_zero.size == 0 else None
         u, sweeps, au = find_certificate(p.A, rhs=target)
-    if au.min() <= 0.0:
-        raise InitializationError("certificate vector lost positivity of its image")
     m = p.m
     # Smallest inflation with t^{m-1} (A u^{m-1})_i >= eps b_i on every
     # component; 1.01 keeps the inequalities strict under rounding.

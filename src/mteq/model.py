@@ -27,7 +27,7 @@ from ``apply`` and leaves the Jacobian to ``jacobian_matrix``, which gives
 the same bits.  A record at a constant vector ``x = s e`` makes no pass:
 by homogeneity it takes ``g = s^{m-1} A e^{m-1}`` and the raw Jacobian
 ``s^{m-2} J(e)`` from the tensor's record of ``e``, which the dominance
-test of :func:`make_problem` has already built.  The problem keeps the
+test built along with the problem.  The problem keeps the
 last record in a one-slot memo that is hit only by a ``y`` exactly equal
 to the record's, which hands the point evaluated by
 :func:`~mteq.initializer.initial_point` or accepted by a line search on to
@@ -35,8 +35,8 @@ the next step without a second contraction.  :func:`residual`,
 :func:`residual_jacobian` and the feasibility test all take ``y``, which
 must be positive and finite (else ``ValueError``), and read its record;
 none accepts a caller's copy of ``g``, ``f`` or ``J``.  Facts about the
-problem itself (the index partition of ``b``, the certificate of
-:func:`make_problem`) are fixed when it is built, and its
+problem itself (the index partition of ``b``, the all-ones certificate
+of a dominant tensor) are fixed when it is built, and its
 :func:`check_assumption` report on first use.
 """
 
@@ -127,14 +127,13 @@ class MTeqProblem:
 
     ``omega`` records the factor the raw data was divided by (see
     :func:`scale_problem`); iterates are invariant under that scaling, so
-    solutions of the stored system solve the original one.  ``certificate``
-    is a positive vector ``u`` with ``A u^{m-1} > 0`` when one is known,
-    which certifies the strong M-tensor property.  :func:`make_problem`
-    attaches the all-ones vector when the dominance test passes; a problem
-    constructed directly carries no certificate unless given one, so
-    :func:`~mteq.initializer.initial_point` finds one by splitting sweeps.
-    ``partition`` is computed from ``b``, and ``assumption`` is kept from
-    its first use.  A tensor or right-hand side with a NaN or infinite
+    solutions of the stored system solve the original one.  ``partition``
+    is computed from ``b``, and ``assumption`` is kept from its first use.
+    ``certificate`` is fixed when the problem is built, by the tensor's
+    cached dominance test: the all-ones vector when ``A e^{m-1}`` clears
+    the tensor's noise floor, which certifies the strong M-tensor
+    property, else ``None``, and :func:`~mteq.initializer.initial_point`
+    sweeps for one.  A tensor or right-hand side with a NaN or infinite
     entry is rejected, each with its own message, before the Z-sign test.
     Treat instances as immutable after construction: ``_memo`` holds the
     last evaluated point, computed from ``A`` and ``b``.
@@ -144,7 +143,7 @@ class MTeqProblem:
     b: np.ndarray
     omega: float = 1.0
     partition: IndexPartition = field(init=False)
-    certificate: np.ndarray | None = None
+    certificate: np.ndarray | None = field(init=False)
     _memo: _Point | None = field(default=None, init=False, repr=False,
                                  compare=False)
 
@@ -156,6 +155,7 @@ class MTeqProblem:
         self.partition = partition_indices(self.b)  # rejects negative entries
         if not self.A.is_z_tensor():
             raise ValueError("coefficient tensor must have nonpositive off-diagonal entries")
+        self.certificate = np.ones(self.n) if self.A.is_diag_dominant() else None
 
     @property
     def m(self) -> int:
@@ -186,17 +186,15 @@ def _check_finite(A: Tensor, b: np.ndarray) -> None:
 
 
 def make_problem(A: Tensor, b, omega=1.0) -> MTeqProblem:
-    """Wrap tensor and right-hand side, attaching the all-ones certificate
-    when it happens to work.
+    """Wrap tensor and right-hand side.
 
-    The tensor's facts (its largest magnitude, Z sign and dominance test)
-    are cached on ``A``, so building a second problem over the same
-    tensor, such as one with zeros put into ``b``, reads none of its
-    entries again.
+    Building the problem runs the tensor's dominance test, which fixes its
+    certificate.  The tensor's facts (its largest magnitude, Z sign and
+    dominance test) are cached on ``A``, so building a second problem over
+    the same tensor, such as one with zeros put into ``b``, reads none of
+    its entries again.
     """
-    cert = np.ones(A.dim) if A.is_diag_dominant() else None
-    return MTeqProblem(A, np.asarray(b, dtype=float), float(omega),
-                       certificate=cert)
+    return MTeqProblem(A, np.asarray(b, dtype=float), float(omega))
 
 
 def scale_problem(A: Tensor, b) -> MTeqProblem:

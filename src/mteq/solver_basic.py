@@ -54,6 +54,7 @@ __all__ = [
     "newton_direction",
     "line_search_basic",
     "solve_positive",
+    "trial_scale",
 ]
 
 

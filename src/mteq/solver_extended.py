@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from .model import MTeqProblem, SolverConfig
 from .report import SolveReport
-from .solver_basic import (LineSearchResult, _backtrack, _damped_newton,
-                           trial_scale)
+from .solver_basic import LineSearchResult, _backtrack, _damped_newton
 
 __all__ = [
-    "trial_scale",
     "line_search_extended",
     "solve_nonnegative",
 ]
@@ -30,8 +28,8 @@ def line_search_extended(p: MTeqProblem, y, d, cfg: SolverConfig,
                          current_norm=None) -> LineSearchResult | None:
     """Backtracking search under the split feasibility test.
 
-    Trials are ``1, beta, beta*rho, ...`` with ``beta = trial_scale(||f(y)||,
-    cfg.c)``.
+    Trials are ``1, beta, beta*rho, ...`` with ``beta =
+    trial_scale(||f(y)||, cfg.c)`` (:func:`mteq.solver_basic.trial_scale`).
     """
     return _backtrack(p, y, d, cfg, current_norm, scaled=True)
 

@@ -25,29 +25,37 @@ def run_cli(*argv):
 
 def test_cli_imports_without_scipy_linalg_until_a_solve(tmp_path):
     # a fresh interpreter: this one has long since loaded scipy.linalg.
-    # --help, gen, and verify of a tensor whose all-ones vector passes the
-    # certificate test, so that no splitting sweep runs, go without it
+    # --help, gen, and verify of a diagonally dominant tensor, whose
+    # certificate is the all-ones vector, so that no splitting sweep runs,
+    # go without it.  The all-ones images of P1 and P4 at (3,8), seed 0,
+    # miss the 0.1 margin of the sweeps' own test; P2's clears it.
     child = "\n".join([
         "import contextlib, io, sys",
         "import mteq.cli",
         "print('scipy.linalg' in sys.modules)",
-        "out = sys.argv[1]",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    try:",
         "        mteq.cli.main(['--help'])",
         "    except SystemExit:",
         "        pass",
-        "    mteq.cli.main(['gen', '--problem', '2', '--n', '8', '--out', out])",
-        "    code = mteq.cli.main(['verify', out + '/tensor.mt', '--rhs', out + '/rhs.vec'])",
-        "print(code, 'scipy.linalg' in sys.modules)",
+        "for problem in ('1', '2', '4'):",
+        "    out = sys.argv[1] + '/p' + problem",
+        "    shown = io.StringIO()",
+        "    with contextlib.redirect_stdout(shown):",
+        "        mteq.cli.main(['gen', '--problem', problem, '--m', '3', '--n', '8',",
+        "                       '--seed', '0', '--out', out])",
+        "        code = mteq.cli.main(['verify', out + '/tensor.mt', '--rhs', out + '/rhs.vec'])",
+        "    line = 'positivity certificate A u^{m-1} > 0: found (all-ones vector)'",
+        "    print(code, line in shown.getvalue().splitlines(), 'scipy.linalg' in sys.modules)",
         "p = mteq.gen_problem1(3, 8, 0)",
         "print(mteq.solve_positive(p, mteq.initial_point(p).x0).converged)",
         "print('scipy.linalg' in sys.modules)"])
     src = os.path.dirname(os.path.dirname(mteq.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", child, str(tmp_path / "p2")],
+    out = subprocess.run([sys.executable, "-c", child, str(tmp_path)],
                          env=env, check=True, capture_output=True, text=True).stdout
-    assert out.split() == ["False", str(EXIT_OK), "False", "True", "True"]
+    assert out.split() == (["False"] + [str(EXIT_OK), "True", "False"] * 3
+                           + ["True", "True"])
 
 
 def test_gen_writes_problem_files(tmp_path):

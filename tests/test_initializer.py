@@ -11,6 +11,7 @@ import mteq.linalg
 from mteq import (SolverConfig, Tensor, find_certificate, hadamard_power,
                   in_feasible_split, initial_point, jacobi_step, make_problem)
 from mteq.initializer import ANDERSON_DEPTH, MAX_SWEEPS, InitializationError, _mix
+from mteq.model import MTeqProblem
 from mteq.problems import gen_problem1, gen_problem3, gen_problem5, zero_out_rhs
 
 from oracles import CountingTensor, certificate_sweeps, coo_apply_prod
@@ -262,6 +263,29 @@ def test_initial_point_reuses_problem_certificate(monkeypatch):
     ip = initial_point(p)
     assert ip.iterations == 0
     assert np.array_equal(ip.u, p.certificate)
+
+
+def test_a_problem_built_directly_takes_the_ones_certificate(monkeypatch):
+    # the certificate comes from the tensor's dominance test whenever a
+    # problem is built, not only through make_problem, and no caller sets it
+    q = gen_problem1(3, 10, 0)
+    A = Tensor.from_dense(q.A.to_dense_array())
+    p = MTeqProblem(A, q.b)
+    assert np.array_equal(p.certificate, np.ones(10))
+    want = initial_point(make_problem(A, q.b))
+
+    def sweep(*args, **kwargs):
+        raise AssertionError("swept for a certificate")
+    monkeypatch.setattr(mteq.initializer, "find_certificate", sweep)
+    ip = initial_point(p)
+    assert ip.iterations == 0
+    assert np.array_equal(ip.u, np.ones(10))
+    assert ip.x0.tobytes() == want.x0.tobytes()
+    # a tensor that fails the dominance test gets none
+    r = gen_problem5(3, 12, 0)
+    assert MTeqProblem(r.A, r.b).certificate is None
+    with pytest.raises(TypeError):
+        MTeqProblem(A, q.b, certificate=np.ones(10))
 
 
 def test_identity_inflation_arithmetic():

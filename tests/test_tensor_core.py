@@ -471,6 +471,44 @@ def test_m_splitting_reconstructs():
     assert parts[0].to_dense_array().tobytes() == parts[1].to_dense_array().tobytes()
 
 
+@pytest.mark.parametrize("case", ["z", "minus-zero", "positive-off", "signed-diagonal"])
+@pytest.mark.parametrize("storage", ["dense", "coo", "coo-sparse"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_splitting_is_nonnegative_exactly_for_a_z_tensor(m, storage, case):
+    # mteq verify brackets the spectral radius of the nonnegative part only
+    # for a Z-tensor, on this equivalence.  "coo" stores every nonzero
+    # entry, "coo-sparse" leaves half of the off-diagonal ones as implicit
+    # zeros; both store an off-diagonal -0.0.  The signs of the diagonal
+    # do not matter, s is the largest of it, and its zero is implicit in
+    # COO storage.
+    n = 3
+    rng = np.random.default_rng(m)
+    arr = -rng.uniform(0.0, 1.0, size=(n,) * m)
+    diag = (np.arange(n),) * m
+    arr[diag] = rng.uniform(1.0, 2.0, size=n)
+    off = (0,) + (1,) * (m - 1)
+    if case == "minus-zero":
+        arr[off] = -0.0
+    elif case == "positive-off":
+        arr[off] = 0.5
+    elif case == "signed-diagonal":
+        arr[diag] = (-1.0, 0.0, 2.0)
+    if storage == "dense":
+        t = Tensor.from_dense(arr)
+    else:
+        if storage == "coo-sparse":
+            drop = rng.random(arr.shape) < 0.5
+            drop[diag] = False
+            drop[off] = False
+            arr[drop] = 0.0
+        keep = (arr != 0.0) | np.signbit(arr)
+        idx = np.argwhere(keep)
+        t = Tensor.from_coo(m, n, idx, arr[tuple(idx.T)])
+        assert t.nnz < n ** m or storage == "coo"
+    assert t.is_z_tensor() == (case != "positive-off")
+    assert (m_splitting(t)[1].min_entry() >= 0.0) == t.is_z_tensor()
+
+
 def test_nqz_known_values():
     # all-ones, m=3 n=2: A e^2 = 4 e so rho = 4 with eigenvector e
     lo, hi = nqz_spectral_radius(Tensor.from_dense(np.ones((2, 2, 2))))

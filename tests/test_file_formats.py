@@ -378,51 +378,51 @@ def test_npy_holds_dense_tensors_only(tmp_path):
 
 # these bodies are below the default cutoff, which sends them to
 # np.fromstring whole; at 0 they reach the chunked parser
-FAST_MIN = pytest.mark.parametrize(
-    "fast_min", [tensor_module._TEXT_FAST_MIN_BYTES, 0],
-    ids=["default-cutoff", "no-cutoff"])
+FAST_MINS = (tensor_module._TEXT_FAST_MIN_BYTES, 0)
 
 
-def count_parse_text(monkeypatch, fast_min):
-    """Set the cutoff to ``fast_min`` and return the list that collects
-    the results of the :func:`_parse_text` calls."""
-    monkeypatch.setattr(tensor_module, "_TEXT_FAST_MIN_BYTES", fast_min)
+def count_parse_text(monkeypatch):
+    """The list that collects the results of the :func:`_parse_text`
+    calls."""
     parsed = []
     monkeypatch.setattr(tensor_module, "_parse_text", counted(tensor_module._parse_text, parsed))
     return parsed
 
 
-@FAST_MIN
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 13])
-def test_tokens_cut_by_a_chunk_boundary_parse_whole(tmp_path, monkeypatch, chunk,
-                                                     fast_min):
+def test_tokens_cut_by_a_chunk_boundary_parse_whole(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(tensor_module, "_TEXT_CHUNK_BYTES", chunk)
-    parsed = count_parse_text(monkeypatch, fast_min)
+    parsed = count_parse_text(monkeypatch)
     x = np.array([123456789.125, -1.5e-300, 0.1, -0.0, 7.0, 2.5e+300])
     body = "6\n  123456789.125 -1.5e-300\n\n\n        \t 0.1\n-0 7\r\n2.5e+300  \n\n"
     (tmp_path / "x.vec").write_text(body)
-    assert read_vector(tmp_path / "x.vec").tobytes() == x.tobytes()
     a = np.arange(8.0).reshape(2, 2, 2) * 1e-5
     write_tensor(tmp_path / "t.mt", Tensor.from_dense(a))
-    assert read_tensor(tmp_path / "t.mt").dense_values.tobytes() == a.tobytes()
-    # without the cutoff, every value came out of the chunked parser
-    want = np.concatenate([x, a.ravel()]) if fast_min == 0 else np.empty(0)
-    assert np.concatenate([np.empty(0)] + parsed).tobytes() == want.tobytes()
+    for fast_min in FAST_MINS:
+        monkeypatch.setattr(tensor_module, "_TEXT_FAST_MIN_BYTES", fast_min)
+        parsed.clear()
+        assert read_vector(tmp_path / "x.vec").tobytes() == x.tobytes()
+        assert read_tensor(tmp_path / "t.mt").dense_values.tobytes() == a.tobytes()
+        # without the cutoff, every value came out of the chunked parser
+        want = np.concatenate([x, a.ravel()]) if fast_min == 0 else np.empty(0)
+        assert np.concatenate([np.empty(0)] + parsed).tobytes() == want.tobytes()
 
 
-@FAST_MIN
-def test_blank_body_holds_no_values(tmp_path, monkeypatch, fast_min):
+def test_blank_body_holds_no_values(tmp_path, monkeypatch):
     # np.fromstring reads a value from whitespace alone
-    parsed = count_parse_text(monkeypatch, fast_min)
-    for chunk in (2, 1 << 20):
-        monkeypatch.setattr(tensor_module, "_TEXT_CHUNK_BYTES", chunk)
-        (tmp_path / "b.vec").write_text("1\n   \n\n  \n")
-        with pytest.raises(FormatError, match="expected 1 values, found 0"):
-            read_vector(tmp_path / "b.vec")
-        (tmp_path / "e.vec").write_text("0\n  \n")
-        assert read_vector(tmp_path / "e.vec").shape == (0,)
-    assert (len(parsed) > 0) == (fast_min == 0)
-    assert all(values.size == 0 for values in parsed)
+    parsed = count_parse_text(monkeypatch)
+    (tmp_path / "b.vec").write_text("1\n   \n\n  \n")
+    (tmp_path / "e.vec").write_text("0\n  \n")
+    for fast_min in FAST_MINS:
+        monkeypatch.setattr(tensor_module, "_TEXT_FAST_MIN_BYTES", fast_min)
+        parsed.clear()
+        for chunk in (2, 1 << 20):
+            monkeypatch.setattr(tensor_module, "_TEXT_CHUNK_BYTES", chunk)
+            with pytest.raises(FormatError, match="expected 1 values, found 0"):
+                read_vector(tmp_path / "b.vec")
+            assert read_vector(tmp_path / "e.vec").shape == (0,)
+        assert (len(parsed) > 0) == (fast_min == 0)
+        assert all(values.size == 0 for values in parsed)
 
 
 @pytest.mark.parametrize("token", ["1_000", "1,5", "0x10", "1.0.5", "abc", "1e"])

@@ -820,28 +820,23 @@ def nqz_spectral_radius(t: Tensor, tol=1e-10, max_iter=5000):
 # Text writers emit 17 significant digits, which round-trips IEEE doubles.
 #
 # No file body is held as one Python object per value.  A COO body is
-# parsed by one ``np.loadtxt`` call.  Dense and vector text bodies are read
-# in chunks of about _TEXT_CHUNK_BYTES, each cut after a whitespace byte,
-# straight into the result; a body below _TEXT_FAST_MIN_BYTES, where
-# numpy's fixed cost per call outweighs the gain, goes to np.fromstring
-# whole.  Either way ``1_000`` is malformed.  Text writers format about
-# _WRITE_CHUNK_VALUES values per _format_rows call, in numpy; a body below
-# _WRITE_FAST_MIN_VALUES values, where the 30 or so numpy calls of one
-# _format_rows cost more than '%.17g' of each value, goes through one
-# ``%`` call, which spells the same bytes.  On a 2-vCPU Xeon the two took
-# the same time at about 200 values of 17 digits.
+# parsed by one ``np.loadtxt`` call.  Every dense and vector text body, of
+# any size, from a file or a pipe, is read in chunks of about
+# _TEXT_CHUNK_BYTES, each cut after a whitespace byte, straight into the
+# result; ``1_000`` is malformed.  Every text body is written by
+# _format_rows, about _WRITE_CHUNK_VALUES values per call, in numpy.
 # read_tensor tells a .npy file from text by its magic bytes, whatever its
 # name, and reads its body into private memory.  It does not memory-map
 # the file: the finiteness test reads every page anyway, and a map would
 # break (SIGBUS) when the same path is rewritten while the tensor lives.
 #
-# The chunks of a larger body go to _parse_text, whose values have the
-# bits of np.fromstring's, by these steps:
+# The chunks go to _parse_text, whose values have the bits of
+# np.fromstring's, by these steps:
 #   - The grammar.  A token is [+-]? (D+ (. D*)? | . D+) ([eE] [+-]? D+)?,
 #     with D an ASCII digit.  _scan_tokens proves that every token of a
 #     chunk is in it from one count of the bytes that are neither
 #     whitespace nor digits; else the chunk goes to np.fromstring whole,
-#     which raises the same errors, and reads nan and inf, as before.
+#     which raises its own errors and reads nan and inf.
 #   - A token's digits make one integer D and its value is D * 10**e.  The
 #     digits are read 8 at a time from little-endian words gathered at the
 #     ends of its digit runs (Lemire, Softw. Pract. Exp. 51:1700, 2021).
@@ -862,16 +857,12 @@ def nqz_spectral_radius(t: Tensor, tol=1e-10, max_iter=5000):
 # threads took longer on 256 KiB chunks than one, as every numpy call
 # hands the GIL over; 1 MiB chunks, on which two threads did gain, were
 # slower per byte than 256 KiB ones on one thread and broke the reader's
-# memory bound.  Above 48 KiB of P1(3,60) text the parser beat
-# np.fromstring on that machine.
+# memory bound.
 
 _TEXT_CHUNK_BYTES = 1 << 18
-_TEXT_FAST_MIN_BYTES = 48 << 10
 _TEXT_CHUNK_VALUES = 1 << 16
 _WRITE_CHUNK_VALUES = 1 << 12
-_WRITE_FAST_MIN_VALUES = 200
 _WHITESPACE = (b" ", b"\n", b"\t", b"\r", b"\v", b"\f")
-_NOT_WHITESPACE = re.compile(rb"\S")
 # a header integer; ``int`` would also take "1_0" and non-ASCII digits
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 _NPY_MAGIC = b"\x93NUMPY"
@@ -913,12 +904,7 @@ def write_tensor(path, t: Tensor) -> None:
 
 def _write_rows(fh, rows) -> None:
     """Write the 2-D float64 array ``rows`` as :func:`_format_rows` does,
-    in chunks of about ``_WRITE_CHUNK_VALUES`` values, or below
-    ``_WRITE_FAST_MIN_VALUES`` values by one ``'%.17g'`` template."""
-    if rows.size < _WRITE_FAST_MIN_VALUES:
-        line = b" ".join([b"%.17g"] * rows.shape[1]) + b"\n"
-        fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
-        return
+    in chunks of about ``_WRITE_CHUNK_VALUES`` values."""
     step = max(1, _WRITE_CHUNK_VALUES // rows.shape[1])
     for start in range(0, rows.shape[0], step):
         fh.write(_format_rows(rows[start:start + step]))
@@ -1207,23 +1193,17 @@ def _read_text_values(fh, path, count, what) -> np.ndarray:
     """The ``count`` whitespace-separated values that remain in the binary
     file ``fh``.
 
-    A body below ``_TEXT_FAST_MIN_BYTES`` goes to :func:`_fromstring`
-    whole; a larger one, or one of unknown size (a pipe), to
-    :func:`_parse_text` in chunks (:func:`_text_chunks`).  A token numpy
-    cannot parse raises :class:`FormatError` "malformed value"; so does one
-    that Python's ``float`` takes but numpy does not, such as ``1_000``.
-    Without a size to bound it, the result grows as values arrive, so that
-    a header alone allocates nothing.
+    Every body, from a file or a pipe, goes through :func:`_text_values`.
+    A token numpy cannot parse raises :class:`FormatError` "malformed
+    value"; so does one that Python's ``float`` takes but numpy does not,
+    such as ``1_000``.  Without a size to bound it, the result grows as
+    values arrive, so that a header alone allocates nothing.
     """
     left = _bytes_left(fh)
-    if left is not None and left < _TEXT_FAST_MIN_BYTES:
-        parsed = [_fromstring(fh.read())]
-    else:
-        parsed = (_parse_text(buf, size) for buf, size in _text_chunks(fh))
     # k values take at least 2k - 1 bytes, so a short file allocates less
     out = np.empty(min(count, _TEXT_CHUNK_VALUES if left is None else left // 2 + 1))
     found = 0
-    for values in parsed:
+    for values in _text_values(fh):
         if values is None:
             raise FormatError(f"{path}: malformed value in {what}")
         end = found + values.size
@@ -1237,6 +1217,14 @@ def _read_text_values(fh, path, count, what) -> np.ndarray:
     if found != count:
         raise FormatError(f"{path}: expected {count} values, found {found}")
     return out
+
+
+def _text_values(fh):
+    """The values of each chunk of what remains of ``fh``
+    (:func:`_text_chunks`), or ``None`` for a chunk that holds a token
+    np.fromstring rejects."""
+    for buf, size in _text_chunks(fh):
+        yield _parse_text(buf, size)
 
 
 def _text_chunks(fh):
@@ -1276,11 +1264,8 @@ def _after_last_space(text) -> int:
 
 
 def _fromstring(text):
-    """``np.fromstring``'s values of ``text``, or ``None`` when it rejects
-    a token.  Whitespace alone holds no value (``np.fromstring`` would
-    read one)."""
-    if not _NOT_WHITESPACE.search(text):
-        return np.empty(0)
+    """``np.fromstring``'s values of ``text``, which holds a byte that is
+    not whitespace, or ``None`` when it rejects a token."""
     try:
         return np.fromstring(text, sep=" ")
     except ValueError:

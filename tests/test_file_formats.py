@@ -105,26 +105,14 @@ def test_non_finite_entry_is_named_by_its_index(scratch, a, data):
 # text bodies, byte for byte as the % templates
 
 
-def each_text_writer():
-    """Loop once per text formatter: as set, where a body below
-    ``_WRITE_FAST_MIN_VALUES`` values goes through ``%``, then with every
-    body through the numpy formatter."""
-    yield
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tensor_module, "_WRITE_FAST_MIN_VALUES", 0)
-        yield
-
-
 def assert_written_as_percent(path, tensor):
-    for _ in each_text_writer():
-        write_tensor(path, tensor)
-        assert path.read_bytes() == percent_tensor_text(tensor)
+    write_tensor(path, tensor)
+    assert path.read_bytes() == percent_tensor_text(tensor)
 
 
 def assert_vector_written_as_percent(path, x):
-    for _ in each_text_writer():
-        write_vector(path, x)
-        assert path.read_bytes() == percent_vector_text(x)
+    write_vector(path, x)
+    assert path.read_bytes() == percent_vector_text(x)
 
 
 def assert_values_written_as_percent(scratch, values):
@@ -250,19 +238,6 @@ def test_rows_cut_by_a_write_chunk_are_whole(tmp_path, monkeypatch, chunk):
     assert_vector_written_as_percent(tmp_path / "x.vec", np.linspace(-3.0, 7.0, 23))
 
 
-def test_only_bodies_past_the_cutoff_reach_the_numpy_formatter(tmp_path, monkeypatch):
-    # below the cutoff numpy's fixed cost per call outweighs its gain
-    calls = []
-    real = tensor_module._format_rows
-    monkeypatch.setattr(tensor_module, "_format_rows",
-                        lambda rows: calls.append(rows.size) or real(rows))
-    cutoff = tensor_module._WRITE_FAST_MIN_VALUES
-    write_vector(tmp_path / "x.vec", np.linspace(0.0, 1.0, cutoff - 1))
-    assert calls == []
-    write_vector(tmp_path / "x.vec", np.linspace(0.0, 1.0, cutoff))
-    assert calls == [cutoff]
-
-
 def test_dense_text_write_allocates_less_than_one_percent_call(tmp_path):
     a = gen_problem1(3, 60, 0).A
     tracemalloc.start()
@@ -376,11 +351,6 @@ def test_npy_holds_dense_tensors_only(tmp_path):
 # the chunked text parser
 
 
-# these bodies are below the default cutoff, which sends them to
-# np.fromstring whole; at 0 they reach the chunked parser
-FAST_MINS = (tensor_module._TEXT_FAST_MIN_BYTES, 0)
-
-
 def count_parse_text(monkeypatch):
     """The list that collects the results of the :func:`_parse_text`
     calls."""
@@ -398,14 +368,11 @@ def test_tokens_cut_by_a_chunk_boundary_parse_whole(tmp_path, monkeypatch, chunk
     (tmp_path / "x.vec").write_text(body)
     a = np.arange(8.0).reshape(2, 2, 2) * 1e-5
     write_tensor(tmp_path / "t.mt", Tensor.from_dense(a))
-    for fast_min in FAST_MINS:
-        monkeypatch.setattr(tensor_module, "_TEXT_FAST_MIN_BYTES", fast_min)
-        parsed.clear()
-        assert read_vector(tmp_path / "x.vec").tobytes() == x.tobytes()
-        assert read_tensor(tmp_path / "t.mt").dense_values.tobytes() == a.tobytes()
-        # without the cutoff, every value came out of the chunked parser
-        want = np.concatenate([x, a.ravel()]) if fast_min == 0 else np.empty(0)
-        assert np.concatenate([np.empty(0)] + parsed).tobytes() == want.tobytes()
+    assert read_vector(tmp_path / "x.vec").tobytes() == x.tobytes()
+    assert read_tensor(tmp_path / "t.mt").dense_values.tobytes() == a.tobytes()
+    # every value came out of the chunked parser
+    want = np.concatenate([x, a.ravel()])
+    assert np.concatenate(parsed).tobytes() == want.tobytes()
 
 
 def test_blank_body_holds_no_values(tmp_path, monkeypatch):
@@ -413,16 +380,13 @@ def test_blank_body_holds_no_values(tmp_path, monkeypatch):
     parsed = count_parse_text(monkeypatch)
     (tmp_path / "b.vec").write_text("1\n   \n\n  \n")
     (tmp_path / "e.vec").write_text("0\n  \n")
-    for fast_min in FAST_MINS:
-        monkeypatch.setattr(tensor_module, "_TEXT_FAST_MIN_BYTES", fast_min)
-        parsed.clear()
-        for chunk in (2, 1 << 20):
-            monkeypatch.setattr(tensor_module, "_TEXT_CHUNK_BYTES", chunk)
-            with pytest.raises(FormatError, match="expected 1 values, found 0"):
-                read_vector(tmp_path / "b.vec")
-            assert read_vector(tmp_path / "e.vec").shape == (0,)
-        assert (len(parsed) > 0) == (fast_min == 0)
-        assert all(values.size == 0 for values in parsed)
+    for chunk in (2, 1 << 20):
+        monkeypatch.setattr(tensor_module, "_TEXT_CHUNK_BYTES", chunk)
+        with pytest.raises(FormatError, match="expected 1 values, found 0"):
+            read_vector(tmp_path / "b.vec")
+        assert read_vector(tmp_path / "e.vec").shape == (0,)
+    # the blank bodies reach the chunked parser and give no values
+    assert parsed and all(values.size == 0 for values in parsed)
 
 
 @pytest.mark.parametrize("token", ["1_000", "1,5", "0x10", "1.0.5", "abc", "1e"])
@@ -495,7 +459,6 @@ def hand_written_bodies():
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_text_bodies_read_as_fromstring(scratch, monkeypatch, chunk):
     monkeypatch.setattr(tensor_module, "_TEXT_CHUNK_BYTES", chunk)
-    monkeypatch.setattr(tensor_module, "_TEXT_FAST_MIN_BYTES", 0)
     specials = [0.0, -0.0, TINY, -TINY, 2.5e-320, np.finfo(float).tiny,
                 MAX, -MAX, 1.0, 60.0, 1e16, 99999999999999984.0]
     for values in (decade_neighbours(), decade_carries(), specials):
@@ -511,7 +474,6 @@ def test_text_bodies_read_as_fromstring(scratch, monkeypatch, chunk):
 def test_written_values_read_as_fromstring(scratch, x, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor_module, "_TEXT_CHUNK_BYTES", chunk)
-        mp.setattr(tensor_module, "_TEXT_FAST_MIN_BYTES", 0)
         for path in write_values(scratch, x):
             assert_read_as_fromstring(path)
 
@@ -520,7 +482,6 @@ def test_written_values_read_as_fromstring(scratch, x, chunk):
 def test_numpy_parser_rejects_what_fromstring_rejects(tmp_path, monkeypatch, chunk):
     # the small bodies of the tests above, through the numpy parser
     monkeypatch.setattr(tensor_module, "_TEXT_CHUNK_BYTES", chunk)
-    monkeypatch.setattr(tensor_module, "_TEXT_FAST_MIN_BYTES", 0)
     parsed = []
     monkeypatch.setattr(tensor_module, "_parse_text", counted(tensor_module._parse_text, parsed))
     for token in ["1_000", "1,5", "0x10", "1.0.5", "abc", "1e", "1e+", "--1", "+-1",
@@ -586,7 +547,6 @@ def test_written_values_below_1e17_take_the_numpy_path(tmp_path, monkeypatch):
     # from 10**-6 to 10**17 the writer spells every value in a form that
     # the numpy path proves: fixed with up to 17 integer digits, or with an
     # exponent of two digits
-    monkeypatch.setattr(tensor_module, "_TEXT_FAST_MIN_BYTES", 0)
     parsed = []
     monkeypatch.setattr(tensor_module, "_token_values",
                         counted(tensor_module._token_values, parsed))

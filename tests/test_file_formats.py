@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 from mteq import (FormatError, SolverConfig, Tensor, initial_point,
                   read_tensor, read_vector, scale_problem, solve_nonnegative,
                   solve_positive, write_tensor, write_vector)
-from mteq import tensor as tensor_module
+from mteq import textcodec
 from mteq.cli import EXIT_CAP, EXIT_IO, EXIT_OK, main
 from mteq.problems import (gen_problem1, gen_problem2, gen_problem3,
                            gen_problem4, gen_problem5, zero_out_rhs)
@@ -191,8 +191,8 @@ def test_edge_values_are_the_percent_templates(scratch, case):
 
 def test_decades_are_the_least_doubles_at_or_above_each_power():
     # the writer takes a value's decimal exponent from these thresholds
-    for k, d in enumerate(tensor_module._DECADES.tolist()):
-        ten = Fraction(10) ** (k + tensor_module._LOW_X)
+    for k, d in enumerate(textcodec._DECADES.tolist()):
+        ten = Fraction(10) ** (k + textcodec._LOW_X)
         assert Fraction(d) >= ten > Fraction(math.nextafter(d, 0.0))
 
 
@@ -202,7 +202,7 @@ def test_no_carry_falls_in_the_numpy_range():
     carries = decade_carries()
     # the double nearest 10**-14 lies below it and prints as "1e-14"
     assert 1e-14 in carries
-    low, high = tensor_module._DECADES[0], tensor_module._DECADES[-1]
+    low, high = textcodec._DECADES[0], textcodec._DECADES[-1]
     assert not [d for d in carries if low <= d < high]
 
 
@@ -231,7 +231,7 @@ def test_generated_problems_are_the_percent_templates(tmp_path, problem):
 
 @pytest.mark.parametrize("chunk", [1, 2, 5, 7, 64])
 def test_rows_cut_by_a_write_chunk_are_whole(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(tensor_module, "_WRITE_CHUNK_VALUES", chunk)
+    monkeypatch.setattr(textcodec, "_WRITE_CHUNK_VALUES", chunk)
     a = gen_problem4(3, 5, 0).A
     for tensor in (a, a.to_coo()):
         assert_written_as_percent(tmp_path / "t.mt", tensor)
@@ -355,13 +355,13 @@ def count_parse_text(monkeypatch):
     """The list that collects the results of the :func:`_parse_text`
     calls."""
     parsed = []
-    monkeypatch.setattr(tensor_module, "_parse_text", counted(tensor_module._parse_text, parsed))
+    monkeypatch.setattr(textcodec, "_parse_text", counted(textcodec._parse_text, parsed))
     return parsed
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 13])
 def test_tokens_cut_by_a_chunk_boundary_parse_whole(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(tensor_module, "_TEXT_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(textcodec, "_TEXT_CHUNK_BYTES", chunk)
     parsed = count_parse_text(monkeypatch)
     x = np.array([123456789.125, -1.5e-300, 0.1, -0.0, 7.0, 2.5e+300])
     body = "6\n  123456789.125 -1.5e-300\n\n\n        \t 0.1\n-0 7\r\n2.5e+300  \n\n"
@@ -381,7 +381,7 @@ def test_blank_body_holds_no_values(tmp_path, monkeypatch):
     (tmp_path / "b.vec").write_text("1\n   \n\n  \n")
     (tmp_path / "e.vec").write_text("0\n  \n")
     for chunk in (2, 1 << 20):
-        monkeypatch.setattr(tensor_module, "_TEXT_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(textcodec, "_TEXT_CHUNK_BYTES", chunk)
         with pytest.raises(FormatError, match="expected 1 values, found 0"):
             read_vector(tmp_path / "b.vec")
         assert read_vector(tmp_path / "e.vec").shape == (0,)
@@ -458,7 +458,7 @@ def hand_written_bodies():
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_text_bodies_read_as_fromstring(scratch, monkeypatch, chunk):
-    monkeypatch.setattr(tensor_module, "_TEXT_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(textcodec, "_TEXT_CHUNK_BYTES", chunk)
     specials = [0.0, -0.0, TINY, -TINY, 2.5e-320, np.finfo(float).tiny,
                 MAX, -MAX, 1.0, 60.0, 1e16, 99999999999999984.0]
     for values in (decade_neighbours(), decade_carries(), specials):
@@ -473,7 +473,7 @@ def test_text_bodies_read_as_fromstring(scratch, monkeypatch, chunk):
        chunk=st.sampled_from(CHUNKS + [1 << 18]))
 def test_written_values_read_as_fromstring(scratch, x, chunk):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tensor_module, "_TEXT_CHUNK_BYTES", chunk)
+        mp.setattr(textcodec, "_TEXT_CHUNK_BYTES", chunk)
         for path in write_values(scratch, x):
             assert_read_as_fromstring(path)
 
@@ -481,9 +481,9 @@ def test_written_values_read_as_fromstring(scratch, x, chunk):
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_numpy_parser_rejects_what_fromstring_rejects(tmp_path, monkeypatch, chunk):
     # the small bodies of the tests above, through the numpy parser
-    monkeypatch.setattr(tensor_module, "_TEXT_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(textcodec, "_TEXT_CHUNK_BYTES", chunk)
     parsed = []
-    monkeypatch.setattr(tensor_module, "_parse_text", counted(tensor_module._parse_text, parsed))
+    monkeypatch.setattr(textcodec, "_parse_text", counted(textcodec._parse_text, parsed))
     for token in ["1_000", "1,5", "0x10", "1.0.5", "abc", "1e", "1e+", "--1", "+-1",
                   "1e5.0", "1ee5", ".", "-", ".e5", "e5", "1\x01"]:
         (tmp_path / "x.vec").write_text(f"2\n1.0 {token}\n")
@@ -521,8 +521,8 @@ def test_written_tensors_take_the_numpy_path(tmp_path, monkeypatch, problem):
     # would lose the parser's speed and fail no other test
     calls, parsed = [], []
     monkeypatch.setattr(np, "fromstring", counted(np.fromstring, calls))
-    monkeypatch.setattr(tensor_module, "_token_values",
-                        counted(tensor_module._token_values, parsed))
+    monkeypatch.setattr(textcodec, "_token_values",
+                        counted(textcodec._token_values, parsed))
     p = {"P1": lambda: gen_problem1(3, 30, 0), "P2": lambda: gen_problem2(3, 30),
          "P3": lambda: gen_problem3(30), "P4": lambda: gen_problem4(3, 30, 1),
          "P5": lambda: gen_problem5(3, 30, 2)}[problem]()
@@ -548,8 +548,8 @@ def test_written_values_below_1e17_take_the_numpy_path(tmp_path, monkeypatch):
     # the numpy path proves: fixed with up to 17 integer digits, or with an
     # exponent of two digits
     parsed = []
-    monkeypatch.setattr(tensor_module, "_token_values",
-                        counted(tensor_module._token_values, parsed))
+    monkeypatch.setattr(textcodec, "_token_values",
+                        counted(textcodec._token_values, parsed))
     x = np.geomspace(1.0000000000000002e-6, 99999999999999984.0, 4000)
     x[1::2] *= -1
     for path in write_values(tmp_path, x):

@@ -377,6 +377,28 @@ def test_bench_deterministic(tmp_path):
     assert stable[0] == stable[1]
 
 
+def test_keep_lists_the_entries_left_positive(tmp_path, capsys):
+    gen = ["gen", "--problem", "1", "--n", "8", "--zero-frac", "0.5"]
+    assert run_cli(*gen, "--out", str(tmp_path / "default")) == EXIT_OK
+    # 1-based indices; without them seed 0 zeroes b[0]
+    assert read_vector(tmp_path / "default" / "rhs.vec")[0] == 0.0
+    assert run_cli(*gen, "--keep", "1,3", "--out", str(tmp_path / "kept")) == EXIT_OK
+    b = read_vector(tmp_path / "kept" / "rhs.vec")
+    assert b[0] > 0.0 and b[2] > 0.0 and np.any(b == 0.0)
+    manifest = json.loads((tmp_path / "kept" / "manifest.json").read_text())
+    assert manifest["params"]["keep"] == [1, 3]
+    assert run_cli(*gen, "--keep", "", "--out", str(tmp_path / "none")) == EXIT_OK
+    capsys.readouterr()
+    for keep, message in (("0", "keep index out of range 1..8"),
+                          ("9", "keep index out of range 1..8"),
+                          ("x", "cannot parse keep list 'x'")):
+        assert run_cli(*gen, "--keep", keep, "--out", str(tmp_path / "bad")) == EXIT_CAP
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "bad").exists()
+    assert run_cli("bench", "--problem", "1", "--sizes", "3,8", "--trials", "2",
+                   "--zero-frac", "0.5", "--keep", "1") == EXIT_OK
+
+
 def test_bench_cell_records_failures():
     # a factory yielding a non-M tensor: every trial fails, none crash
     def broken(seed):

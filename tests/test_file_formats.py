@@ -375,6 +375,22 @@ def test_tokens_cut_by_a_chunk_boundary_parse_whole(tmp_path, monkeypatch, chunk
     assert np.concatenate(parsed).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 100, 700])
+def test_tokens_longer_than_the_search_window_parse_whole(tmp_path, monkeypatch, chunk):
+    # a chunk cut inside a token of more than 64 bytes widens the search
+    # for its last whitespace byte to 512, then 4096 bytes back
+    monkeypatch.setattr(textcodec, "_TEXT_CHUNK_BYTES", chunk)
+    long, longer = "1" + "0" * 80, "0." + "0" * 300 + "1" * 290 + "e+5"
+    tokens = [long, "2.5", "-" + longer, "7", longer]
+    # the body ends inside its last token, with no line end
+    (tmp_path / "x.vec").write_text(f"{len(tokens)}\n" + " ".join(tokens))
+    (tmp_path / "t.mt").write_text(f"MT1 2 2 dense 4\n{longer} -{long}\n\t0.5 {long}\n")
+    want = np.array([float(tok) for tok in tokens])
+    assert read_vector(tmp_path / "x.vec").tobytes() == want.tobytes()
+    want = np.array([float(tok) for tok in (longer, "-" + long, "0.5", long)])
+    assert read_tensor(tmp_path / "t.mt").dense_values.tobytes() == want.tobytes()
+
+
 def test_blank_body_holds_no_values(tmp_path, monkeypatch):
     # np.fromstring reads a value from whitespace alone
     parsed = count_parse_text(monkeypatch)

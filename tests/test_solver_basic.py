@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from mteq import (SolveStatus, SolverConfig, Tensor, hadamard_power,
+from mteq import (SingularMatrixError, SolveStatus, SolverConfig, Tensor, hadamard_power,
                   initial_point, line_search_basic, make_problem,
                   newton_direction, residual, solve_nonnegative,
                   solve_positive)
+from mteq import solver_basic
+from mteq.cli import EXIT_INFEASIBLE, EXIT_OK, main
 from mteq.problems import (gen_problem1, gen_problem4, gen_problem5,
                            zero_out_rhs)
 from mteq.solver_basic import _predicted_final
@@ -106,6 +108,34 @@ def test_iteration_cap_status():
     rep = solve_positive(p, initial_point(p, cfg).x0, cfg)
     assert rep.status is SolveStatus.ITERATION_CAP
     assert rep.iterations == 1
+
+
+def test_convergence_on_the_last_allowed_iteration_is_not_a_cap():
+    p = gen_problem1(3, 10, 0)
+    x0 = initial_point(p).x0
+    free = solve_positive(p, x0)
+    k = free.iterations
+    assert free.converged and k >= 1
+    rep = solve_positive(p, x0, SolverConfig(max_iter=k))
+    assert rep.status is SolveStatus.CONVERGED and rep.iterations == k
+    assert rep.x_final.tobytes() == free.x_final.tobytes()
+
+
+def test_singular_jacobian_stops_the_solve(tmp_path, monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise SingularMatrixError("zero pivot")
+
+    monkeypatch.setattr(solver_basic, "lu_solve", singular)
+    p = gen_problem1(3, 8, 0)
+    rep = solve_positive(p, initial_point(p).x0)
+    assert rep.status is SolveStatus.LINE_SEARCH_FAILURE
+    assert rep.message == "singular Jacobian at iteration 1: zero pivot"
+    assert rep.iterations == 0
+    out = tmp_path / "p1"
+    assert main(["gen", "--problem", "1", "--n", "8", "--out", str(out)]) == EXIT_OK
+    assert main(["solve", str(out / "tensor.mt"), str(out / "rhs.vec"),
+                 "--solution", str(tmp_path / "x.vec")]) == EXIT_INFEASIBLE
+    assert "singular Jacobian at iteration 1" in capsys.readouterr().out
 
 
 def test_line_search_accepts_unit_step_near_solution():

@@ -6,13 +6,16 @@ instances, ``verify`` reports the structural certificates of a tensor, and
 ``bench`` aggregates seeded trials into the iteration/time tables.
 
 Exit codes of ``solve``: 0 converged, 2 iteration cap or a usage error, 3
-infeasibility or a structural refusal, 1 file errors.  ``verify`` exits 0
-only when a strong M-tensor certificate was found.
+infeasibility or a structural refusal, 1 file errors or standard output
+closed by its reader, which ends every subcommand with exit 1 and nothing
+on standard error.  ``verify`` exits 0 only when a strong M-tensor
+certificate was found.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -37,6 +40,21 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CAP = 2
 EXIT_INFEASIBLE = 3
+
+
+class _Exit(Exception):
+    """``_Exit(code, message)`` ends a subcommand: :func:`main` writes
+    ``message`` to standard error and returns ``code``."""
+
+
+@contextlib.contextmanager
+def _exit_on(code, *errors, prefix="error"):
+    """End the subcommand with ``code`` and the line ``prefix: <error>``
+    when the block raises one of ``errors``."""
+    try:
+        yield
+    except errors as exc:
+        raise _Exit(code, f"{prefix}: {exc}") from None
 
 
 def _add_solver_flags(sub):
@@ -71,6 +89,22 @@ def _config_from(args) -> SolverConfig:
                            for field in fields(SolverConfig)})
 
 
+def _add_instance_flags(sub, seed_help):
+    """The flags that describe the instances of ``gen`` and ``bench``,
+    read by :func:`_instance`."""
+    sub.add_argument("--problem", type=int, required=True, choices=range(1, 6))
+    sub.add_argument("--seed", type=int, default=0, help=seed_help)
+    sub.add_argument("--c0", type=float, default=1e7,
+                     help="left boundary value (problem 3)")
+    sub.add_argument("--c1", type=float, default=1e7,
+                     help="right boundary value (problem 3)")
+    sub.add_argument("--zero-frac", type=float, default=None,
+                     help="zero out this fraction of the right-hand side")
+    sub.add_argument("--keep", default=None,
+                     help="comma-separated 1-based indices kept positive "
+                          "when zeroing (default: 1 for problem 5)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mteq",
@@ -88,19 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p_solve)
 
     p_gen = sub.add_parser("gen", help="generate a benchmark instance")
-    p_gen.add_argument("--problem", type=int, required=True, choices=range(1, 6))
+    _add_instance_flags(p_gen, seed_help=None)
     p_gen.add_argument("--m", type=int, default=3, help="tensor order")
     p_gen.add_argument("--n", type=int, default=10, help="dimension")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--c0", type=float, default=1e7,
-                       help="left boundary value (problem 3)")
-    p_gen.add_argument("--c1", type=float, default=1e7,
-                       help="right boundary value (problem 3)")
-    p_gen.add_argument("--zero-frac", type=float, default=None,
-                       help="zero out this fraction of the right-hand side")
-    p_gen.add_argument("--keep", default=None,
-                       help="comma-separated 1-based indices kept positive "
-                            "when zeroing (default: 1 for problem 5)")
     p_gen.add_argument("--format", choices=sorted(TENSOR_FILES), default="text",
                        help="tensor file: tensor.mt text (default) or "
                             "tensor.npy binary, dense tensors only")
@@ -114,16 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="optional right-hand side for the coupling check")
 
     p_bench = sub.add_parser("bench", help="aggregate seeded solve trials")
-    p_bench.add_argument("--problem", type=int, required=True, choices=range(1, 6))
+    _add_instance_flags(p_bench, seed_help="base seed; trial t uses seed + t")
     p_bench.add_argument("--sizes", action="append", required=True,
                          metavar="M,N", help="cell size, repeatable")
     p_bench.add_argument("--trials", type=int, default=20)
-    p_bench.add_argument("--seed", type=int, default=0,
-                         help="base seed; trial t uses seed + t")
-    p_bench.add_argument("--c0", type=float, default=1e7)
-    p_bench.add_argument("--c1", type=float, default=1e7)
-    p_bench.add_argument("--zero-frac", type=float, default=None)
-    p_bench.add_argument("--keep", default=None)
     p_bench.add_argument("--out", default=None,
                          help="directory for bench.csv and bench.md")
     _add_solver_flags(p_bench)
@@ -150,41 +168,25 @@ _STATUS_EXIT = {
 
 
 def cmd_solve(args) -> int:
-    try:
+    with _exit_on(EXIT_CAP, ValueError):  # usage-level error
         cfg = _config_from(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP  # usage-level error
-    try:
+    with _exit_on(EXIT_IO, OSError, FormatError):
         A = read_tensor(args.tensor)
         b = read_vector(args.rhs)
-    except (OSError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
+    with _exit_on(EXIT_INFEASIBLE, ValueError):
         p = scale_problem(A, b)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    if p.partition.i_zero.size:
-        assumption = p.assumption
-        if not assumption.ok:
-            print(f"refused: zero-indexed rows without coupling entries: "
-                  f"{assumption.missing_text}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-    try:
+    if p.partition.i_zero.size and not p.assumption.ok:
+        raise _Exit(EXIT_INFEASIBLE,
+                    f"refused: zero-indexed rows without coupling entries: "
+                    f"{p.assumption.missing_text}")
+    with _exit_on(EXIT_INFEASIBLE, InitializationError,
+                  prefix="initialization failed"):
         init = initial_point(p, cfg)
         report = _solve_from(p, init, cfg)
-    except InitializationError as exc:
-        print(f"initialization failed: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    try:
+    with _exit_on(EXIT_IO, OSError):
         write_vector(args.solution, report.x_final)
         if args.trace:
             write_trace_csv(report, args.trace)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(f"status: {report.status.value}")
     print(f"iterations: {report.iterations} (initializer sweeps: {init.iterations})")
     print(f"residual: {report.final_residual:.3e} (scaled by 1/{p.omega:.6g})")
@@ -213,20 +215,6 @@ def _parse_keep(text, n, problem) -> tuple:
     return tuple(i - 1 for i in ones_based)
 
 
-def _generate(problem, m, n, seed, c0, c1):
-    if problem == 1:
-        return gen_problem1(m, n, seed)
-    if problem == 2:
-        return gen_problem2(m, n, seed)
-    if problem == 3:
-        if m != 4:
-            raise ValueError("problem 3 is an order-4 stencil; use --m 4")
-        return gen_problem3(n, c0, c1)
-    if problem == 4:
-        return gen_problem4(m, n, seed)
-    return gen_problem5(m, n, seed)
-
-
 def _check_draw_args(args) -> None:
     """Refuse the seed or the zero fraction of ``gen`` or ``bench`` that
     the generators would refuse, before any instance is built."""
@@ -235,25 +223,34 @@ def _check_draw_args(args) -> None:
         _check_fraction(args.zero_frac)
 
 
-def _apply_zeroing(p: MTeqProblem, zero_frac, keep, seed) -> MTeqProblem:
-    if zero_frac is None:
+_GENERATORS = {1: gen_problem1, 2: gen_problem2, 4: gen_problem4,
+               5: gen_problem5}
+
+
+def _instance(args, m, n, seed, keep) -> MTeqProblem:
+    """The instance of order ``m`` and dimension ``n`` that the instance
+    flags in ``args`` describe, drawn from ``seed``, with the 0-based
+    ``keep`` indices kept positive when its right-hand side is zeroed."""
+    if args.problem == 3:
+        if m != 4:
+            raise ValueError("problem 3 is an order-4 stencil; use --m 4")
+        p = gen_problem3(n, args.c0, args.c1)
+    else:
+        p = _GENERATORS[args.problem](m, n, seed)
+    if args.zero_frac is None:
         return p
-    b = zero_out_rhs(p.b, seed, keep=keep, fraction=zero_frac)
+    b = zero_out_rhs(p.b, seed, keep=keep, fraction=args.zero_frac)
     return make_problem(p.A, b, omega=p.omega)
 
 
 def cmd_gen(args) -> int:
-    try:
+    with _exit_on(EXIT_CAP, ValueError):  # usage-level error
         _check_draw_args(args)
         keep = _parse_keep(args.keep, args.n, args.problem)
-        p = _generate(args.problem, args.m, args.n, args.seed, args.c0, args.c1)
-        p = _apply_zeroing(p, args.zero_frac, keep, args.seed)
+        p = _instance(args, args.m, args.n, args.seed, keep)
         if args.format == "npy" and not p.A.is_dense:
             raise ValueError(f"problem {args.problem} has a COO tensor; "
                              f"--format npy holds dense tensors only")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP  # usage-level error
     manifest = {
         "problem_kind": args.problem,
         "seed": args.seed,
@@ -264,11 +261,8 @@ def cmd_gen(args) -> int:
             "keep": [i + 1 for i in keep] if args.zero_frac is not None else [],
         },
     }
-    try:
+    with _exit_on(EXIT_IO, OSError):
         write_problem(args.out, p, manifest, fmt=args.format)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(f"wrote {TENSOR_FILES[args.format]}, rhs.vec, manifest.json "
           f"to {args.out}")
     return EXIT_OK
@@ -278,12 +272,9 @@ def cmd_gen(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
-    try:
+    with _exit_on(EXIT_IO, OSError, FormatError):
         A = read_tensor(args.tensor)
         b = read_vector(args.rhs) if args.rhs else None
-    except (OSError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(f"tensor: order {A.order}, dimension {A.dim}, "
           f"{A.storage} storage, {A.nnz} nonzeros")
     z = A.is_z_tensor()
@@ -317,11 +308,8 @@ def cmd_verify(args) -> int:
     if b is not None and not z:
         print("zero-row coupling check: not attempted (not a Z sign pattern)")
     elif b is not None:
-        try:
+        with _exit_on(EXIT_IO, ValueError, prefix="right-hand side rejected"):
             p = make_problem(A, b)
-        except ValueError as exc:
-            print(f"right-hand side rejected: {exc}", file=sys.stderr)
-            return EXIT_IO
         rep = p.assumption
         print(f"right-hand side: {rep.i_plus_size} positive, {rep.i_zero_size} zero entries")
         if rep.i_zero_size:
@@ -408,7 +396,7 @@ def csv_table(cells) -> str:
 
 
 def cmd_bench(args) -> int:
-    try:
+    with _exit_on(EXIT_CAP, ValueError):
         sizes = []
         for item in args.sizes:
             parts = item.replace("x", ",").split(",")
@@ -419,34 +407,20 @@ def cmd_bench(args) -> int:
             raise ValueError("trials must be at least 1")
         _check_draw_args(args)
         cfg = _config_from(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    cells = []
-    for m, n in sizes:
-        try:
+        cells = []
+        for m, n in sizes:
             keep = _parse_keep(args.keep, n, args.problem)
-
-            def factory(t, m=m, n=n, keep=keep):
-                p = _generate(args.problem, m, n, args.seed + t, args.c0, args.c1)
-                return _apply_zeroing(p, args.zero_frac, keep, args.seed + t)
-
-            cells.append(bench_cell(factory, args.trials, cfg))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CAP
+            cells.append(bench_cell(lambda t, m=m, n=n, keep=keep: _instance(
+                args, m, n, args.seed + t, keep), args.trials, cfg))
     table = markdown_table(cells)
     print(table, end="")
     if args.out:
-        try:
+        with _exit_on(EXIT_IO, OSError):
             os.makedirs(args.out, exist_ok=True)
             with open(os.path.join(args.out, "bench.md"), "w") as fh:
                 fh.write(table)
             with open(os.path.join(args.out, "bench.csv"), "w") as fh:
                 fh.write(csv_table(cells))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
     return EXIT_OK
 
 
@@ -456,8 +430,23 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"solve": cmd_solve, "gen": cmd_gen,
                "verify": cmd_verify, "bench": cmd_bench}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except _Exit as stop:
+        code, message = stop.args
+        print(message, file=sys.stderr)
+        return code
 
 
 def run() -> None:
-    sys.exit(main())
+    """The console script: exit with :func:`main`'s code, or with
+    ``EXIT_IO`` and nothing on standard error once the reader of standard
+    output has gone."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes standard output once more on its way out
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    sys.exit(code)

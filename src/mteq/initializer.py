@@ -38,7 +38,6 @@ called directly (:func:`mteq.linalg.lstsq`), takes 10 us and 56 us.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +75,10 @@ class InitialPoint:
     """Feasible start: ``x0`` with its transform ``y0 = x0^{m-1}``.
 
     ``iterations`` counts splitting sweeps spent finding the certificate
-    vector ``u`` (0 when the tensor is diagonally dominant, so that the
-    problem carries the all-ones certificate, or when the all-ones start
-    of the sweeps already passes).
+    vector ``u``: 0 when the tensor is diagonally dominant, so that the
+    problem carries the all-ones certificate.  Otherwise it is at least
+    1: the sweeps' test at their all-ones start has a floor no lower than
+    the dominance test's, so a tensor that fails the one fails the other.
     """
 
     x0: np.ndarray
@@ -146,7 +146,7 @@ def jacobi_step(A: Tensor, rhs, x) -> np.ndarray:
     return hadamard_power(w, 1.0 / (m - 1))
 
 
-def find_certificate(A: Tensor, rhs=None, max_sweeps=MAX_SWEEPS):
+def find_certificate(A: Tensor, rhs=None):
     """Positive ``u`` with ``A u^{m-1} > 0``, found by splitting sweeps.
 
     Returns ``(u, sweeps, image)``, where ``image`` is ``A u^{m-1}`` from
@@ -156,11 +156,10 @@ def find_certificate(A: Tensor, rhs=None, max_sweeps=MAX_SWEEPS):
     strictly positive), Anderson accelerated in ``log x^{m-1}``.  The loop
     stops once ``A x^{m-1}`` clears both the tensor's noise floor and a
     fixed fraction of the target on every component, so the certificate
-    has a usable margin.  ``max_sweeps`` caps the sweeps after sweep 0 and
-    must be an integer ``>= 0`` (else ``ValueError``).  Raises
-    :class:`InitializationError` when the iterates diverge, or when the
-    sweep cap runs out; the message then gives how close the last iterate
-    came to passing the test.
+    has a usable margin.  ``MAX_SWEEPS`` caps the sweeps after sweep 0.
+    Raises :class:`InitializationError` when the iterates diverge, or when
+    the sweep cap runs out; the message then gives how close the last
+    iterate came to passing the test.
     """
     e = np.ones(A.dim)
     if rhs is None:
@@ -171,9 +170,7 @@ def find_certificate(A: Tensor, rhs=None, max_sweeps=MAX_SWEEPS):
             raise ValueError(f"target length {target.shape} does not match dimension {A.dim}")
         if not np.all(np.isfinite(target)) or np.any(target <= 0.0):
             raise ValueError("splitting target must be finite and strictly positive")
-    if not isinstance(max_sweeps, numbers.Integral) or max_sweeps < 0:
-        raise ValueError(f"max_sweeps must be an integer >= 0, got {max_sweeps!r}")
-    cap = int(max_sweeps)
+    cap = MAX_SWEEPS
     d = _positive_diagonal(A)
     # xm > 0 by construction, so its root needs no sign test
     root = 1.0 / (A.order - 1)

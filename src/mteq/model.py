@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SingularMatrixError, lu_solve
-from .tensor import Tensor, hadamard_power
+from .tensor import Tensor, _check_vector, hadamard_power
 
 __all__ = [
     "IndexPartition",
@@ -233,9 +233,7 @@ def _in_domain(y) -> bool:
 
 
 def _check_transformed(p: MTeqProblem, y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (p.n,):
-        raise ValueError(f"expected vector of length {p.n}, got shape {y.shape}")
+    y = _check_vector(y, p.n)
     if not _in_domain(y):
         raise ValueError("transformed iterate must be strictly positive and finite")
     return y

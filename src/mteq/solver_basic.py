@@ -161,18 +161,20 @@ def line_search_basic(p: MTeqProblem, y, d, cfg: SolverConfig,
 
 def _predicted_final(p: MTeqProblem, y, d, cfg: SolverConfig, r, r_prev,
                      threshold) -> None:
-    """Evaluate the unit-step trial ``y + d`` without its Jacobian when
-    ``b > 0`` and the quadratic rate predicts that it ends the solve:
-    ``r^3 / r_prev^2 <= threshold`` (see the module docstring).  Does
-    nothing where the search would not evaluate that trial, or where the
-    trailing indices permute exactly: the Jacobian then costs no pass."""
+    """Evaluate the search's first trial, the unit step, without its
+    Jacobian when ``b > 0`` and the quadratic rate predicts that it ends
+    the solve: ``r^3 / r_prev^2 <= threshold`` (see the module
+    docstring).  Does nothing where the search would not evaluate that
+    trial, or where the trailing indices permute exactly: the Jacobian
+    then costs no pass."""
     if (p.partition.i_zero.size or r_prev is None
             or p.A.is_exactly_semi_symmetric()):
         return
     if r * (r / r_prev) ** 2 > threshold:
         return
-    yt = y + d  # the first trial of _steps, y + 1.0 * d, to the bit
-    if _in_domain(yt) and not _rounds_away(y, yt, 1.0, cfg):
+    _, alpha = next(_steps(cfg, r, scaled=False))
+    yt = y + alpha * d
+    if _in_domain(yt) and not _rounds_away(y, yt, alpha, cfg):
         _evaluate(p, yt, jacobian=False)
 
 

@@ -765,7 +765,13 @@ def m_splitting(t: Tensor, s=None):
     return s, t._negated_shift(s)
 
 
-def nqz_spectral_radius(t: Tensor, tol=1e-10, max_iter=5000):
+# nqz_spectral_radius stops at a bracket this narrow relative to its upper
+# end, or after this many steps
+_RADIUS_TOL = 1e-10
+_RADIUS_MAX_ITER = 5000
+
+
+def nqz_spectral_radius(t: Tensor):
     """Bracket the spectral radius of a nonnegative tensor by power iteration.
 
     Iterates ``x <- (B x^{m-1})^{1/(m-1)}`` (max-normalized) and returns the
@@ -792,7 +798,7 @@ def nqz_spectral_radius(t: Tensor, tol=1e-10, max_iter=5000):
     if not np.any(v > 0.0):
         return 0.0, 0.0
     lower, upper = 0.0, math.inf
-    for _ in range(int(max_iter)):
+    for _ in range(_RADIUS_MAX_ITER):
         if np.any(v <= 0.0):
             delta = 1e-12
             v = contract(x)
@@ -802,7 +808,7 @@ def nqz_spectral_radius(t: Tensor, tol=1e-10, max_iter=5000):
         ratios = v / x ** (m - 1)
         lower = float(ratios.min())
         upper = float(ratios.max())
-        if upper - lower <= tol * upper:
+        if upper - lower <= _RADIUS_TOL * upper:
             break
     return lower, upper
 
@@ -976,14 +982,10 @@ def _read_npy(fh, path) -> np.ndarray:
         raise FormatError(f"{path}: .npy file has {left} bytes after its "
                           f"header, expected {body} for shape {shape}")
     values = np.empty(shape)
-    view = memoryview(values).cast("B")
-    done = 0
-    while done < body:
-        got = fh.readinto(view[done:])
-        if not got:
-            raise FormatError(
-                f"{path}: .npy body ended after {done} of {body} bytes")
-        done += got
+    # a buffered reader reads until the view is full or the stream ends
+    got = fh.readinto(memoryview(values).cast("B"))
+    if got != body:
+        raise FormatError(f"{path}: .npy body ended after {got} of {body} bytes")
     if fh.read(1):
         raise FormatError(f"{path}: .npy file has bytes after its body")
     _check_finite_body(path, values, shape)
@@ -1029,7 +1031,7 @@ def _read_text_values(fh, path, count, what) -> np.ndarray:
     # k values take at least 2k - 1 bytes, so a short file allocates less
     out = np.empty(min(count, _TEXT_CHUNK_VALUES if left is None else left // 2 + 1))
     found = 0
-    for values in _text_values(fh):
+    for values in _text_values(fh, left):
         if values is None:
             raise FormatError(f"{path}: malformed value in {what}")
         end = found + values.size

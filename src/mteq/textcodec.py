@@ -187,33 +187,40 @@ def _format_rows(rows) -> np.ndarray:
     return buf.ravel()[keep.ravel()]
 
 
-def _text_values(fh):
+def _text_values(fh, left=None):
     """The values of each chunk of what remains of ``fh``
     (:func:`_text_chunks`), or ``None`` for a chunk that holds a token
     np.fromstring rejects."""
-    for buf, size in _text_chunks(fh):
+    for buf, size in _text_chunks(fh, left):
         yield _parse_text(buf, size)
 
 
-def _text_chunks(fh):
-    """The chunks ``(buf, size)`` of what remains of ``fh``: the text
-    ``buf[_PAD:_PAD + size]`` of about ``_TEXT_CHUNK_BYTES``, with spaces
+def _text_chunks(fh, left=None):
+    """The chunks ``(buf, size)`` of what remains of ``fh``, ``left``
+    bytes where that is known: the text ``buf[_PAD:_PAD + size]`` of about
+    ``_TEXT_CHUNK_BYTES``, or ``left`` if fewer, with ``_PAD`` spaces
     before and after it.  Each chunk is cut after its last whitespace
-    byte, and the token it cuts through is carried into the next chunk."""
-    tail = b""
+    byte, and the token it cuts through is carried into the next chunk.
+    The chunks of one read share one buffer, with room for a carried
+    token of up to ``_PAD`` bytes, as long as any the writer spells; a
+    longer one grows it."""
+    step = _TEXT_CHUNK_BYTES if left is None else min(left, _TEXT_CHUNK_BYTES)
+    room, tail = -1, b""  # no buffer yet
     while True:
         carried = len(tail)
-        buf = np.empty(-(-(_PAD + carried + _TEXT_CHUNK_BYTES + 16) // 8) * 8, np.uint8)
+        if carried + step > room:
+            room = carried + step + _PAD
+            buf = np.empty(-(-(room + 2 * _PAD) // 8) * 8, np.uint8)
+            buf[:_PAD] = ord(" ")
         buf[_PAD:_PAD + carried] = np.frombuffer(tail, np.uint8)
-        text = memoryview(buf)[_PAD:_PAD + carried + _TEXT_CHUNK_BYTES]
+        text = memoryview(buf)[_PAD:_PAD + carried + step]
         got = fh.readinto(text[carried:])
         size = carried + got
-        if got:
-            cut = _after_last_space(text[:size])
-            tail, size = text[cut:size].tobytes(), cut
-        if size:
-            buf[:_PAD] = buf[_PAD + size:] = ord(" ")
-            yield buf, size
+        cut = _after_last_space(text[:size]) if got else size
+        tail = text[cut:size].tobytes()
+        if cut:
+            buf[_PAD + cut:2 * _PAD + cut] = ord(" ")
+            yield buf, cut
         if not got:
             return
 

@@ -444,3 +444,66 @@ def test_bench_refuses_arguments_that_gen_refuses(capsys, argv, message):
     assert captured.err.startswith(f"error: {message}")
     # no table row labelled from a problem that was never built
     assert not captured.out
+
+
+INSTANCE_FLAGS = ("--problem", "--seed", "--c0", "--c1", "--zero-frac", "--keep")
+
+
+def option_help(capsys, command):
+    """The entry of each option in ``mteq <command> --help``, by flag."""
+    with pytest.raises(SystemExit) as ex:
+        run_cli(command, "--help")
+    assert ex.value.code == 0
+    entries, flag = {}, None
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  -"):
+            flag = line.split()[0].rstrip(",")
+            entries[flag] = line
+        elif flag and line.startswith("   "):
+            entries[flag] += "\n" + line
+        else:
+            flag = None
+    return entries
+
+
+def test_gen_and_bench_show_the_same_instance_flags(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    gen, bench = option_help(capsys, "gen"), option_help(capsys, "bench")
+    for flag in INSTANCE_FLAGS:
+        if flag == "--seed":
+            # the one help text of its own: bench draws a seed per trial
+            assert gen[flag].split() == ["--seed", "SEED"]
+            assert bench[flag].split(None, 2)[2] == "base seed; trial t uses seed + t"
+        else:
+            assert gen[flag] == bench[flag]
+    assert "left boundary value (problem 3)" in bench["--c0"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["verify", "gen", "solve", "bench"])
+def test_closed_standard_output_exits_1_quietly(tmp_path, command, unbuffered):
+    # a subcommand whose standard output has no reader left ends with
+    # exit 1 and nothing on standard error; the files it wrote stay
+    out, sol = tmp_path / "p1", tmp_path / "x.vec"
+    assert run_cli("gen", "--problem", "1", "--n", "6", "--out", str(out)) == EXIT_OK
+    argv = {"verify": ["verify", str(out / "tensor.mt")],
+            "gen": ["gen", "--problem", "1", "--n", "6", "--out", str(tmp_path / "g")],
+            "solve": ["solve", str(out / "tensor.mt"), str(out / "rhs.vec"),
+                      "--solution", str(sol)],
+            "bench": ["bench", "--problem", "1", "--sizes", "3,6", "--trials", "1"]}
+    written = {"gen": tmp_path / "g" / "tensor.mt", "solve": sol}.get(command)
+    src = os.path.dirname(os.path.dirname(mteq.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        done = subprocess.run([sys.executable, "-m", "mteq", *argv[command]],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (EXIT_IO, b"")
+    assert written is None or written.exists()

@@ -8,8 +8,10 @@ import math
 import os
 import re
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,27 +278,40 @@ def test_npy_tensor_is_private_memory(tmp_path):
     assert not isinstance(back.dense_values.base, np.memmap)
 
 
+def write_in_pieces(path, content, piece=1 << 14):
+    """Write ``content`` to ``path`` in pieces 2 ms apart, so that a reader
+    of a pipe gets it in short reads."""
+    with open(path, "wb", buffering=0) as fh:
+        for start in range(0, len(content), piece):
+            fh.write(content[start:start + piece])
+            time.sleep(0.002)
+
+
 def test_tensor_read_from_a_pipe(tmp_path):
     # a pipe has no length to check ahead: a short or long .npy body is
-    # found while it is read
-    a = gen_problem1(3, 4, 0).A
+    # found while it is read, also from a writer that sends it in pieces
+    a, big = gen_problem1(3, 4, 0).A, gen_problem1(3, 30, 0).A
     write_tensor(tmp_path / "t.mt", a)
     write_tensor(tmp_path / "c.mt", a.to_coo())
     write_tensor(tmp_path / "t.npy", a)
-    npy = (tmp_path / "t.npy").read_bytes()
-    cases = [((tmp_path / "t.mt").read_bytes(), None),
-             ((tmp_path / "c.mt").read_bytes(), None), (npy, None),
-             (npy[:-8], "body ended after 504 of 512 bytes"),
-             (npy + b"\0", "bytes after its body")]
+    write_tensor(tmp_path / "big.npy", big)
+    npy, slow = (tmp_path / "t.npy").read_bytes(), (tmp_path / "big.npy").read_bytes()
+    fast = Path.write_bytes
+    cases = [((tmp_path / "t.mt").read_bytes(), None, a, fast),
+             ((tmp_path / "c.mt").read_bytes(), None, a, fast), (npy, None, a, fast),
+             (npy[:-8], "body ended after 504 of 512 bytes", a, fast),
+             (npy + b"\0", "bytes after its body", a, fast),
+             (slow, None, big, write_in_pieces),
+             (slow[:-8], "body ended after 215992 of 216000 bytes", big, write_in_pieces)]
     fifo = tmp_path / "fifo"
-    for content, message in cases:
+    for content, message, want, write in cases:
         os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(content,))
+        writer = threading.Thread(target=write, args=(fifo, content))
         writer.start()
         try:
             if message is None:
                 assert read_tensor(fifo).to_dense_array().tobytes() == \
-                    a.dense_values.tobytes()
+                    want.dense_values.tobytes()
             else:
                 with pytest.raises(FormatError, match=message):
                     read_tensor(fifo)
@@ -339,6 +354,22 @@ def test_body_from_a_pipe_allocates_as_values_arrive(tmp_path):
     content = (tmp_path / "x.vec").read_bytes()
     assert read_from_a_pipe(tmp_path / "p.vec", content, read_vector).tobytes() == \
         x.tobytes()
+
+
+def test_short_file_allocates_for_its_own_bytes(tmp_path):
+    # a 60-value .vec is about 1.4 KB: its read once took two buffers of
+    # a whole chunk, 256 KiB each, one of them for the final empty read
+    x = np.linspace(-1.0, 1.0, 60)
+    write_vector(tmp_path / "x.vec", x)
+    read_vector(tmp_path / "x.vec")  # the parser's tables are built once
+    tracemalloc.start()
+    try:
+        got = read_vector(tmp_path / "x.vec")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == x.tobytes()
+    assert peak < 64 << 10, f"peak {peak} bytes"
 
 
 def test_npy_holds_dense_tensors_only(tmp_path):

@@ -40,9 +40,10 @@ def test_jacobi_step_refuses_nonpositive_diagonal():
         jacobi_step(Tensor.from_dense(dense), np.ones(2), np.ones(2))
 
 
-def test_find_certificate_problem5():
+def test_find_certificate_problem5(monkeypatch):
+    monkeypatch.setattr(mteq.initializer, "MAX_SWEEPS", 500)
     p = gen_problem5(3, 20, seed=0)
-    u, sweeps, _ = find_certificate(p.A, max_sweeps=500)
+    u, sweeps, _ = find_certificate(p.A)
     assert sweeps <= 500
     assert p.A.apply(u).min() > 0.0
 
@@ -55,42 +56,38 @@ def test_find_certificate_validates_target():
         find_certificate(t, rhs=np.ones(3))
 
 
-def test_find_certificate_cap_exhaustion():
+def test_find_certificate_cap_exhaustion(monkeypatch):
     # shift below the spectral radius of the all-ones part: not a strong
     # M-tensor, the sweeps never produce a positive image
+    monkeypatch.setattr(mteq.initializer, "MAX_SWEEPS", 200)
     dense = -np.ones((2, 2, 2))
     dense[0, 0, 0] += 3.9
     dense[1, 1, 1] += 3.9
     with pytest.raises(InitializationError):
-        find_certificate(Tensor.from_dense(dense), max_sweeps=200)
+        find_certificate(Tensor.from_dense(dense))
 
 
 @pytest.mark.parametrize("shift", [2.0, 3.9, 3.99])
-def test_find_certificate_non_m_tensor_fails_cleanly(shift):
+def test_find_certificate_non_m_tensor_fails_cleanly(monkeypatch, shift):
     # below the spectral radius 4 of the all-ones part the accelerated
     # iterates grow without bound; that must end in InitializationError,
     # not in a least-squares failure or a leaked overflow warning
+    monkeypatch.setattr(mteq.initializer, "MAX_SWEEPS", 2000)
     dense = -np.ones((2, 2, 2))
     dense[0, 0, 0] += shift
     dense[1, 1, 1] += shift
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InitializationError):
-            find_certificate(Tensor.from_dense(dense), max_sweeps=2000)
+            find_certificate(Tensor.from_dense(dense))
 
 
-@pytest.mark.parametrize("cap", [-1, 2.5, 2.0, "3", None])
-def test_find_certificate_refuses_a_cap_that_is_not_a_count(cap):
-    t = Tensor.identity(3, 2)
-    with pytest.raises(ValueError, match="max_sweeps must be an integer >= 0"):
-        find_certificate(t, max_sweeps=cap)
-
-
-def test_find_certificate_cap_zero_tests_the_all_ones_start_only():
+def test_find_certificate_cap_zero_tests_the_all_ones_start_only(monkeypatch):
+    monkeypatch.setattr(mteq.initializer, "MAX_SWEEPS", 0)
     p = gen_problem3(24)
     with pytest.raises(InitializationError, match="cap of 0 splitting sweeps"):
-        find_certificate(p.A, rhs=p.b, max_sweeps=0)
-    assert find_certificate(Tensor.identity(3, 2), max_sweeps=np.int64(0))[1] == 0
+        find_certificate(p.A, rhs=p.b)
+    assert find_certificate(Tensor.identity(3, 2))[1] == 0
 
 
 def _pin_sweeps(A, rhs, apply):
@@ -198,10 +195,11 @@ def test_each_mix_of_the_sweeps_is_numpys_lstsq_bitwise(monkeypatch, n):
         assert out[0].tobytes() == (g - held[:, :d_val.shape[1]] @ gamma).tobytes()
 
 
-def test_find_certificate_cap_message_reports_reach():
+def test_find_certificate_cap_message_reports_reach(monkeypatch):
+    monkeypatch.setattr(mteq.initializer, "MAX_SWEEPS", 5)
     p = gen_problem3(40)
     with pytest.raises(InitializationError) as info:
-        find_certificate(p.A, rhs=p.b, max_sweeps=5)
+        find_certificate(p.A, rhs=p.b)
     msg = str(info.value)
     assert "cap of 5 splitting sweeps ran out" in msg
     assert "smallest ratio of A x^{m-1} to its positivity floor" in msg

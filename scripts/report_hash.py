@@ -2,11 +2,12 @@
 
 A refactor that must not change any iterate runs this before and after the
 change and compares the two lines.  The hash covers every ``SolveReport``
-field except the wall-clock ``elapsed_ms`` of the trace records: the
-status, ``x_final``, ``y_final`` and every iterate as raw float64 bytes,
-the trace records, both residuals, ``stop_threshold``, ``message`` and
-``mode``.  It also covers each ``InitialPoint`` (``u``, ``x0`` and ``y0``
-as raw float64 bytes, and ``iterations``); initializer failures enter the
+field except the wall-clock ``elapsed_ms`` of the trace records and of
+the start: the status, ``x_final``, ``y_final`` and every iterate as raw
+float64 bytes, the trace records, both residuals, ``stop_threshold``,
+``message`` and ``mode``.  It also covers each ``InitialPoint`` (``u``,
+``x0`` and ``y0`` as raw float64 bytes, and ``iterations``), the report's
+``start`` where it has one; initializer failures enter the
 hash through their message.  Last come the exit code and standard output
 of ``mteq verify --rhs`` on problem files written by ``write_problem``,
 the bytes of the ``tensor.mt`` and ``rhs.vec`` files that ``write_problem``
@@ -19,8 +20,9 @@ The ensemble:
 
 - P1, P2, P4 and P5 at (m, n) = (3, 30) and (4, 8), and P1 and P4 at
   (5, 6), seeds 0 to 7, each with its generated ``b`` and half-zeroed,
-  solved with the default config and with ``max_iter=2``; a positive
-  ``b`` goes through both ``solve_positive`` and ``solve_nonnegative``;
+  solved by ``mteq.solve`` with the default config and with
+  ``max_iter=2``; a positive ``b`` also goes through ``solve_nonnegative``
+  from the start that ``mteq.solve`` built;
 - P3 at n = 24 and 40 with the three boundary pairs of the stencil
   benchmark, stopping on the residual relative to ``||b||``;
 - bad starting points (negative, zero, infeasible, wrong shape) and a
@@ -99,19 +101,21 @@ def init_bytes(init: mteq.InitialPoint) -> bytes:
 
 
 def solves(label, p, cfg):
-    """Initialize and solve ``p`` with each applicable solver; each item
-    is labelled ``label`` and the step."""
+    """The start and report of ``mteq.solve(p, cfg)`` and, for a positive
+    ``b``, ``solve_nonnegative`` from the same start; each item is
+    labelled ``label`` and the step."""
     try:
-        init = mteq.initial_point(p, cfg)
+        rep = mteq.solve(p, cfg)
     except mteq.InitializationError as exc:
         yield f"{label}: init", f"init: {exc}".encode()
         return
-    yield f"{label}: init", init_bytes(init)
-    if not p.partition.i_zero.size:
-        yield (f"{label}: solve_positive",
-               report_bytes(mteq.solve_positive(p, init.x0, cfg)))
+    yield f"{label}: init", init_bytes(rep.start)
+    if p.partition.i_zero.size:
+        yield f"{label}: solve_nonnegative", report_bytes(rep)
+        return
+    yield f"{label}: solve_positive", report_bytes(rep)
     yield (f"{label}: solve_nonnegative",
-           report_bytes(mteq.solve_nonnegative(p, init.y0, cfg)))
+           report_bytes(mteq.solve_nonnegative(p, rep.start.y0, cfg)))
 
 
 def dense_problems(sizes=((3, 30), (4, 8)), seeds=range(8),

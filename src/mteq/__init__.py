@@ -4,8 +4,8 @@ coefficients.
 The package provides tensor storage with the contraction kernels, a
 feasibility-preserving damped Newton solver for positive right-hand sides,
 an extended variant for right-hand sides with zeros, a feasible-point
-initializer, seeded benchmark generators, and a command-line front end
-(``mteq solve|gen|verify|bench``).
+initializer, ``solve``, which chains them, seeded benchmark generators,
+and a command-line front end (``mteq solve|gen|verify|bench``).
 """
 
 from .initializer import (InitializationError, InitialPoint, find_certificate,
@@ -22,7 +22,7 @@ from .report import (IterationRecord, SolveReport, SolveStatus,
                      estimate_order, write_trace_csv)
 from .solver_basic import (line_search_basic, newton_direction,
                            solve_positive, trial_scale)
-from .solver_extended import line_search_extended, solve_nonnegative
+from .solver_extended import line_search_extended, solve, solve_nonnegative
 from .tensor import (FormatError, Tensor, dense_cap, hadamard_power,
                      m_splitting, nqz_spectral_radius, read_tensor,
                      read_vector, write_tensor, write_vector)

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Four subcommands: ``solve`` runs either solver on a tensor file (``.mt``
+Four subcommands: ``solve`` runs :func:`mteq.solve` on a tensor (``.mt``
 text or dense ``.npy``) and a ``.vec`` file, ``gen`` materializes benchmark
 instances, ``verify`` reports the structural certificates of a tensor, and
 ``bench`` aggregates seeded trials into the iteration/time tables.
@@ -23,14 +23,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .initializer import InitializationError, find_certificate, initial_point
+from .initializer import InitializationError, find_certificate
 from .model import MTeqProblem, SolverConfig, make_problem, scale_problem
 from .problems import (TENSOR_FILES, _check_fraction, _seed_key, gen_problem1,
                        gen_problem2, gen_problem3, gen_problem4, gen_problem5,
                        write_problem, zero_out_rhs)
-from .report import SolveReport, SolveStatus, estimate_order, write_trace_csv
-from .solver_basic import solve_positive
-from .solver_extended import solve_nonnegative
+from .report import SolveStatus, estimate_order, write_trace_csv
+from .solver_extended import solve
 from .tensor import (FormatError, m_splitting, nqz_spectral_radius,
                      read_tensor, read_vector, write_vector)
 
@@ -151,13 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # solve
 
-def _solve_from(p: MTeqProblem, init, cfg: SolverConfig) -> SolveReport:
-    """The solver matching the right-hand side pattern, run from ``init``."""
-    if p.partition.i_zero.size:
-        return solve_nonnegative(p, init.y0, cfg)
-    return solve_positive(p, init.x0, cfg)
-
-
 _STATUS_EXIT = {
     SolveStatus.CONVERGED: EXIT_OK,
     SolveStatus.ITERATION_CAP: EXIT_CAP,
@@ -181,14 +173,13 @@ def cmd_solve(args) -> int:
                     f"{p.assumption.missing_text}")
     with _exit_on(EXIT_INFEASIBLE, InitializationError,
                   prefix="initialization failed"):
-        init = initial_point(p, cfg)
-        report = _solve_from(p, init, cfg)
+        report = solve(p, cfg)
     with _exit_on(EXIT_IO, OSError):
         write_vector(args.solution, report.x_final)
         if args.trace:
             write_trace_csv(report, args.trace)
     print(f"status: {report.status.value}")
-    print(f"iterations: {report.iterations} (initializer sweeps: {init.iterations})")
+    print(f"iterations: {report.iterations} (initializer sweeps: {report.start.iterations})")
     print(f"residual: {report.final_residual:.3e} (scaled by 1/{p.omega:.6g})")
     order = estimate_order(report)
     if order is not None:
@@ -346,28 +337,24 @@ def bench_cell(factory, trials, cfg: SolverConfig) -> CellResult:
     refuses, is raised.
     """
     iters, times, init_times, init_iters = [], [], [], []
-    converged = 0
     m = n = 0
     for t in range(trials):
         p = factory(t)
         m, n = p.m, p.n
         try:
             tic = time.perf_counter()
-            init = initial_point(p, cfg)
-            mid = time.perf_counter()
-            report = _solve_from(p, init, cfg)
+            report = solve(p, cfg)
             toc = time.perf_counter()
         except (InitializationError, ValueError):
             continue
         if report.converged:
-            converged += 1
             iters.append(report.iterations)
             times.append(toc - tic)
-            init_times.append(mid - tic)
-            init_iters.append(init.iterations)
+            init_times.append(report.start.elapsed_ms / 1e3)
+            init_iters.append(report.start.iterations)
     def mean(vals):
         return float(np.mean(vals)) if vals else float("nan")
-    return CellResult(m=m, n=n, trials=trials, converged=converged,
+    return CellResult(m=m, n=n, trials=trials, converged=len(iters),
                       iter_mean=mean(iters), time_mean_s=mean(times),
                       init_time_mean_s=mean(init_times),
                       init_iters_mean=mean(init_iters))
@@ -413,14 +400,17 @@ def cmd_bench(args) -> int:
             cells.append(bench_cell(lambda t, m=m, n=n, keep=keep: _instance(
                 args, m, n, args.seed + t, keep), args.trials, cfg))
     table = markdown_table(cells)
-    print(table, end="")
-    if args.out:
-        with _exit_on(EXIT_IO, OSError):
-            os.makedirs(args.out, exist_ok=True)
-            with open(os.path.join(args.out, "bench.md"), "w") as fh:
-                fh.write(table)
-            with open(os.path.join(args.out, "bench.csv"), "w") as fh:
-                fh.write(csv_table(cells))
+    try:
+        if args.out:
+            with _exit_on(EXIT_IO, OSError):
+                os.makedirs(args.out, exist_ok=True)
+                with open(os.path.join(args.out, "bench.md"), "w") as fh:
+                    fh.write(table)
+                with open(os.path.join(args.out, "bench.csv"), "w") as fh:
+                    fh.write(csv_table(cells))
+    finally:
+        # after the files, so that a closed standard output cannot stop them
+        print(table, end="")
     return EXIT_OK
 
 

@@ -38,6 +38,7 @@ called directly (:func:`mteq.linalg.lstsq`), takes 10 us and 56 us.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,12 +80,14 @@ class InitialPoint:
     problem carries the all-ones certificate.  Otherwise it is at least
     1: the sweeps' test at their all-ones start has a floor no lower than
     the dominance test's, so a tensor that fails the one fails the other.
+    ``elapsed_ms`` is the wall-clock time :func:`initial_point` took.
     """
 
     x0: np.ndarray
     y0: np.ndarray
     iterations: int
     u: np.ndarray
+    elapsed_ms: float
 
 
 def _positive_diagonal(A: Tensor) -> np.ndarray:
@@ -243,6 +246,7 @@ def initial_point(p: MTeqProblem, cfg: SolverConfig | None = None) -> InitialPoi
     ``x0`` is constant, and its record scales the tensor's record of the
     all-ones vector without a pass (see :mod:`mteq.model`).
     """
+    tic = time.perf_counter()
     cfg = cfg or SolverConfig()
     part = p.partition
     if part.i_plus.size == 0:
@@ -261,4 +265,5 @@ def initial_point(p: MTeqProblem, cfg: SolverConfig | None = None) -> InitialPoi
     y0 = hadamard_power(x0, m - 1)
     if not (_in_domain(y0) and in_feasible_split(p, y0, cfg.eps, cfg.eps2)):
         raise InitializationError("constructed point failed the feasibility check")
-    return InitialPoint(x0=x0, y0=y0, iterations=sweeps, u=u)
+    return InitialPoint(x0=x0, y0=y0, iterations=sweeps, u=u,
+                        elapsed_ms=(time.perf_counter() - tic) * 1e3)

@@ -9,6 +9,8 @@ from enum import Enum
 
 import numpy as np
 
+from .initializer import InitialPoint
+
 __all__ = [
     "SolveStatus",
     "IterationRecord",
@@ -49,7 +51,8 @@ class SolveReport:
 
     ``iterates`` keeps every accepted transformed iterate (including the
     starting point), which is cheap at the scales this library targets and
-    lets tests re-check feasibility of the whole path.
+    lets tests re-check feasibility of the whole path.  ``start`` is the
+    start that :func:`mteq.solve` built, else ``None``.
     """
 
     status: SolveStatus
@@ -62,6 +65,7 @@ class SolveReport:
     stop_threshold: float = 0.0
     message: str = ""
     mode: str | None = None
+    start: InitialPoint | None = None
 
     @property
     def converged(self) -> bool:

@@ -269,9 +269,10 @@ def solve_positive(p: MTeqProblem, x0, cfg: SolverConfig | None = None) -> Solve
     """Solve ``A x^{m-1} = b`` for ``b > 0`` starting from a feasible ``x0``.
 
     The starting point must be strictly positive, with a finite ``x0^{m-1}``
-    and ``A x0^{m-1} >= eps * b``; otherwise the report comes back with
-    status ``BAD_INITIAL_POINT``.  Right-hand sides with zero components
-    belong to :func:`~mteq.solver_extended.solve_nonnegative`.
+    and ``A x0^{m-1} >= eps * b``; otherwise the report comes back with status
+    ``BAD_INITIAL_POINT``.  Right-hand sides with zero components belong to
+    :func:`~mteq.solver_extended.solve_nonnegative`.  :func:`mteq.solve` builds
+    the start; call this directly only to start from a point of one's own.
     """
     cfg = cfg or SolverConfig()
     if p.partition.i_zero.size:

@@ -14,12 +14,15 @@ the damping.
 
 from __future__ import annotations
 
+from .initializer import initial_point
 from .model import MTeqProblem, SolverConfig
 from .report import SolveReport
-from .solver_basic import LineSearchResult, _backtrack, _damped_newton
+from .solver_basic import (LineSearchResult, _backtrack, _damped_newton,
+                           solve_positive)
 
 __all__ = [
     "line_search_extended",
+    "solve",
     "solve_nonnegative",
 ]
 
@@ -41,7 +44,8 @@ def solve_nonnegative(p: MTeqProblem, y0, cfg: SolverConfig | None = None) -> So
     row has no nonzero entry coupling it to the positive index set, since no
     positive solution can exist then.  The starting point must satisfy the
     split feasibility test, else ``BAD_INITIAL_POINT``.  The report's
-    ``mode`` is ``"residual_scaled"``.
+    ``mode`` is ``"residual_scaled"``.  :func:`solve` builds the start;
+    call this directly only to start from a point of one's own.
     """
     cfg = cfg or SolverConfig()
     assumption = p.assumption
@@ -50,3 +54,18 @@ def solve_nonnegative(p: MTeqProblem, y0, cfg: SolverConfig | None = None) -> So
         + assumption.missing_text)
     return _damped_newton(p, y0, cfg, line_search_extended, start_is_y=True,
                           mode="residual_scaled", refusal=refusal)
+
+
+def solve(p: MTeqProblem, cfg: SolverConfig | None = None) -> SolveReport:
+    """Solve ``A x^{m-1} = b`` for ``b >= 0`` from :func:`initial_point`.
+
+    Runs :func:`solve_positive` if ``b > 0``, else :func:`solve_nonnegative`,
+    and sets the report's ``start``; :class:`InitializationError` propagates.
+    """
+    start = initial_point(p, cfg)
+    if p.partition.i_zero.size:
+        report = solve_nonnegative(p, start.y0, cfg)
+    else:
+        report = solve_positive(p, start.x0, cfg)
+    report.start = start
+    return report

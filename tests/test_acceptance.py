@@ -15,8 +15,7 @@ import pytest
 
 from mteq import (SolverConfig, Tensor, check_assumption, estimate_order,
                   in_feasible_split, initial_point, make_problem, residual,
-                  residual_jacobian, solve_nonnegative, solve_positive,
-                  write_tensor)
+                  residual_jacobian, solve, solve_positive, write_tensor)
 from mteq.cli import EXIT_INFEASIBLE, main as cli_main
 from mteq.initializer import InitializationError
 from mteq.problems import (gen_problem1, gen_problem2, gen_problem3,
@@ -64,14 +63,10 @@ def _walk_invariants(p, cfg, rep):
         prev = rec.residual_norm
 
 
-def _solve_and_walk(p, cfg, mode="positive"):
-    ip = initial_point(p, cfg)
-    if mode == "positive":
-        rep = solve_positive(p, ip.x0, cfg)
-    else:
-        rep = solve_nonnegative(p, ip.y0, cfg)
+def _solve_and_walk(p, cfg):
+    rep = solve(p, cfg)
     _walk_invariants(p, cfg, rep)
-    return ip, rep
+    return rep.start, rep
 
 
 def small_dense_tensor():
@@ -121,11 +116,11 @@ def test_criterion_2_oracle():
     t0 = time.perf_counter()
     A = small_dense_tensor()
     p1 = make_problem(A, np.array([1.0, 1.0]))
-    rep1 = solve_positive(p1, initial_point(p1).x0)
+    rep1 = solve(p1)
     err_ones = np.abs(rep1.x_final - 5.0).max()
 
     p2 = make_problem(A, np.array([1.0, 0.0]))
-    rep2 = solve_nonnegative(p2, initial_point(p2).y0)
+    rep2 = solve(p2)
     oracle = two_var_bisection(A.to_dense_array(), p2.b)
     err_mixed = np.abs(rep2.x_final - oracle).max()
     elapsed = time.perf_counter() - t0
@@ -204,7 +199,7 @@ def extended_runs():
         for seed in SEEDS:
             p0 = gen(3, 50, seed)
             p = make_problem(p0.A, zero_out_rhs(p0.b, seed=seed))
-            _, rep = _solve_and_walk(p, cfg, mode="nonnegative")
+            _, rep = _solve_and_walk(p, cfg)
             all_ok = (all_ok and rep.converged and rep.x_final.min() > 0.0
                       and rep.final_residual <= 1e-10)
             iters.append(rep.iterations)

@@ -492,6 +492,13 @@ def test_closed_standard_output_exits_1_quietly(tmp_path, command, unbuffered):
                       "--solution", str(sol)],
             "bench": ["bench", "--problem", "1", "--sizes", "3,6", "--trials", "1"]}
     written = {"gen": tmp_path / "g" / "tensor.mt", "solve": sol}.get(command)
+    assert run_with_closed_stdout(argv[command], unbuffered) == (EXIT_IO, b"")
+    assert written is None or written.exists()
+
+
+def run_with_closed_stdout(argv, unbuffered):
+    """Exit code and standard error of ``python -m mteq *argv`` in a child
+    whose standard output is a pipe without a reader."""
     src = os.path.dirname(os.path.dirname(mteq.__file__))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = src
@@ -500,10 +507,24 @@ def test_closed_standard_output_exits_1_quietly(tmp_path, command, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the first write
     try:
-        done = subprocess.run([sys.executable, "-m", "mteq", *argv[command]],
+        done = subprocess.run([sys.executable, "-m", "mteq", *argv],
                               stdout=write_end, stderr=subprocess.PIPE,
                               env=env, timeout=120)
     finally:
         os.close(write_end)
-    assert (done.returncode, done.stderr) == (EXIT_IO, b"")
-    assert written is None or written.exists()
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_bench_writes_its_files_when_standard_output_is_closed(tmp_path,
+                                                                unbuffered):
+    # the table is printed after the files, so a print that fails on the
+    # closed pipe cannot keep them from being written
+    out = tmp_path / "bo"
+    argv = ["bench", "--problem", "1", "--sizes", "3,6", "--trials", "1",
+            "--out", str(out)]
+    assert run_with_closed_stdout(argv, unbuffered) == (EXIT_IO, b"")
+    assert "| (3,6) |" in (out / "bench.md").read_text()
+    with open(out / "bench.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["m"], r["n"], r["converged"]) for r in rows] == [("3", "6", "1")]

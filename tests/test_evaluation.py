@@ -12,7 +12,7 @@ import pytest
 
 from mteq import (SolverConfig, Tensor, hadamard_power, initial_point,
                   line_search_basic, make_problem, newton_direction, residual,
-                  residual_jacobian, solve_nonnegative, solve_positive)
+                  residual_jacobian, solve, solve_nonnegative, solve_positive)
 from mteq import cli, tensor
 from mteq.model import _evaluate
 from mteq.problems import (gen_problem1, gen_problem2, gen_problem4,
@@ -67,13 +67,9 @@ def trials(rep):
 def test_start_is_contracted_once(zero):
     # P4 has no symmetry, so with b > 0 the final point is predicted
     p, counted = counted_problem(gen_problem4(3, 30, 2), zero=zero, seed=2)
-    init = initial_point(p)
-    if zero:
-        rep = solve_nonnegative(p, init.y0)
-    else:
-        rep = solve_positive(p, init.x0)
+    rep = solve(p)
     assert rep.converged
-    x0 = hadamard_power(init.y0, 1.0 / (p.m - 1))
+    x0 = hadamard_power(rep.start.y0, 1.0 / (p.m - 1))
     # the start costs no pass: x0 is constant, and its record scales the
     # record of the all-ones vector that the dominance test made; then
     # one record per trial, each a single pass
@@ -126,10 +122,10 @@ def test_positive_solve_makes_one_fused_and_one_image_pass(slot_passes, gen):
     # step's, predicted final, is one pass without slot terms
     for seed in range(2):
         p = gen(3, 200, seed)
-        for solve, start in ((solve_positive, "x0"),
-                             (solve_nonnegative, "y0")):
+        for solver, start in ((solve_positive, "x0"),
+                              (solve_nonnegative, "y0")):
             slot_passes.clear()
-            rep = solve(p, getattr(initial_point(p), start))
+            rep = solver(p, getattr(initial_point(p), start))
             assert rep.converged and rep.iterations == 2
             assert [jac for _, jac in slot_passes] == [True, False]
             assert np.array_equal(slot_passes[-1][0], rep.x_final)

@@ -19,9 +19,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mteq import (FormatError, SolverConfig, Tensor, initial_point,
-                  read_tensor, read_vector, scale_problem, solve_nonnegative,
-                  solve_positive, write_tensor, write_vector)
+from mteq import (FormatError, SolverConfig, Tensor, read_tensor,
+                  read_vector, scale_problem, solve, write_tensor,
+                  write_vector)
 from mteq import textcodec
 from mteq.cli import EXIT_CAP, EXIT_IO, EXIT_OK, main
 from mteq.problems import (gen_problem1, gen_problem2, gen_problem3,
@@ -853,9 +853,7 @@ def test_npy_solve_matches_text_and_in_process(tmp_path, capsys, problem, zero):
     p = gen(3, 9, 4)
     p = scale_problem(p.A, zero_out_rhs(p.b, 4, keep=(0,)) if zero else p.b)
     cfg = SolverConfig()
-    init = initial_point(p, cfg)
-    rep = (solve_nonnegative(p, init.y0, cfg) if zero
-           else solve_positive(p, init.x0, cfg))
+    rep = solve(p, cfg)
     assert x == rep.x_final.tobytes()
     assert [float(r["residual"]) for r in rows] == \
         [rec.residual_norm for rec in rep.trace]

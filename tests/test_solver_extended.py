@@ -1,14 +1,19 @@
 """Newton iteration with index-partitioned feasibility for b >= 0."""
 
+import contextlib
+import io
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mteq import (SolveStatus, SolverConfig, Tensor, initial_point,
-                  line_search_basic, line_search_extended, make_problem,
-                  newton_direction, residual, solve_nonnegative,
-                  solve_positive, trial_scale)
+from mteq import (InitializationError, SolveStatus, SolverConfig, Tensor,
+                  initial_point, line_search_basic, line_search_extended,
+                  make_problem, newton_direction, residual, solve,
+                  solve_nonnegative, solve_positive, trial_scale)
 from mteq import solver_basic
-from mteq.problems import gen_problem1, zero_out_rhs
+from mteq.problems import gen_problem1, gen_problem3, gen_problem5, zero_out_rhs
 
 from oracles import two_var_bisection
 
@@ -164,3 +169,63 @@ def test_positive_rhs_accepted_by_extended_path():
     assert rep.converged
     check = solve_positive(p, initial_point(p).x0)
     assert np.allclose(rep.x_final, check.x_final, rtol=1e-10, atol=0)
+
+
+def half_zeroed_p5():
+    p = gen_problem5(3, 30, 0)
+    return make_problem(p.A, zero_out_rhs(p.b, 0, keep=(0,)), omega=p.omega)
+
+
+def report_fields(rep):
+    """Every field of ``rep`` but the wall-clock times, floats as bytes."""
+    trace = [(r.k, r.alpha, r.residual_norm, r.backtracks, r.feasible)
+             for r in rep.trace]
+    return (rep.status, rep.x_final.tobytes(), rep.y_final.tobytes(),
+            [y.tobytes() for y in rep.iterates], trace, rep.final_residual,
+            rep.initial_residual, rep.stop_threshold, rep.message, rep.mode)
+
+
+@pytest.mark.parametrize("make, cfg, sweeps_ok", [
+    (lambda: gen_problem1(3, 30, 0), SolverConfig(), lambda k: k == 0),
+    (half_zeroed_p5, SolverConfig(), lambda k: k >= 0),
+    (lambda: gen_problem3(24), SolverConfig(relative_stop=True), lambda k: k > 0),
+], ids=["P1", "P5-half-zeroed", "P3"])
+def test_solve_matches_the_start_and_the_solver_it_picks(make, cfg, sweeps_ok):
+    p = make()
+    init = initial_point(p, cfg)
+    if p.partition.i_zero.size:
+        want = solve_nonnegative(p, init.y0, cfg)
+    else:
+        want = solve_positive(p, init.x0, cfg)
+    rep = solve(make(), cfg)
+    assert rep.converged
+    assert report_fields(rep) == report_fields(want)
+    start = rep.start
+    assert [start.u.tobytes(), start.x0.tobytes(), start.y0.tobytes()] == \
+        [init.u.tobytes(), init.x0.tobytes(), init.y0.tobytes()]
+    assert start.iterations == init.iterations and sweeps_ok(start.iterations)
+    assert start.elapsed_ms >= 0.0
+    # a solver called with a start of the caller's reports none
+    assert want.start is None
+
+
+def test_solve_raises_when_no_start_exists():
+    # not a strong M-tensor: the splitting has a zero diagonal
+    dense = -np.ones((2, 2, 2))
+    dense[0, 0, 0] += 1.0
+    dense[1, 1, 1] += 1.0
+    p = make_problem(Tensor.from_dense(dense), np.array([1.0, 1.0]))
+    with pytest.raises(InitializationError):
+        solve(p)
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    shown = io.StringIO()
+    with contextlib.redirect_stdout(shown):
+        exec(compile(code, "README.md", "exec"), {})
+    lines = shown.getvalue().splitlines()
+    assert lines[0].startswith("CONVERGED ")
+    assert lines[-1] == "CONVERGED residual_scaled True"

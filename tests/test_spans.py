@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mteq import initial_point, solve_nonnegative, solve_positive, zero_out_rhs
+from mteq import solve, solve_nonnegative, zero_out_rhs
 from mteq import problems, tensor
 from mteq.problems import (_draw, _rng, _uniform_open, gen_problem1,
                            gen_problem2, gen_problem3, gen_problem4,
@@ -216,16 +216,12 @@ def test_small_and_coo_tensors_start_no_thread(monkeypatch):
     for gen in (gen_problem1, gen_problem4, gen_problem5):
         p = gen(3, 30, 1)
         assert p.A.dense_values.nbytes < tensor._PARALLEL_MIN_BYTES
-        init = initial_point(p)
-        solve_nonnegative(p, init.y0)
-        if p.certificate is not None:
-            solve_positive(p, init.x0)
+        solve_nonnegative(p, solve(p).start.y0)
     # COO storage never cuts its passes, at any size
     monkeypatch.setattr(tensor, "_PARALLEL_MIN_BYTES", 0)
     p = gen_problem3(40)
     assert p.A.storage == "coo"
-    init = initial_point(p)
-    solve_positive(p, init.x0)
+    solve(p)
     x = np.linspace(0.5, 1.5, p.n)
     p.A.apply(x)
     p.A.jacobian_matrix(x)

@@ -6,10 +6,12 @@ field except the wall-clock ``elapsed_ms`` of the trace records and of
 the start: the status, ``x_final``, ``y_final`` and every iterate as raw
 float64 bytes, the trace records, both residuals, ``stop_threshold``,
 ``message`` and ``mode``.  It also covers each ``InitialPoint`` (``u``,
-``x0`` and ``y0`` as raw float64 bytes, and ``iterations``), the report's
-``start`` where it has one; initializer failures enter the
-hash through their message.  Last come the exit code and standard output
-of ``mteq verify --rhs`` on problem files written by ``write_problem``,
+``x0`` and ``y0`` as raw float64 bytes, ``iterations``, and ``steps``
+where there are any, so that a start without steps keeps the digest it
+had before starts had steps), the report's ``start`` where it has one;
+initializer failures enter the hash through their message.  Last come
+the exit code and standard output of ``mteq verify --rhs`` on problem
+files written by ``write_problem``,
 the bytes of the ``tensor.mt`` and ``rhs.vec`` files that ``write_problem``
 writes, the output of ``mteq solve`` from a tensor written as
 ``tensor.npy``, and then the generated instances themselves: the raw
@@ -96,8 +98,11 @@ def report_bytes(rep: mteq.SolveReport) -> bytes:
 
 
 def init_bytes(init: mteq.InitialPoint) -> bytes:
-    return b"|".join([_array(init.u), _array(init.x0), _array(init.y0),
-                      str(init.iterations).encode()])
+    parts = [_array(init.u), _array(init.x0), _array(init.y0),
+             str(init.iterations).encode()]
+    if init.steps:
+        parts.append(f"steps {init.steps}".encode())
+    return b"|".join(parts)
 
 
 def solves(label, p, cfg):

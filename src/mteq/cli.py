@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .initializer import InitializationError, find_certificate
+from .linalg import _lapack
 from .model import MTeqProblem, SolverConfig, make_problem, scale_problem
 from .problems import (TENSOR_FILES, _check_fraction, _seed_key, gen_problem1,
                        gen_problem2, gen_problem3, gen_problem4, gen_problem5,
@@ -159,6 +160,19 @@ _STATUS_EXIT = {
 }
 
 
+def _plural(count, noun) -> str:
+    return f"{count} {noun}{'' if count == 1 else 's'}"
+
+
+def _found_by(steps, sweeps) -> str:
+    """How a certificate was found, such as ``1 Newton step`` or ``3
+    Newton steps, then 12 splitting sweeps``."""
+    parts = [_plural(steps, "Newton step")] if steps or not sweeps else []
+    if sweeps:
+        parts.append(_plural(sweeps, "splitting sweep"))
+    return ", then ".join(parts)
+
+
 def cmd_solve(args) -> int:
     with _exit_on(EXIT_CAP, ValueError):  # usage-level error
         cfg = _config_from(args)
@@ -179,7 +193,10 @@ def cmd_solve(args) -> int:
         if args.trace:
             write_trace_csv(report, args.trace)
     print(f"status: {report.status.value}")
-    print(f"iterations: {report.iterations} (initializer sweeps: {report.start.iterations})")
+    start = report.start
+    how = (f"initializer: {_found_by(start.steps, start.iterations)}" if start.steps
+           else f"initializer sweeps: {start.iterations}")
+    print(f"iterations: {report.iterations} ({how})")
     print(f"residual: {report.final_residual:.3e} (scaled by 1/{p.omega:.6g})")
     order = estimate_order(report)
     if order is not None:
@@ -281,14 +298,15 @@ def cmd_verify(args) -> int:
     if z:
         # s*I - A of a finite tensor is nonnegative exactly when A is a
         # Z-tensor; the certificate is the solvers' own: the all-ones
-        # vector when the tensor is dominant, else splitting sweeps
+        # vector when the tensor is dominant, else Newton steps and, where
+        # they fail, splitting sweeps
         lo, hi = nqz_spectral_radius(m_splitting(A, s)[1])
         cmp = "<" if hi < s else ">="
         print(f"spectral radius bracket of the nonnegative part: "
               f"[{lo:.6g}, {hi:.6g}] (upper {cmp} s)")
         try:
             how = ("all-ones vector" if dominant
-                   else f"{find_certificate(A)[1]} splitting sweeps")
+                   else _found_by(*find_certificate(A)[1:3]))
             print(f"positivity certificate A u^{{m-1}} > 0: found ({how})")
             certified = True
         except InitializationError as exc:
@@ -394,6 +412,8 @@ def cmd_bench(args) -> int:
             raise ValueError("trials must be at least 1")
         _check_draw_args(args)
         cfg = _config_from(args)
+        # import LAPACK before the first timer, not inside the first cell's
+        _lapack()
         cells = []
         for m, n in sizes:
             keep = _parse_keep(args.keep, n, args.problem)

@@ -6,11 +6,12 @@ working precision, and a matrix with a NaN or infinite entry as unusable.
 Both are reported as an explicit error rather than letting garbage
 propagate into a Newton step.
 
-The Newton solves and the least-squares solves of the accelerated
-splitting sweeps call LAPACK (``dgetrf``/``dgetrs`` and ``dgelsd``)
-through ``scipy.linalg.lapack`` directly: the wrappers of
-``scipy.linalg`` and ``np.linalg`` around the same routines cost more than
-the routines themselves at the sizes solved here.  The results keep the
+The Newton solves, those of the certificate search among them, and the
+least-squares solves of the accelerated splitting sweeps call LAPACK
+(``dgetrf``/``dgetrs`` and ``dgelsd``) through ``scipy.linalg.lapack``
+directly: the wrappers of ``scipy.linalg`` and ``np.linalg`` around the
+same routines cost more than the routines themselves at the sizes solved
+here.  The results keep the
 wrappers' bits: the LU solve is the call that ``scipy.linalg.lu_factor``
 and ``lu_solve`` make, and the least-squares solve the one that
 ``np.linalg.lstsq(a, b, rcond=None)`` makes, which agrees with numpy's
@@ -42,9 +43,9 @@ class SingularMatrixError(RuntimeError):
 @functools.cache
 def _lapack():
     """``scipy.linalg.lapack``, imported on first use, so that commands
-    which neither solve nor sweep (``mteq gen``, ``--help``, ``verify`` of
-    a tensor whose all-ones vector is its certificate) start without
-    ``scipy.linalg``."""
+    which neither solve nor search for a certificate (``mteq gen``,
+    ``--help``, ``verify`` of a tensor whose all-ones vector is its
+    certificate) start without ``scipy.linalg``."""
     from scipy.linalg import lapack
     return lapack
 

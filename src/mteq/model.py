@@ -133,7 +133,7 @@ class MTeqProblem:
     cached dominance test: the all-ones vector when ``A e^{m-1}`` clears
     the tensor's noise floor, which certifies the strong M-tensor
     property, else ``None``, and :func:`~mteq.initializer.initial_point`
-    sweeps for one.  A tensor or right-hand side with a NaN or infinite
+    searches for one.  A tensor or right-hand side with a NaN or infinite
     entry is rejected, each with its own message, before the Z-sign test.
     Treat instances as immutable after construction: ``_memo`` holds the
     last evaluated point, computed from ``A`` and ``b``.

@@ -2,15 +2,19 @@
 
 Everything here is deliberately slow and direct: nested index loops,
 central differences, and bisection.  None of it shares code with the
-package under test, so agreement is meaningful.  :class:`CountingTensor`
-is the one exception: it delegates to a tensor of the package and counts
-the calls that reach its kernels.
+package under test, so agreement is meaningful.  Two helpers are the
+exceptions: :class:`CountingTensor` delegates to a tensor of the package
+and counts the calls that reach its kernels, and :func:`near_singular`
+builds a test tensor from the package's spectral-radius bracket.
 """
 
 import types
 from itertools import permutations, product
 
 import numpy as np
+
+from mteq import Tensor
+from mteq.tensor import nqz_spectral_radius
 
 # the tensor methods that CountingTensor records
 KERNELS = ("apply", "jacobian_matrix", "image_and_jacobian", "diagonal")
@@ -280,6 +284,21 @@ def certificate_sweeps(apply, diag, max_abs, m, rhs=None, depth=5,
                     z, xm = mixed
             x = xm ** (1.0 / (m - 1))
     return None
+
+
+def near_singular(m, n, delta, seed, density=0.3):
+    """A dense strong M-tensor ``s I - B`` close to singular: ``B`` keeps
+    a uniform entry with probability ``density`` (the pattern and values
+    drawn from ``default_rng(seed)``), and ``s`` is ``1 + delta`` times the
+    upper end of the bracket that ``nqz_spectral_radius`` gives for ``B``.
+    The smaller ``delta``, the closer the tensor is to singular."""
+    rng = np.random.default_rng(seed)
+    shape = (n,) * m
+    b = np.where(rng.random(shape) < density, rng.random(shape), 0.0)
+    s = (1.0 + delta) * nqz_spectral_radius(Tensor.from_dense(b))[1]
+    a = -b
+    a[tuple([np.arange(n)] * m)] += s
+    return Tensor.from_dense(a)
 
 
 def percent_tensor_text(t):

@@ -183,7 +183,8 @@ def test_criterion_4_boundary_value_problem():
     ok = rep.converged and rep.iterations <= 3 and rel <= 1e-10 and elapsed < 30.0
     _record(4, ok,
             f"n=40 converged in {rep.iterations} Newton iteration(s) after "
-            f"{ip.iterations} splitting sweeps, relative residual {rel:.1e}; "
+            f"{ip.steps} certificate step(s) and {ip.iterations} splitting "
+            f"sweeps, relative residual {rel:.1e}; "
             f"sensitivity [{'; '.join(sensitivity)}]; {elapsed:.1f}s")
 
 
@@ -259,20 +260,22 @@ def test_criterion_7_invariants(table_runs, extended_runs):
 def test_criterion_8_splitting_initializer_family():
     t0 = time.perf_counter()
     cfg = SolverConfig()
-    iters, sweeps = [], []
+    iters, steps, sweeps = [], [], []
     converged = True
     for seed in SEEDS:
         p = gen_problem5(3, 50, seed)
         ip, rep = _solve_and_walk(p, cfg)
         converged = converged and rep.converged
         iters.append(rep.iterations)
+        steps.append(ip.steps)
         sweeps.append(ip.iterations)
     elapsed = time.perf_counter() - t0
     mean_iters = float(np.mean(iters))
     ok = converged and 2.0 <= mean_iters <= 5.0 and elapsed < 60.0
     _record(8, ok,
             f"mean {mean_iters:.2f} Newton iterations (band [2,5]) after "
-            f"mean {np.mean(sweeps):.1f} initializer sweeps; {elapsed:.1f}s")
+            f"mean {np.mean(steps):.1f} certificate steps and "
+            f"{np.mean(sweeps):.1f} sweeps; {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +323,8 @@ def test_criterion_10_large_boundary_value_problem():
         ip, rep = _solve_and_walk(p, cfg)
         converged = converged and rep.converged
         worst = max(worst, rep.final_residual / np.linalg.norm(p.b))
-        runs.append(f"c0={c0:.0e},c1={c1:.0e}: {ip.iterations} sweeps, "
-                    f"{rep.iterations} Newton")
+        runs.append(f"c0={c0:.0e},c1={c1:.0e}: {ip.steps} certificate step(s), "
+                    f"{ip.iterations} sweeps, {rep.iterations} Newton")
     elapsed = time.perf_counter() - t0
     ok = converged and worst <= 1e-10 and elapsed < 30.0
     _record(10, ok,

@@ -12,11 +12,14 @@ import numpy as np
 import pytest
 
 import mteq
-from mteq import (SolverConfig, Tensor, initial_point, model, read_vector,
-                  scale_problem, solve_positive, write_tensor, write_vector)
+from mteq import (SolverConfig, Tensor, cli, initial_point, linalg, model,
+                  read_vector, scale_problem, solve_positive, write_tensor,
+                  write_vector)
 from mteq.cli import (EXIT_CAP, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, _config_from,
                       bench_cell, build_parser, main)
 from mteq.problems import gen_problem1, gen_problem2, gen_problem3
+
+from oracles import near_singular
 
 
 def run_cli(*argv):
@@ -345,6 +348,46 @@ def test_rhs_from_a_pipe_with_a_huge_length_is_a_format_error(tmp_path):
     assert done.returncode == EXIT_IO
     assert "Traceback" not in done.stderr
     assert "expected 100000000000000 values, found 4" in done.stderr
+
+
+@pytest.mark.parametrize("delta, how", [
+    (None, "1 Newton step"),
+    (1e-2, "3 Newton steps, then 1 splitting sweep"),
+    (1e-3, "5 splitting sweeps"),
+], ids=["P3", "steps-then-sweeps", "sweeps"])
+def test_verify_says_how_the_certificate_was_found(tmp_path, capsys, delta, how):
+    # the near-singular tensors fall back to the sweeps, at 1e-2 after
+    # three steps that miss the test
+    A = gen_problem3(24).A if delta is None else near_singular(3, 30, delta, 0)
+    write_tensor(tmp_path / "t.mt", A)
+    assert run_cli("verify", str(tmp_path / "t.mt")) == EXIT_OK
+    assert (f"positivity certificate A u^{{m-1}} > 0: found ({how})"
+            in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("problem, line", [
+    (gen_problem1(3, 8, 0), "iterations: 3 (initializer sweeps: 0)"),
+    (gen_problem3(24), "iterations: 1 (initializer: 1 Newton step)"),
+], ids=["P1", "P3"])
+def test_solve_says_how_the_start_was_found(tmp_path, capsys, problem, line):
+    mteq.write_problem(tmp_path, problem, {})
+    assert run_cli("solve", str(tmp_path / "tensor.mt"), str(tmp_path / "rhs.vec"),
+                   "--solution", str(tmp_path / "x.vec")) == EXIT_OK
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_bench_loads_lapack_before_its_first_timer(monkeypatch):
+    # so that the first cell's time does not include LAPACK's import
+    linalg._lapack.cache_clear()
+    loaded = []
+    real = cli.solve
+
+    def timed(p, cfg=None):
+        loaded.append(linalg._lapack.cache_info().currsize)
+        return real(p, cfg)
+    monkeypatch.setattr(cli, "solve", timed)
+    assert run_cli("bench", "--problem", "1", "--sizes", "3,6", "--trials", "2") == EXIT_OK
+    assert loaded == [1, 1]
 
 
 def test_verify_missing_file(tmp_path):

@@ -197,20 +197,20 @@ def test_dense_record_costs_one_pass_before_its_jacobian():
 
 def test_initial_point_contracts_with_all_ones_once():
     # P5 fails the dominance test, whose record of the all-ones vector
-    # contracts with it once.  Sweep 0 of the certificate search reads
-    # that image, every later sweep contracts once, and the start reuses
-    # the last sweep's image of the certificate instead of contracting at
-    # it again.
+    # contracts with it once.  The certificate's first Newton step scales
+    # that record, image and Jacobian, one step passes the test with one
+    # contraction at its point, and the start reuses that image of the
+    # certificate instead of contracting at it again.
     q = gen_problem5(3, 12, 0)
     counted = CountingTensor(Tensor.from_dense(q.A.to_dense_array()))
     p = make_problem(counted, q.b)
     assert p.certificate is None
     init = initial_point(p)
-    assert init.iterations > 0
+    assert (init.steps, init.iterations) == (1, 0)
     ones = np.ones(p.n)
     assert counted.at(ones) == 1
     assert np.array_equal(counted.calls["image_and_jacobian"][0], ones)
-    assert len(counted.calls["apply"]) == init.iterations
+    assert len(counted.calls["apply"]) == init.steps
     assert counted.at(init.u) == 1
     # the feasibility check of the start is its record's one pass
     x0 = hadamard_power(init.y0, 1.0 / (p.m - 1))
@@ -233,8 +233,9 @@ def test_zeroed_rebuild_makes_no_contraction(gen):
 
 def test_verify_contracts_the_file_tensor_with_all_ones_once(tmp_path,
                                                              monkeypatch):
-    # the printed dominance test; sweep 0 of the certificate search and
-    # the problem built for --rhs read the record of e it cached
+    # the printed dominance test; the first Newton step of the
+    # certificate search and the problem built for --rhs read the record
+    # of e it cached
     p = gen_problem5(3, 8, 0)
     write_problem(tmp_path, p, {})
     loaded, contracted = [], []

@@ -1,5 +1,7 @@
-"""Feasible starting points from the diagonal splitting iteration."""
+"""Feasible starting points: Newton steps on ``A x^{m-1} = r``, with the
+diagonal splitting iteration as their fallback."""
 
+import time
 import types
 import warnings
 
@@ -9,12 +11,24 @@ import pytest
 import mteq.initializer
 import mteq.linalg
 from mteq import (SolverConfig, Tensor, find_certificate, hadamard_power,
-                  in_feasible_split, initial_point, jacobi_step, make_problem)
-from mteq.initializer import ANDERSON_DEPTH, MAX_SWEEPS, InitializationError, _mix
+                  in_feasible_split, initial_point, jacobi_step, make_problem,
+                  solve)
+from mteq.initializer import ANDERSON_DEPTH, InitializationError, _mix
+from mteq.linalg import SingularMatrixError
 from mteq.model import MTeqProblem
 from mteq.problems import gen_problem1, gen_problem3, gen_problem5, zero_out_rhs
 
-from oracles import CountingTensor, certificate_sweeps, coo_apply_prod
+from oracles import (CountingTensor, certificate_sweeps, coo_apply_prod,
+                     near_singular)
+
+
+def swept(m=3, n=30, delta=1e-3, seed=0):
+    """A tensor of the near-singular family whose first Newton step leaves
+    the positive cone (at the defaults), with the record of ``e`` that a
+    problem's dominance test caches, which it fails."""
+    A = near_singular(m, n, delta, seed)
+    assert make_problem(A, np.ones(n)).certificate is None
+    return A
 
 
 def test_jacobi_step_identity_fixed_point():
@@ -40,11 +54,11 @@ def test_jacobi_step_refuses_nonpositive_diagonal():
         jacobi_step(Tensor.from_dense(dense), np.ones(2), np.ones(2))
 
 
-def test_find_certificate_problem5(monkeypatch):
-    monkeypatch.setattr(mteq.initializer, "MAX_SWEEPS", 500)
+def test_find_certificate_problem5():
+    # P5 fails the dominance test; one Newton step certifies it
     p = gen_problem5(3, 20, seed=0)
-    u, sweeps, _ = find_certificate(p.A)
-    assert sweeps <= 500
+    u, steps, sweeps, _ = find_certificate(p.A)
+    assert (steps, sweeps) == (1, 0)
     assert p.A.apply(u).min() > 0.0
 
 
@@ -83,25 +97,30 @@ def test_find_certificate_non_m_tensor_fails_cleanly(monkeypatch, shift):
 
 
 def test_find_certificate_cap_zero_tests_the_all_ones_start_only(monkeypatch):
+    # the first step leaves the cone, and the sweeps test only their start
     monkeypatch.setattr(mteq.initializer, "MAX_SWEEPS", 0)
-    p = gen_problem3(24)
     with pytest.raises(InitializationError, match="cap of 0 splitting sweeps"):
-        find_certificate(p.A, rhs=p.b)
-    assert find_certificate(Tensor.identity(3, 2))[1] == 0
+        find_certificate(swept())
+    assert find_certificate(Tensor.identity(3, 2))[1:3] == (0, 0)
 
 
-def _pin_sweeps(A, rhs, apply):
+def _pin_sweeps(A, rhs, apply, steps=0):
     want = certificate_sweeps(apply, A.diagonal(), A.max_abs(), A.order, rhs)
     assert want is not None
-    u, sweeps, image = find_certificate(A, rhs)
+    u, taken, sweeps, image = find_certificate(A, rhs)
+    assert taken == steps
     assert sweeps == want[1] > 0
     assert u.tobytes() == want[0].tobytes()
     assert image.tobytes() == want[2].tobytes()
+    return sweeps
 
 
 @pytest.mark.parametrize("bounds", [(1e7, 1e7), (2e7, 1e7), (1e7, 5e7)])
 @pytest.mark.parametrize("n", [24, 40, 160])
-def test_stencil_sweeps_match_the_step_by_step_loop_bitwise(n, bounds):
+def test_stencil_sweeps_match_the_step_by_step_loop_bitwise(monkeypatch, n, bounds):
+    # a Newton step certifies the stencil; without steps its constant
+    # start fails the test, and the sweeps, stiff here, run as the fallback
+    monkeypatch.setattr(mteq.initializer, "MAX_STEPS", 0)
     p = gen_problem3(n, *bounds)
     A = p.A
 
@@ -111,11 +130,71 @@ def test_stencil_sweeps_match_the_step_by_step_loop_bitwise(n, bounds):
 
 
 def test_dense_sweeps_match_the_step_by_step_loop_bitwise():
-    # P5 is not diagonally dominant, and with half of b zeroed
-    # initial_point sweeps towards the all-ones target
-    p = gen_problem5(3, 12, seed=0)
-    assert p.certificate is None
-    _pin_sweeps(p.A, None, p.A.apply)
+    # the all-ones target, as initial_point uses for b with zeros
+    A = swept()
+    _pin_sweeps(A, None, A.apply)
+
+
+@pytest.mark.parametrize("m, n, delta, steps, sweeps", [
+    (3, 30, 1e-2, 3, 1), (3, 30, 1e-3, 0, 5), (3, 30, 1e-4, 0, 7),
+    (3, 30, 1e-5, 0, 11), (4, 15, 1e-2, 3, 1), (4, 15, 1e-3, 1, 2),
+    (4, 15, 1e-4, 0, 5), (4, 15, 1e-5, 0, 8)])
+def test_fallback_sweeps_match_the_step_by_step_loop_bitwise(m, n, delta, steps,
+                                                             sweeps):
+    # near singular, J(x) is no M-matrix at the start, so a step soon
+    # leaves the cone; at 1e-2 three steps keep to it but miss the test.
+    # Either way the sweeps then run as without the steps, bit for bit
+    A = swept(m, n, delta)
+    assert _pin_sweeps(A, None, A.apply, steps) == sweeps
+    b = np.random.default_rng(1).uniform(0.01, 1.01, n)
+    _pin_sweeps(A, b, A.apply, steps)
+
+
+def test_failed_lu_falls_back_to_the_sweeps(monkeypatch):
+    def refuse(mat, rhs):
+        raise SingularMatrixError("refused")
+    monkeypatch.setattr(mteq.initializer, "lu_solve", refuse)
+    p = gen_problem3(24)
+    A = p.A
+
+    def apply(x):
+        return coo_apply_prod(A.coo_indices, A.coo_values, A.dim, x)
+    _pin_sweeps(A, p.b, apply)
+
+
+@pytest.mark.parametrize("bounds", [(1e7, 1e7), (2e7, 1e7), (1e7, 5e7)])
+@pytest.mark.parametrize("n", [24, 40, 160, 320, 640, 1280])
+def test_stencil_certificate_is_one_newton_step(n, bounds):
+    p = gen_problem3(n, *bounds)
+    tic = time.perf_counter()
+    rep = solve(p, SolverConfig(relative_stop=True))
+    elapsed = time.perf_counter() - tic
+    assert rep.converged and elapsed < 1.0
+    assert rep.start.iterations == 0
+    if (n, bounds) == (1280, (1e7, 5e7)):
+        # Rounding decides this cell (ROADMAP item 2): on interior rows the
+        # floor 0.1 b_i is below the rounding error of (A x^3)_i.  The
+        # record of the constant start misses the floor by rounding alone,
+        # at a ratio of 0.57, where a contraction at c e clears it at 1.38;
+        # the step then clears it by less than a worst-case rounding bound.
+        assert rep.start.steps >= 1
+    else:
+        assert rep.start.steps == 1
+
+
+def test_dense_first_step_makes_no_contraction():
+    # the constant start scales the record of e that the dominance test
+    # cached, Jacobian included; the one contraction is the test at x1
+    q = gen_problem5(3, 12, seed=0)
+    counted = CountingTensor(q.A)
+    assert make_problem(counted, q.b).certificate is None
+    counted.reset()
+    u, steps, sweeps, image = find_certificate(counted, q.b)
+    assert (steps, sweeps) == (1, 0)
+    assert [x.tobytes() for x in counted.calls["apply"]] == [u.tobytes()]
+    assert not counted.calls["image_and_jacobian"]
+    assert not counted.calls["jacobian_matrix"]
+    assert image.tobytes() == q.A.apply(u).tobytes()
 
 
 def mixing_columns(n, k, kind):
@@ -177,7 +256,9 @@ def test_mix_restarts_when_the_least_squares_solve_fails(monkeypatch):
 @pytest.mark.parametrize("n", [24, 40])
 def test_each_mix_of_the_sweeps_is_numpys_lstsq_bitwise(monkeypatch, n):
     # the buffers as the sweeps hold them: the bits of every mixed iterate
-    # are those of np.linalg.lstsq and a C-ordered product d_val @ gamma
+    # are those of np.linalg.lstsq and a C-ordered product d_val @ gamma.
+    # Without Newton steps the stencil takes enough sweeps to mix often.
+    monkeypatch.setattr(mteq.initializer, "MAX_STEPS", 0)
     calls = []
 
     def recording(g, res, d_res, d_val):
@@ -196,32 +277,40 @@ def test_each_mix_of_the_sweeps_is_numpys_lstsq_bitwise(monkeypatch, n):
 
 
 def test_find_certificate_cap_message_reports_reach(monkeypatch):
+    # this tensor takes 11 sweeps
     monkeypatch.setattr(mteq.initializer, "MAX_SWEEPS", 5)
-    p = gen_problem3(40)
     with pytest.raises(InitializationError) as info:
-        find_certificate(p.A, rhs=p.b)
+        find_certificate(swept(delta=1e-5))
     msg = str(info.value)
     assert "cap of 5 splitting sweeps ran out" in msg
     assert "smallest ratio of A x^{m-1} to its positivity floor" in msg
     assert "likely not" not in msg
 
 
-def test_find_certificate_stencil_sweep_count():
-    # plain Jacobi sweeps took 16,074 here; the accelerated map takes 86
+def test_find_certificate_stencil_sweep_count(monkeypatch):
+    # plain Jacobi sweeps took 16,074 here, the accelerated map takes 86,
+    # and one Newton step passes the test
     p = gen_problem3(40)
-    u, sweeps, _ = find_certificate(p.A, rhs=p.b)
-    assert 0 < sweeps < 1000
+    u, steps, sweeps, _ = find_certificate(p.A, rhs=p.b)
+    assert (steps, sweeps) == (1, 0)
+    assert np.all(p.A.apply(u) > 0.1 * p.b)
+    monkeypatch.setattr(mteq.initializer, "MAX_STEPS", 0)
+    u, steps, sweeps, _ = find_certificate(p.A, rhs=p.b)
+    assert steps == 0 and 0 < sweeps < 1000
     assert np.all(p.A.apply(u) > 0.1 * p.b)
 
 
 def test_find_certificate_one_apply_per_sweep():
-    p = gen_problem3(24)
-    counted = CountingTensor(p.A)
-    u, sweeps, _ = find_certificate(counted, rhs=p.b)
-    assert sweeps > 0
-    # sweep 0 reads the all-ones image the tensor cached; every later
-    # sweep contracts once, the last one for the test at the result
-    assert len(counted.calls["apply"]) == sweeps
+    # three steps that keep to the cone but miss the test, then the sweeps
+    counted = CountingTensor(swept(delta=1e-2))
+    u, steps, sweeps, _ = find_certificate(counted)
+    assert (steps, sweeps) == (3, 1)
+    # the first step and sweep 0 read the all-ones record the tensor
+    # cached; every later step and sweep contracts once, and every later
+    # step builds its Jacobian
+    assert len(counted.calls["apply"]) == steps + sweeps
+    assert len(counted.calls["jacobian_matrix"]) == steps - 1
+    assert not counted.calls["image_and_jacobian"]
     assert len(counted.calls["diagonal"]) == 1
 
 
@@ -240,13 +329,13 @@ def test_initial_point_sweeps_through_find_certificate(monkeypatch, gen, calls):
     monkeypatch.setattr(mteq.initializer, "find_certificate", counting)
     ip = initial_point(gen())
     assert len(seen) == calls
-    assert (ip.iterations > 0) == (calls > 0)
+    assert (ip.steps + ip.iterations > 0) == (calls > 0)
 
 
 def test_dominant_shortcut_uses_ones():
     p = gen_problem1(3, 10, 0)
     ip = initial_point(p)
-    assert ip.iterations == 0
+    assert (ip.steps, ip.iterations) == (0, 0)
     assert np.array_equal(ip.u, np.ones(10))
     assert np.array_equal(ip.y0, hadamard_power(ip.x0, 2))
 
@@ -313,7 +402,7 @@ def test_boundary_value_problem_start_is_feasible():
     p = gen_problem3(20)
     cfg = SolverConfig(relative_stop=True)
     ip = initial_point(p, cfg)
-    assert 0 < ip.iterations < MAX_SWEEPS
+    assert (ip.steps, ip.iterations) == (1, 0)
     assert ip.x0.min() > 0.0
     assert in_feasible_split(p, ip.y0, cfg.eps, cfg.eps2)
 
@@ -324,7 +413,8 @@ def test_split_feasible_start_for_zeroed_rhs():
     p = make_problem(p0.A, b)
     cfg = SolverConfig()
     ip = initial_point(p, cfg)
-    assert ip.iterations > 0  # not diagonally dominant, sweeps required
+    # not diagonally dominant: a Newton step finds the certificate
+    assert (ip.steps, ip.iterations) == (1, 0)
     assert in_feasible_split(p, ip.y0, cfg.eps, cfg.eps2)
 
 

@@ -185,12 +185,13 @@ def report_fields(rep):
             rep.initial_residual, rep.stop_threshold, rep.message, rep.mode)
 
 
-@pytest.mark.parametrize("make, cfg, sweeps_ok", [
-    (lambda: gen_problem1(3, 30, 0), SolverConfig(), lambda k: k == 0),
-    (half_zeroed_p5, SolverConfig(), lambda k: k >= 0),
-    (lambda: gen_problem3(24), SolverConfig(relative_stop=True), lambda k: k > 0),
+# the start's (Newton steps, sweeps): none for the all-ones certificate
+@pytest.mark.parametrize("make, cfg, found", [
+    (lambda: gen_problem1(3, 30, 0), SolverConfig(), (0, 0)),
+    (half_zeroed_p5, SolverConfig(), (1, 0)),
+    (lambda: gen_problem3(24), SolverConfig(relative_stop=True), (1, 0)),
 ], ids=["P1", "P5-half-zeroed", "P3"])
-def test_solve_matches_the_start_and_the_solver_it_picks(make, cfg, sweeps_ok):
+def test_solve_matches_the_start_and_the_solver_it_picks(make, cfg, found):
     p = make()
     init = initial_point(p, cfg)
     if p.partition.i_zero.size:
@@ -203,7 +204,7 @@ def test_solve_matches_the_start_and_the_solver_it_picks(make, cfg, sweeps_ok):
     start = rep.start
     assert [start.u.tobytes(), start.x0.tobytes(), start.y0.tobytes()] == \
         [init.u.tobytes(), init.x0.tobytes(), init.y0.tobytes()]
-    assert start.iterations == init.iterations and sweeps_ok(start.iterations)
+    assert (start.steps, start.iterations) == (init.steps, init.iterations) == found
     assert start.elapsed_ms >= 0.0
     # a solver called with a start of the caller's reports none
     assert want.start is None

@@ -28,7 +28,10 @@ The ensemble:
 - P3 at n = 24 and 40 with the three boundary pairs of the stencil
   benchmark, stopping on the residual relative to ``||b||``;
 - bad starting points (negative, zero, infeasible, wrong shape) and a
-  problem that violates the zero-row coupling assumption;
+  problem that violates the zero-row coupling assumption, solved by
+  ``solve_nonnegative``; then a second such problem, whose splitting
+  sweeps diverge, solved by ``mteq.solve``, which refuses it before it
+  builds a start;
 - ``mteq verify`` on P1, P2, P4 and P5 at (3, 8), seed 0, and on P3 at
   n = 24;
 - the files ``write_problem`` writes for P1, P2, P4 and P5 at (3, 8) and
@@ -158,6 +161,12 @@ def bad_starts():
     q = mteq.make_problem(mteq.Tensor.identity(3, 2), np.array([1.0, 0.0]))
     yield ("uncoupled zero row: solve_nonnegative",
            report_bytes(mteq.solve_nonnegative(q, np.ones(2))))
+    dense = np.zeros((2, 2, 2))
+    dense[0, 0, 0] = dense[1, 1, 1] = 1.0
+    dense[0, 1, 1] = dense[1, 0, 1] = -2.0
+    q = mteq.make_problem(mteq.Tensor.from_dense(dense), np.array([1.0, 0.0]))
+    yield ("uncoupled zero row, diverging sweeps: solve",
+           report_bytes(mteq.solve(q)))
 
 
 def verify_outputs():

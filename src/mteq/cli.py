@@ -156,7 +156,6 @@ _STATUS_EXIT = {
     SolveStatus.ITERATION_CAP: EXIT_CAP,
     SolveStatus.LINE_SEARCH_FAILURE: EXIT_INFEASIBLE,
     SolveStatus.BAD_INITIAL_POINT: EXIT_INFEASIBLE,
-    SolveStatus.ASSUMPTION_VIOLATED: EXIT_INFEASIBLE,
 }
 
 
@@ -181,13 +180,11 @@ def cmd_solve(args) -> int:
         b = read_vector(args.rhs)
     with _exit_on(EXIT_INFEASIBLE, ValueError):
         p = scale_problem(A, b)
-    if p.partition.i_zero.size and not p.assumption.ok:
-        raise _Exit(EXIT_INFEASIBLE,
-                    f"refused: zero-indexed rows without coupling entries: "
-                    f"{p.assumption.missing_text}")
     with _exit_on(EXIT_INFEASIBLE, InitializationError,
                   prefix="initialization failed"):
         report = solve(p, cfg)
+    if report.status is SolveStatus.ASSUMPTION_VIOLATED:
+        raise _Exit(EXIT_INFEASIBLE, f"refused: {report.message}")
     with _exit_on(EXIT_IO, OSError):
         write_vector(args.solution, report.x_final)
         if args.trace:

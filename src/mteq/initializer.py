@@ -38,8 +38,7 @@ extrapolation reaches; a mixed iterate that is not finite is replaced by
 the plain Jacobi value and the history restarts.  Each sweep costs one
 contraction ``A x^{m-1}`` through the public ``A.apply``, shared by the
 positivity test and the next Jacobi value, and one least-squares solve
-of at most ``ANDERSON_DEPTH`` columns, LAPACK's ``dgelsd`` called
-directly (:func:`mteq.linalg.lstsq`); the rest is a few elementwise
+of at most ``ANDERSON_DEPTH`` columns; the rest is a few elementwise
 passes over vectors of length ``n``.  Steps and sweeps all run in
 :func:`find_certificate`: sweep 0 reads the image of ``e`` that the
 dominance test cached, and the image of the last test, which it returns
@@ -53,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrixError, lstsq, lu_solve
+from .linalg import SingularMatrixError, lu_solve
 from .model import MTeqProblem, SolverConfig, _in_domain, in_feasible_split
 from .tensor import Tensor, hadamard_power
 
@@ -139,7 +138,7 @@ def _mix(g, res, d_res, d_val):
     problem fails or the exponential is not positive and finite.
     """
     try:
-        gamma = lstsq(d_res, res)
+        gamma = np.linalg.lstsq(d_res, res, rcond=None)[0]
     except np.linalg.LinAlgError:
         return None
     z = g - d_val @ gamma
@@ -250,12 +249,11 @@ def _sweeps(A: Tensor, d, target, floor):
     # Jacobi value's (m-1)-th power, with fixed-point residual G(z) - z.
     # The last ANDERSON_DEPTH differences of both sit in ring buffers;
     # their column order does not matter to the least-squares problem.
-    # d_res is in Fortran order, as LAPACK takes it.  d_val stays in C
-    # order: in Fortran order d_val @ gamma runs another BLAS kernel, whose
-    # sums round differently and change the iterates' bits.
+    # d_val is in C order: in Fortran order d_val @ gamma runs another BLAS
+    # kernel, whose sums round differently and change the iterates' bits.
     x = xm = e
     z = np.zeros(A.dim)
-    d_res = np.empty((A.dim, ANDERSON_DEPTH), order="F")
+    d_res = np.empty((A.dim, ANDERSON_DEPTH))
     d_val = np.empty((A.dim, ANDERSON_DEPTH))
     stored = 0
     last = None

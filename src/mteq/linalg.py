@@ -6,16 +6,12 @@ working precision, and a matrix with a NaN or infinite entry as unusable.
 Both are reported as an explicit error rather than letting garbage
 propagate into a Newton step.
 
-The Newton solves, those of the certificate search among them, and the
-least-squares solves of the accelerated splitting sweeps call LAPACK
-(``dgetrf``/``dgetrs`` and ``dgelsd``) through ``scipy.linalg.lapack``
-directly: the wrappers of ``scipy.linalg`` and ``np.linalg`` around the
-same routines cost more than the routines themselves at the sizes solved
-here.  The results keep the
-wrappers' bits: the LU solve is the call that ``scipy.linalg.lu_factor``
-and ``lu_solve`` make, and the least-squares solve the one that
-``np.linalg.lstsq(a, b, rcond=None)`` makes, which agrees with numpy's
-bits as long as numpy's and scipy's LAPACK builds do.
+The Newton solves, those of the certificate search among them, call
+LAPACK's ``dgetrf``/``dgetrs`` through ``scipy.linalg.lapack`` directly:
+the wrappers of ``scipy.linalg`` and ``np.linalg`` around the same
+routines cost more than the routines themselves at the sizes solved here.
+The results keep the bits of the call that ``scipy.linalg.lu_factor`` and
+``lu_solve`` make.
 """
 
 from __future__ import annotations
@@ -27,13 +23,10 @@ import numpy as np
 
 __all__ = [
     "SingularMatrixError",
-    "lstsq",
     "lu_solve",
 ]
 
 PIVOT_RTOL = 1e-14
-
-_EPS = float(np.finfo(float).eps)
 
 
 class SingularMatrixError(RuntimeError):
@@ -48,14 +41,6 @@ def _lapack():
     certificate) start without ``scipy.linalg``."""
     from scipy.linalg import lapack
     return lapack
-
-
-@functools.cache
-def _gelsd_work(n, k):
-    """``dgelsd``'s workspace sizes ``(lwork, liwork)`` for ``n`` rows,
-    ``k`` columns and one right-hand side, from its size query."""
-    lwork, liwork, _ = _lapack().dgelsd_lwork(n, k, 1)
-    return int(lwork), liwork
 
 
 def lu_solve(mat, rhs) -> np.ndarray:
@@ -86,22 +71,3 @@ def lu_solve(mat, rhs) -> np.ndarray:
             f"matrix {why} (pivot {pivots.min():.3e}, norm {norm:.3e})")
     return lapack.dgetrs(lu, piv, rhs)[0]
 
-
-def lstsq(a, b) -> np.ndarray:
-    """The minimum-norm ``x`` minimising ``||b - a @ x||``, bit for bit
-    as ``np.linalg.lstsq(a, b, rcond=None)[0]``.
-
-    ``a`` is a float64 ``(n, k)`` array, cheapest in Fortran order, and
-    ``b`` a float64 vector of length ``n``.  Singular values below
-    ``eps * max(n, k)`` times the largest count as zero.  Raises
-    ``np.linalg.LinAlgError`` when the SVD does not converge.
-    """
-    n, k = a.shape
-    if n < k:
-        # dgelsd returns x in the rows of b, which must hold k of them
-        b = np.concatenate((b, np.zeros(k - n)))
-    x, _, _, info = _lapack().dgelsd(a, b, *_gelsd_work(n, k), cond=_EPS * max(n, k))
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"SVD did not converge in linear least squares (info {info})")
-    return x[:k]

@@ -14,6 +14,8 @@ the damping.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .initializer import initial_point
 from .model import MTeqProblem, SolverConfig
 from .report import SolveReport
@@ -59,9 +61,15 @@ def solve_nonnegative(p: MTeqProblem, y0, cfg: SolverConfig | None = None) -> So
 def solve(p: MTeqProblem, cfg: SolverConfig | None = None) -> SolveReport:
     """Solve ``A x^{m-1} = b`` for ``b >= 0`` from :func:`initial_point`.
 
-    Runs :func:`solve_positive` if ``b > 0``, else :func:`solve_nonnegative`,
-    and sets the report's ``start``; :class:`InitializationError` propagates.
+    Refuses first, before it builds a start: a problem that
+    :func:`solve_nonnegative` refuses, ``b = 0`` among them, gets that
+    ``ASSUMPTION_VIOLATED`` report, with NaN for ``x_final`` and
+    ``y_final`` and no ``start``.  Otherwise runs :func:`solve_positive`
+    if ``b > 0``, else :func:`solve_nonnegative`, and sets the report's
+    ``start``; :class:`InitializationError` propagates.
     """
+    if p.partition.i_zero.size and not p.assumption.ok:
+        return solve_nonnegative(p, np.full(p.n, np.nan), cfg)
     start = initial_point(p, cfg)
     if p.partition.i_zero.size:
         report = solve_nonnegative(p, start.y0, cfg)

@@ -12,7 +12,7 @@ from mteq import (InitializationError, SolveStatus, SolverConfig, Tensor,
                   initial_point, line_search_basic, line_search_extended,
                   make_problem, newton_direction, residual, solve,
                   solve_nonnegative, solve_positive, trial_scale)
-from mteq import solver_basic
+from mteq import initializer, solver_basic
 from mteq.problems import gen_problem1, gen_problem3, gen_problem5, zero_out_rhs
 
 from oracles import two_var_bisection
@@ -218,6 +218,32 @@ def test_solve_raises_when_no_start_exists():
     p = make_problem(Tensor.from_dense(dense), np.array([1.0, 1.0]))
     with pytest.raises(InitializationError):
         solve(p)
+
+
+def uncoupled():
+    """A Z-tensor whose row 2 has no entry a[1, 0, 0] to couple it to b_1,
+    and whose splitting sweeps from b = (1, 0) diverge."""
+    dense = np.zeros((2, 2, 2))
+    dense[0, 0, 0] = dense[1, 1, 1] = 1.0
+    dense[0, 1, 1] = dense[1, 0, 1] = -2.0
+    return make_problem(Tensor.from_dense(dense), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("make, rows", [
+    (uncoupled, "2"),
+    # b = 0 has no positive index a zero row could couple to
+    (lambda: make_problem(Tensor.identity(3, 2), np.zeros(2)), "1, 2"),
+], ids=["uncoupled-row", "zero-rhs"])
+def test_solve_refuses_before_it_builds_a_start(monkeypatch, make, rows):
+    calls = []
+    monkeypatch.setattr(initializer, "find_certificate",
+                        lambda *args, **kwargs: calls.append(args))
+    rep = solve(make())
+    assert rep.status is SolveStatus.ASSUMPTION_VIOLATED
+    assert rep.message == f"zero-indexed rows without coupling entries: {rows}"
+    assert rep.start is None and rep.iterations == 0
+    assert np.isnan(rep.x_final).all() and np.isnan(rep.y_final).all()
+    assert calls == []
 
 
 def test_readme_quick_start_runs():

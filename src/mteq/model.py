@@ -12,9 +12,9 @@ eps * b`` componentwise; where ``b`` has zeros, those rows instead compare
 against a threshold built from the Jacobian blocks of the positive rows.
 
 All strict inequalities from the underlying theory are implemented with an
-additive slack of ``1e-14 * (1 + max|b|)``: exact float comparisons would
-otherwise produce spurious line-search failures at points that are feasible
-in exact arithmetic.
+additive slack of ``1e-14 * max|b|``, which scales with ``b``: exact float
+comparisons would otherwise produce spurious line-search failures at points
+that are feasible in exact arithmetic.
 
 Every quantity at a point comes from one private record, built by
 ``_evaluate(p, y)``: ``y``, ``x``, ``g = A x^{m-1}``, ``f = g - b`` and,
@@ -222,9 +222,9 @@ def _scale_factor(max_abs, b) -> float:
 
 
 def feasibility_slack(b) -> float:
+    """Slack of every feasibility comparison, ``1e-14 * max|b|``."""
     b = np.asarray(b, dtype=float)
-    bmax = float(np.abs(b).max()) if b.size else 0.0
-    return 1e-14 * (1.0 + bmax)
+    return 1e-14 * float(np.abs(b).max()) if b.size else 0.0
 
 
 def _in_domain(y) -> bool:

@@ -337,16 +337,16 @@ class Tensor:
         """Operational dominance test: ``A e^{m-1} > 0`` componentwise.
 
         The all-ones vector then certifies the splitting constant exceeds
-        the spectral radius of the nonnegative part.  Comparison uses a
-        small scale-relative margin so that rows whose coefficients sum to
-        zero in exact arithmetic are not misclassified by rounding.
+        the spectral radius of the nonnegative part.  Each entry must clear
+        the noise floor ``1e-12 * max|a|``, so that rows summing to zero in
+        exact arithmetic are not misclassified by rounding, at any scale.
         """
         ax = self._ones_record()[0]
         return bool(np.all(ax > self._noise_floor()))
 
     def _noise_floor(self) -> float:
-        """Least value an entry of ``A x^{m-1}`` must exceed to count as positive."""
-        return 1e-12 * max(1.0, self.max_abs())
+        """Least value an entry of ``A x^{m-1}`` must exceed: ``1e-12 * max|a|``."""
+        return 1e-12 * self.max_abs()
 
     @_fact
     def _ones_record(self):

@@ -235,7 +235,7 @@ def certificate_sweeps(apply, diag, max_abs, m, rhs=None, depth=5,
     n = diag.size
     e = np.ones(n)
     target = e if rhs is None else np.asarray(rhs, dtype=float)
-    floor = np.maximum(1e-12 * max(1.0, max_abs), 0.1 * target)
+    floor = np.maximum(1e-12 * max_abs, 0.1 * target)
     x = xm = e
     z = np.zeros(n)
     d_res = np.empty((n, depth))

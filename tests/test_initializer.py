@@ -10,7 +10,7 @@ import pytest
 import mteq.initializer
 from mteq import (SolverConfig, Tensor, find_certificate, hadamard_power,
                   in_feasible_split, initial_point, jacobi_step, make_problem,
-                  solve)
+                  scale_problem, solve)
 from mteq.initializer import ANDERSON_DEPTH, InitializationError, _mix
 from mteq.linalg import SingularMatrixError
 from mteq.model import MTeqProblem
@@ -163,21 +163,25 @@ def test_failed_lu_falls_back_to_the_sweeps(monkeypatch):
 @pytest.mark.parametrize("bounds", [(1e7, 1e7), (2e7, 1e7), (1e7, 5e7)])
 @pytest.mark.parametrize("n", [24, 40, 160, 320, 640, 1280])
 def test_stencil_certificate_is_one_newton_step(n, bounds):
+    # as generated, and as `mteq solve` reads it: divided by its largest
+    # magnitude, which for these cells is b's, of order 1e21 to 1e23
     p = gen_problem3(n, *bounds)
-    tic = time.perf_counter()
-    rep = solve(p, SolverConfig(relative_stop=True))
-    elapsed = time.perf_counter() - tic
-    assert rep.converged and elapsed < 1.0
-    assert rep.start.iterations == 0
-    if (n, bounds) == (1280, (1e7, 5e7)):
-        # Rounding decides this cell (ROADMAP item 2): on interior rows the
-        # floor 0.1 b_i is below the rounding error of (A x^3)_i.  The
-        # record of the constant start misses the floor by rounding alone,
-        # at a ratio of 0.57, where a contraction at c e clears it at 1.38;
-        # the step then clears it by less than a worst-case rounding bound.
-        assert rep.start.steps >= 1
-    else:
-        assert rep.start.steps == 1
+    for q in (p, scale_problem(p.A, p.b)):
+        tic = time.perf_counter()
+        rep = solve(q, SolverConfig(relative_stop=True))
+        elapsed = time.perf_counter() - tic
+        assert rep.converged and elapsed < 1.0
+        assert rep.start.iterations == 0
+        if (n, bounds) == (1280, (1e7, 5e7)):
+            # Rounding decides this cell (ROADMAP item 2): on interior rows
+            # the floor 0.1 b_i is below the rounding error of (A x^3)_i.
+            # The record of the constant start misses the floor by rounding
+            # alone, at a ratio of 0.57, where a contraction at c e clears
+            # it at 1.38; the step then clears it by less than a worst-case
+            # rounding bound.
+            assert rep.start.steps >= 1
+        else:
+            assert rep.start.steps == 1
 
 
 def test_dense_first_step_makes_no_contraction():

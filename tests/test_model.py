@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from mteq import (MTeqProblem, SingularMatrixError, SolverConfig, Tensor,
-                  check_assumption, feasibility_slack, hadamard_power,
+from mteq import (MTeqProblem, SingularMatrixError, SolverConfig, SolveStatus,
+                  Tensor, check_assumption, feasibility_slack, hadamard_power,
                   in_feasible_split, make_problem, partition_indices, residual,
-                  residual_jacobian, scale_problem, zero_block_threshold)
-from mteq.problems import gen_problem1
+                  residual_jacobian, scale_problem, solve, solve_positive,
+                  zero_block_threshold)
+from mteq.problems import (gen_problem1, gen_problem2, gen_problem3,
+                           gen_problem4, gen_problem5)
 
-from oracles import fd_jacobian, missing_rows_blocks
+from oracles import fd_jacobian, missing_rows_blocks, near_singular
 
 
 def small_problem(b=(1.0, 1.0)):
@@ -118,8 +120,11 @@ def test_non_finite_transformed_iterate_rejected(value):
 
 
 def test_feasibility_slack_scales_with_b():
-    assert feasibility_slack(np.array([1.0])) == pytest.approx(2e-14)
+    assert feasibility_slack(np.array([1.0])) == 1e-14
     assert feasibility_slack(np.array([1e6])) > feasibility_slack(np.array([1.0]))
+    # no absolute term: the slack of 2^-60 b is 2^-60 times that of b
+    assert feasibility_slack(np.array([-3.0, 2.0 ** -60])) == 3e-14
+    assert feasibility_slack(np.array([2.0 ** -60])) == 2.0 ** -60 * 1e-14
 
 
 def test_in_feasible_split_and_threshold():
@@ -167,6 +172,61 @@ def test_scale_problem_preserves_solutions():
     assert np.allclose(scaled.A.apply(x), scaled.b, rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
         scale_problem(Tensor.from_dense(np.zeros((2, 2, 2))), np.zeros(2))
+
+
+def scale_free_problems():
+    """The ``b > 0`` problems of the scale-invariance test: P1, P2, P4
+    and P5 at (3, 20), near-singular tensors at (3, 30), and P3 at four
+    stencil cells."""
+    for gen in (gen_problem1, gen_problem2, gen_problem4, gen_problem5):
+        for seed in range(3):
+            yield gen(3, 20, seed)
+    for delta in (1e-2, 1e-4):
+        for seed in range(3):
+            b = np.random.default_rng(seed).uniform(0.01, 1.01, 30)
+            yield make_problem(near_singular(3, 30, delta, seed), b)
+    for n, c0, c1 in ((40, 1e7, 1e7), (40, 2e7, 1e7), (160, 1e7, 5e7),
+                      (320, 2e7, 1e7)):
+        yield gen_problem3(n, c0, c1)
+
+
+def times_power_of_two(p, k):
+    return make_problem(p.A.scaled(2.0 ** k), p.b * 2.0 ** k)
+
+
+def test_power_of_two_rescaling_leaves_a_solve_bit_identical():
+    """Both tolerances scale with the data they guard, so a ``b > 0``
+    solve of ``(2^k A, 2^k b)`` takes the same decisions, steps and
+    iterates as that of ``(A, b)``, and its residual norms are exactly
+    ``2^k`` times as large.  Right-hand sides with zeros are not covered:
+    their certificate aims at the all-ones vector, which does not scale
+    with ``b``."""
+    cfg = SolverConfig(relative_stop=True)
+    for p in scale_free_problems():
+        ref = solve(p, cfg)
+        for k in (-60, -21, 21, 60):
+            rep = solve(times_power_of_two(p, k), cfg)
+            assert (rep.status, rep.message) == (ref.status, ref.message)
+            assert rep.x_final.tobytes() == ref.x_final.tobytes()
+            assert [y.tobytes() for y in rep.iterates] == \
+                [y.tobytes() for y in ref.iterates]
+            assert [(t.alpha, t.backtracks) for t in rep.trace] == \
+                [(t.alpha, t.backtracks) for t in ref.trace]
+            assert [t.residual_norm for t in rep.trace] == \
+                [np.ldexp(t.residual_norm, k) for t in ref.trace]
+            assert rep.final_residual == np.ldexp(ref.final_residual, k)
+            assert (rep.start.steps, rep.start.iterations) == \
+                (ref.start.steps, ref.start.iterations)
+            assert rep.start.x0.tobytes() == ref.start.x0.tobytes()
+
+
+def test_feasibility_slack_does_not_admit_a_scaled_infeasible_start():
+    # x0 = 1e-3 e lies outside P1's feasible region at any scale; a slack
+    # with an absolute term let it in once the problem was scaled down
+    p = gen_problem1(3, 20, 0)
+    x0 = np.full(p.n, 1e-3)
+    for q in (p, times_power_of_two(p, -60)):
+        assert solve_positive(q, x0).status is SolveStatus.BAD_INITIAL_POINT
 
 
 def test_check_assumption():

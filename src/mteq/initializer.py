@@ -19,15 +19,21 @@ A Z-tensor is a strong M-tensor exactly when such a ``u`` exists (Ding,
 Qi & Wei, Linear Algebra Appl. 439, 2013), and :func:`find_certificate`
 looks for it first by Newton's method on ``A x^{m-1} = r`` (Ding & Wei,
 J. Sci. Comput. 68, 2016), with the Jacobian and the LU solve of the
-solvers' own steps.  It takes at most ``MAX_STEPS`` steps from a constant
-start.  The first step scales the tensor's cached record of ``e``, so on
-dense storage it makes no pass over the tensor.  On the boundary-value
-stencil and the triangular generator one step passes the test.
+solvers' own steps.  The step is ``x+ = (m-2)/(m-1) x + v`` with
+``v = J(x)^{-1} r``, because ``J(x) x = (m-1) A x^{m-1}`` for any tensor.
+At most ``MAX_STEPS`` steps run, from ``c e`` with ``c = max_i
+(r_i/d_i)^{1/(m-1)}``, the largest entry of the solution for the
+diagonal ``d`` of ``A`` alone.  The start's image and Jacobian scale the
+tensor's cached record of ``e``, so on dense storage the first step makes
+no pass over the tensor.  On the boundary-value stencil and the
+triangular generator one step passes the test.
 
-The steps need ``J(x)`` to stay a nonsingular M-matrix, which fails near
-singular tensors: there a step leaves the positive cone.  Then, or when
-the LU solve refuses, or after ``MAX_STEPS`` steps, the diagonal tensor
-splitting runs from ``e``, bit for bit as it would without the steps.
+A step is kept only while ``v`` is positive and finite, so every iterate
+stays positive.  That needs ``J(x)`` to stay a nonsingular M-matrix,
+which fails near singular tensors: there ``v`` leaves the positive cone.
+Then, or when the LU solve refuses, or when a step's image is not
+finite, or after ``MAX_STEPS`` steps, the diagonal tensor splitting runs
+from ``e``, bit for bit as it would without the steps.
 Plain Jacobi sweeps contract slowly on stiff or nearly singular tensors,
 so the sweeps are Anderson accelerated (Walker & Ni, SIAM J. Numer.
 Anal. 49, 2011): each step mixes the newest Jacobi value with the last
@@ -165,21 +171,22 @@ def jacobi_step(A: Tensor, rhs, x) -> np.ndarray:
 
 def find_certificate(A: Tensor, rhs=None):
     """Positive ``u`` with ``A u^{m-1} > 0``, found by Newton steps on
-    ``A x^{m-1} = rhs`` or, where they fail, by splitting sweeps.
+    ``A x^{m-1} = rhs`` or, where they fail, by splitting sweeps (see the
+    module docstring).
 
-    Returns ``(u, steps, sweeps, image)``: the Newton steps and the sweeps
-    taken, and ``image``, ``A u^{m-1}`` as the last test computed it, so
-    that :func:`initial_point` does not contract the tensor at ``u``
-    again.  The target is ``rhs``, which must be strictly positive, or the
-    all-ones vector when ``rhs`` is omitted.  The test passes once
+    Returns ``(u, steps, sweeps, image)``: the Newton steps kept, the
+    sweeps taken, and ``image``, ``A u^{m-1}`` as the last test computed
+    it, so that :func:`initial_point` does not contract the tensor at
+    ``u`` again.  The target is ``rhs``, which must be strictly positive,
+    or the all-ones vector when ``rhs`` is omitted.  The test passes once
     ``A x^{m-1}`` clears both the tensor's noise floor and a fixed
     fraction of the target on every component, so the certificate has a
-    usable margin.  At most ``MAX_STEPS`` steps run, from a constant
-    start; when they do not pass the test, the sweeps run from the
-    all-ones vector, exactly as without the steps, and ``MAX_SWEEPS`` caps
-    them after sweep 0.  Raises :class:`InitializationError` when the
-    sweeps diverge, or when their cap runs out; the message then gives how
-    close the last iterate came to passing the test.
+    usable margin.  The steps return at the first test that passes; where
+    they give up, a step whose image is not finite counts as kept.
+    ``MAX_SWEEPS`` caps the sweeps after sweep 0.
+    Raises :class:`InitializationError` when the sweeps diverge, or when
+    their cap runs out; the message then gives how close the last iterate
+    came to passing the test.
     """
     if rhs is None:
         target = np.ones(A.dim)
@@ -191,58 +198,36 @@ def find_certificate(A: Tensor, rhs=None):
             raise ValueError("splitting target must be finite and strictly positive")
     d = _positive_diagonal(A)
     floor = np.maximum(A._noise_floor(), POSITIVITY_MARGIN * target)
-    # the steps' overflow is caught by their finiteness tests
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps, found = _newton_steps(A, d, target, floor)
-    if found is not None:
-        return found[0], steps, 0, found[1]
-    u, sweeps, image = _sweeps(A, d, target, floor)
-    return u, steps, sweeps, image
-
-
-def _newton_steps(A: Tensor, d, target, floor):
-    """``(steps, (x, A x^{m-1}))`` once the test passes, or ``(steps,
-    None)`` when the steps give up after ``steps`` kept steps.
-
-    Newton's step for ``A x^{m-1} = r`` is ``x+ = (m-2)/(m-1) x + v``
-    with ``v = J(x)^{-1} r``, because ``J(x) x = (m-1) A x^{m-1}`` for any
-    tensor.  A step is kept only while ``v`` is positive and finite, so
-    every iterate stays positive.  The start is ``c e`` with
-    ``c = max_i (r_i/d_i)^{1/(m-1)}``, the largest entry of the solution
-    for the diagonal part of ``A`` alone.  Its image and Jacobian scale the tensor's record
-    of ``e`` by ``c^{m-1}`` and ``c^{m-2}``, so on dense storage the first
-    step makes no pass.
-    """
     m = A.order
-    c = float(np.max(target / d)) ** (1.0 / (m - 1))
-    image, jac = A._ones_record()
-    x = np.full(A.dim, c)
-    ax = c ** (m - 1) * image
-    jac = None if jac is None else c ** (m - 2) * jac
-    for step in range(MAX_STEPS + 1):
-        if not np.isfinite(ax).all():
-            return step, None
-        if (ax > floor).all():
-            return step, (x, ax)
-        if step == MAX_STEPS:
-            break
-        try:
-            v = lu_solve(A.jacobian_matrix(x) if jac is None else jac, target)
-        except SingularMatrixError:
-            return step, None
-        if not (np.isfinite(v) & (v > 0.0)).all():
-            return step, None
-        x = (m - 2) / (m - 1) * x + v
-        ax = A.apply(x)
-        jac = None
-    return MAX_STEPS, None
+    # overflow is caught by the finiteness tests of the steps and sweeps
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = float(np.max(target / d)) ** (1.0 / (m - 1))
+        ax, jac = A._record_at(c)
+        x = np.full(A.dim, c)
+        for steps in range(MAX_STEPS + 1):
+            if not np.isfinite(ax).all():
+                break
+            if (ax > floor).all():
+                return x, steps, 0, ax
+            if steps == MAX_STEPS:
+                break
+            try:
+                v = lu_solve(A.jacobian_matrix(x) if jac is None else jac, target)
+            except SingularMatrixError:
+                break
+            if not (np.isfinite(v) & (v > 0.0)).all():
+                break
+            x = (m - 2) / (m - 1) * x + v
+            ax, jac = A.apply(x), None
+        u, sweeps, image = _sweeps(A, d, target, floor)
+    return u, steps, sweeps, image
 
 
 def _sweeps(A: Tensor, d, target, floor):
     """``(u, sweeps, A u^{m-1})`` from the Anderson-accelerated splitting
-    sweeps, started at the all-ones vector; see :func:`find_certificate`."""
+    sweeps, started at the all-ones vector; see :func:`find_certificate`,
+    whose ``np.errstate`` they run under."""
     cap = MAX_SWEEPS
-    e = np.ones(A.dim)
     # xm > 0 by construction, so its root needs no sign test
     root = 1.0 / (A.order - 1)
     # Anderson mixing in z = log x^{m-1}, of the map G(z) = log of the
@@ -251,42 +236,40 @@ def _sweeps(A: Tensor, d, target, floor):
     # their column order does not matter to the least-squares problem.
     # d_val is in C order: in Fortran order d_val @ gamma runs another BLAS
     # kernel, whose sums round differently and change the iterates' bits.
-    x = xm = e
+    x = xm = np.ones(A.dim)
     z = np.zeros(A.dim)
     d_res = np.empty((A.dim, ANDERSON_DEPTH))
     d_val = np.empty((A.dim, ANDERSON_DEPTH))
     stored = 0
     last = None
-    # Overflow is caught below by the finiteness tests.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sweep in range(cap + 1):
-            ax = A.apply(x) if sweep else A._ones_record()[0]
-            if not np.isfinite(ax).all():
-                raise _diverged(sweep)
-            if (ax > floor).all():
-                return x, sweep, ax
-            if sweep == cap:
-                break
-            w = _jacobi_power(d, target, xm, ax)
-            g = np.log(w)
-            if not np.isfinite(g).all():
-                raise _diverged(sweep)
-            res = g - z
-            if last is not None:
-                slot = stored % ANDERSON_DEPTH
-                np.subtract(res, last[0], out=d_res[:, slot])
-                np.subtract(g, last[1], out=d_val[:, slot])
-                stored += 1
-            last = res, g
-            z, xm = g, w
-            if stored:
-                cols = min(stored, ANDERSON_DEPTH)
-                mixed = _mix(g, res, d_res[:, :cols], d_val[:, :cols])
-                if mixed is None:
-                    stored = 0
-                else:
-                    z, xm = mixed
-            x = xm ** root
+    for sweep in range(cap + 1):
+        ax = A.apply(x) if sweep else A._ones_record()[0]
+        if not np.isfinite(ax).all():
+            raise _diverged(sweep)
+        if (ax > floor).all():
+            return x, sweep, ax
+        if sweep == cap:
+            break
+        w = _jacobi_power(d, target, xm, ax)
+        g = np.log(w)
+        if not np.isfinite(g).all():
+            raise _diverged(sweep)
+        res = g - z
+        if last is not None:
+            slot = stored % ANDERSON_DEPTH
+            np.subtract(res, last[0], out=d_res[:, slot])
+            np.subtract(g, last[1], out=d_val[:, slot])
+            stored += 1
+        last = res, g
+        z, xm = g, w
+        if stored:
+            cols = min(stored, ANDERSON_DEPTH)
+            mixed = _mix(g, res, d_res[:, :cols], d_val[:, :cols])
+            if mixed is None:
+                stored = 0
+            else:
+                z, xm = mixed
+        x = xm ** root
     reach = float(np.min(ax / floor))
     raise InitializationError(
         f"no positivity certificate: the cap of {cap} splitting sweeps ran "

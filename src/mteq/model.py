@@ -25,9 +25,8 @@ record asks ``jacobian_matrix`` on first use, so no code here asks which
 storage a tensor has.  A record asked for without its Jacobian takes ``g``
 from ``apply`` and leaves the Jacobian to ``jacobian_matrix``, which gives
 the same bits.  A record at a constant vector ``x = s e`` makes no pass:
-by homogeneity it takes ``g = s^{m-1} A e^{m-1}`` and the raw Jacobian
-``s^{m-2} J(e)`` from the tensor's record of ``e``, which the dominance
-test built along with the problem.  The problem keeps the
+it scales the tensor's record of ``e``, which the dominance test built
+along with the problem (``Tensor._record_at``).  The problem keeps the
 last record in a one-slot memo that is hit only by a ``y`` exactly equal
 to the record's, which hands the point evaluated by
 :func:`~mteq.initializer.initial_point` or accepted by a line search on to
@@ -254,15 +253,12 @@ class _Point:
     __slots__ = ("y", "x", "g", "f", "_A", "_raw_jac", "_jac")
 
     def __init__(self, A: Tensor, b: np.ndarray, y: np.ndarray, jacobian=True):
-        m = A.order
         self.y = y
-        self.x = hadamard_power(y, 1.0 / (m - 1))
+        self.x = hadamard_power(y, 1.0 / (A.order - 1))
         self._A = A
         s = self.x[0]
         if np.all(self.x == s):
-            image, jac = A._ones_record()
-            self.g = s ** (m - 1) * image
-            self._raw_jac = None if jac is None else s ** (m - 2) * jac
+            self.g, self._raw_jac = A._record_at(s)
         elif jacobian:
             self.g, self._raw_jac = A.image_and_jacobian(self.x)
         else:

@@ -122,7 +122,5 @@ def estimate_order(trace) -> float | None:
             return None
     if not (r0 > r1 > r2):
         return None
-    denom = math.log(r1 / r0)
-    if denom == 0.0:
-        return None
-    return math.log(r2 / r1) / denom
+    # r0 > r1 > 0 gives fl(r1/r0) <= 1 - 2^-53, whose log is negative
+    return math.log(r2 / r1) / math.log(r1 / r0)

@@ -172,9 +172,8 @@ def _predicted_final(p: MTeqProblem, y, d, cfg: SolverConfig, r, r_prev,
         return
     if r * (r / r_prev) ** 2 > threshold:
         return
-    _, alpha = next(_steps(cfg, r, scaled=False))
-    yt = y + alpha * d
-    if _in_domain(yt) and not _rounds_away(y, yt, alpha, cfg):
+    yt = y + d
+    if _in_domain(yt) and not _rounds_away(y, yt, 1.0, cfg):
         _evaluate(p, yt, jacobian=False)
 
 
@@ -230,7 +229,6 @@ def _damped_newton(p: MTeqProblem, start, cfg: SolverConfig, line_search, *,
     message = ""
     for k in range(1, cfg.max_iter + 1):
         if r <= threshold:
-            status = SolveStatus.CONVERGED
             break
         tic = time.perf_counter()
         try:
@@ -257,9 +255,9 @@ def _damped_newton(p: MTeqProblem, start, cfg: SolverConfig, line_search, *,
         trace.append(IterationRecord(k, step.alpha, r, step.backtracks, True,
                                      (time.perf_counter() - tic) * 1e3))
         iterates.append(point.y.copy())
-    else:
-        if r <= threshold:
-            status = SolveStatus.CONVERGED
+    # every failure breaks before r changes, with r above the threshold
+    if r <= threshold:
+        status = SolveStatus.CONVERGED
     return SolveReport(status, point.x.copy(), point.y.copy(), trace, r, r0,
                        iterates, stop_threshold=threshold, message=message,
                        mode=mode)

@@ -354,12 +354,20 @@ class Tensor:
         read-only: ``A e^{m-1}``, which the dominance test reads and
         :func:`~mteq.initializer.initial_point` reuses, and ``J(e)`` or
         ``None``.  A record at a constant vector scales both instead of
-        contracting the tensor (see :mod:`mteq.model`)."""
+        contracting the tensor (see :meth:`_record_at`)."""
         image, jac = self.image_and_jacobian(np.ones(self.dim))
         for part in (image, jac):
             if part is not None:
                 part.flags.writeable = False
         return image, jac
+
+    def _record_at(self, c):
+        """``image_and_jacobian`` of the constant vector ``c e``, scaled
+        from :meth:`_ones_record` by homogeneity without a pass:
+        ``(c^{m-1} A e^{m-1}, c^{m-2} J(e))``, or ``None`` for the second."""
+        image, jac = self._ones_record()
+        m = self.order
+        return c ** (m - 1) * image, None if jac is None else c ** (m - 2) * jac
 
 
 class _DenseTensor(Tensor):
@@ -778,9 +786,9 @@ def nqz_spectral_radius(t: Tensor):
     final ``(lower, upper)`` Collatz-Wielandt bounds from the componentwise
     ratios ``(B x^{m-1})_i / x_i^{m-1}``.  If an iterate component collapses
     to zero (a reducible tensor), every entry is implicitly perturbed by
-    ``1e-12`` to restore coupling; the returned bracket then bounds the
-    radius of the perturbed tensor, which is an upper bound for the
-    original one.
+    ``1e-12 * t.max_abs()`` to restore coupling, so the bracket scales
+    with the tensor; it then bounds the radius of the perturbed tensor,
+    which is an upper bound for the original one.
     """
     if t.min_entry() < 0.0:
         raise ValueError("spectral-radius bracket needs a nonnegative tensor")
@@ -800,7 +808,7 @@ def nqz_spectral_radius(t: Tensor):
     lower, upper = 0.0, math.inf
     for _ in range(_RADIUS_MAX_ITER):
         if np.any(v <= 0.0):
-            delta = 1e-12
+            delta = 1e-12 * t.max_abs()
             v = contract(x)
         y = v ** (1.0 / (m - 1))
         x = y / y.max()

@@ -52,6 +52,16 @@ def test_jacobi_step_refuses_nonpositive_diagonal():
         jacobi_step(Tensor.from_dense(dense), np.ones(2), np.ones(2))
 
 
+def test_jacobi_step_refuses_a_step_out_of_the_cone():
+    # a positive off-diagonal entry is a negative entry of B, which here
+    # drives the first row's (m-1)-th power below zero
+    dense = np.zeros((2, 2, 2))
+    dense[0, 0, 0] = dense[1, 1, 1] = 1.0
+    dense[0, 1, 1] = 5.0
+    with pytest.raises(InitializationError, match="left the positive cone"):
+        jacobi_step(Tensor.from_dense(dense), np.ones(2), np.ones(2))
+
+
 def test_find_certificate_problem5():
     # P5 fails the dominance test; one Newton step certifies it
     p = gen_problem5(3, 20, seed=0)
@@ -158,6 +168,19 @@ def test_failed_lu_falls_back_to_the_sweeps(monkeypatch):
     def apply(x):
         return coo_apply_prod(A.coo_indices, A.coo_values, A.dim, x)
     _pin_sweeps(A, p.b, apply)
+
+
+def test_a_step_to_a_non_finite_image_counts_and_falls_back(monkeypatch):
+    # the step's image overflows: the steps end with that step kept, and
+    # the sweeps run from e as without the steps
+    monkeypatch.setattr(mteq.initializer, "lu_solve",
+                        lambda mat, rhs: np.full(len(rhs), 1e300))
+    p = gen_problem3(24)
+    A = p.A
+
+    def apply(x):
+        return coo_apply_prod(A.coo_indices, A.coo_values, A.dim, x)
+    _pin_sweeps(A, p.b, apply, steps=1)
 
 
 @pytest.mark.parametrize("bounds", [(1e7, 1e7), (2e7, 1e7), (1e7, 5e7)])

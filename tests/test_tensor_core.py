@@ -9,7 +9,7 @@ from mteq import (FormatError, Tensor, dense_cap, hadamard_power, m_splitting,
                   nqz_spectral_radius, read_tensor, read_vector, write_tensor,
                   write_vector)
 from mteq import tensor
-from mteq.problems import gen_problem1, gen_problem4, symmetrize_full
+from mteq.problems import gen_problem1, gen_problem4, gen_problem5, symmetrize_full
 
 from oracles import (apply_loops, coo_apply_prod, coo_jacobian_add_at,
                      jacobian_loops)
@@ -519,6 +519,19 @@ def test_nqz_known_values():
     assert abs(lo - 1.0) < 1e-8 and abs(hi - 1.0) < 1e-8
     # zero tensor is a degenerate but legal input
     assert nqz_spectral_radius(Tensor.from_dense(np.zeros((2, 2, 2)))) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("m, n", [(3, 8), (4, 6), (5, 4)])
+def test_nqz_bracket_scales_with_the_tensor(m, n):
+    # the perturbation of a reducible tensor is relative to its largest
+    # entry, so scaling the tensor by a power of two scales the bracket
+    B = m_splitting(gen_problem5(m, n, seed=0).A)[1]
+    lo, hi = nqz_spectral_radius(B)
+    for k in (-60, -20, 20, 60):
+        f = 2.0 ** k
+        slo, shi = nqz_spectral_radius(B.scaled(f))
+        assert slo / f == pytest.approx(lo, rel=1e-12, abs=0.0)
+        assert shi / f == pytest.approx(hi, rel=1e-12, abs=0.0)
 
 
 def test_nqz_rejects_negative_entries():
